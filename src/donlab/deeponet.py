@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,21 +138,29 @@ def empirical_risk(model: DeepONetModel, dataset: Dataset) -> float:
 def loss_grads(
     model: DeepONetModel, batch: Dataset
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exact gradient of the batch empirical risk w.r.t. both flat vectors.
-
-    Per sample, the residual r_i = h_i - y_i feeds (2/n) r_i * Trunk(p_i)
-    into the branch output and (2/n) r_i * Branch(s_i) into the trunk output.
-    """
+    """Exact gradient of the batch empirical risk w.r.t. both flat vectors."""
     if batch.n == 0:
         raise InputError("cannot take gradients on an empty batch")
-    b_out = nn.forward_batch(model.branch, batch.s)
-    t_out = nn.forward_batch(model.trunk, batch.p)
+    return loss_grads_arrays(model, batch.s, batch.p, batch.y)
+
+
+def loss_grads_arrays(
+    model: DeepONetModel, s: np.ndarray, p: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`loss_grads` on row-aligned arrays s (n, m), p (n, d2), y (n,).
+
+    One forward pass per net. Per sample, the residual r_i = h_i - y_i feeds
+    (2/n) r_i * Trunk(p_i) into the branch output and (2/n) r_i * Branch(s_i)
+    into the trunk output.
+    """
+    b_out, branch_vjp = nn.value_and_vjp(model.branch, s)
+    t_out, trunk_vjp = nn.value_and_vjp(model.trunk, p)
     h = np.einsum("ij,ij->i", b_out, t_out)
-    r = h - batch.y
+    r = h - y
     loss = float(np.mean(r * r))
-    scale = 2.0 / batch.n
-    branch_grads = nn.backward_batch(model.branch, batch.s, (scale * r)[:, None] * t_out)
-    trunk_grads = nn.backward_batch(model.trunk, batch.p, (scale * r)[:, None] * b_out)
+    scale = 2.0 / y.shape[0]
+    branch_grads = branch_vjp((scale * r)[:, None] * t_out)
+    trunk_grads = trunk_vjp((scale * r)[:, None] * b_out)
     return branch_grads, trunk_grads, loss
 
 
@@ -237,7 +247,11 @@ def save_checkpoint(
     adam_trunk: nn.AdamState | None = None,
     epoch: int = 0,
 ) -> None:
-    """Write the model (and optionally optimizer state) as round-trip-exact JSON."""
+    """Write the model (and optionally optimizer state) as round-trip-exact JSON.
+
+    The JSON goes to a temporary file beside ``path`` that then replaces it,
+    so an interrupted save leaves the previous checkpoint in place.
+    """
     payload = {
         "format": CHECKPOINT_FORMAT,
         "q": model.q,
@@ -248,7 +262,16 @@ def save_checkpoint(
         "adam_branch": adam_branch.to_dict() if adam_branch is not None else None,
         "adam_trunk": adam_trunk.to_dict() if adam_trunk is not None else None,
     }
-    Path(path).write_text(json.dumps(payload))
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    os.close(fd)
+    tmp = Path(tmp)
+    try:
+        tmp.write_text(json.dumps(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

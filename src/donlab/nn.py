@@ -159,45 +159,67 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(z: np.ndarray, name: str) -> np.ndarray:
+def _activate_(z: np.ndarray, name: str) -> np.ndarray:
+    """Apply the activation to z, overwriting z where the op allows it.
+
+    z must be a buffer the caller owns; relu and tanh reuse it, sigmoid
+    returns a fresh array and linear returns z itself.
+    """
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "sigmoid":
         return _sigmoid(z)
     return z  # linear
 
 
-def _activation_deriv(z: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
-    """Derivative of the activation, given pre-activation z and output a."""
+def _scale_by_deriv_(delta: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
+    """delta times the activation's derivative, taken from its output a.
+
+    relu' = [a > 0], tanh' = 1 - a^2, sigmoid' = a (1 - a), linear' = 1;
+    delta is overwritten.
+    """
     if name == "relu":
-        return (z > 0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(z)  # linear
+        delta *= a > 0
+    elif name == "tanh":
+        delta *= 1.0 - a * a
+    elif name == "sigmoid":
+        delta *= a * (1.0 - a)
+    return delta
 
 
-def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Forward pass for a batch: x of shape (n, in_dim) -> (n, out_dim)."""
+def _check_input(params: MlpParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.in_dim:
         raise InputError(
             f"expected input shape (n, {params.spec.in_dim}), got {x.shape}"
         )
+    return x
+
+
+def _forward(params: MlpParams, x: np.ndarray, acts: list | None):
+    """The forward loop. Appends each layer's input to acts unless it is None.
+
+    Every layer computes into a fresh buffer z, so x is never modified and
+    only the current layer is held when acts is None.
+    """
+    spec = params.spec
     layers = unflatten(params)
+    last = len(layers) - 1
     a = x
     for i, (w, b) in enumerate(layers):
-        z = a @ w.T + b
-        name = (
-            params.spec.output_activation
-            if i == len(layers) - 1
-            else params.spec.hidden_activation
-        )
-        a = _activate(z, name)
-    return a
+        if acts is not None:
+            acts.append(a)
+        z = a @ w.T
+        z += b
+        a = _activate_(z, spec.output_activation if i == last else spec.hidden_activation)
+    return a, layers
+
+
+def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Forward pass for a batch: x of shape (n, in_dim) -> (n, out_dim)."""
+    return _forward(params, _check_input(params, x), None)[0]
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -208,6 +230,41 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return forward_batch(params, x[None, :])[0]
 
 
+def value_and_vjp(params: MlpParams, x: np.ndarray):
+    """Forward pass plus its vector-Jacobian product with respect to flat.
+
+    Returns (out, vjp): out equals forward_batch(params, x), and vjp(g) is
+    the gradient of sum_i <g[i], out[i]> w.r.t. the flat vector, computed
+    by exact reverse mode from the activations cached by this one pass.
+    """
+    spec = params.spec
+    x = _check_input(params, x)
+    acts: list[np.ndarray] = []
+    out, layers = _forward(params, x, acts)
+
+    def vjp(out_grads: np.ndarray) -> np.ndarray:
+        delta = np.array(out_grads, dtype=np.float64)  # a copy: scaled in place
+        if delta.shape != out.shape:
+            raise InputError(
+                f"expected out_grads shape {out.shape}, got {delta.shape}"
+            )
+        delta = _scale_by_deriv_(delta, out, spec.output_activation)
+        grad = np.zeros_like(params.flat)
+        slices = list(_layer_slices(spec))
+        for i in range(len(layers) - 1, -1, -1):
+            w_sl, b_sl, _, _ = slices[i]
+            grad[w_sl] = (delta.T @ acts[i]).ravel()
+            grad[b_sl] = delta.sum(axis=0)
+            if i > 0:
+                # acts[i] is the activated output of layer i-1
+                delta = _scale_by_deriv_(
+                    delta @ layers[i][0], acts[i], spec.hidden_activation
+                )
+        return grad
+
+    return out, vjp
+
+
 def backward_batch(
     params: MlpParams, x: np.ndarray, out_grads: np.ndarray
 ) -> np.ndarray:
@@ -215,49 +272,7 @@ def backward_batch(
 
     Exact reverse-mode differentiation; shapes (n, in_dim) and (n, out_dim).
     """
-    x = np.asarray(x, dtype=np.float64)
-    out_grads = np.asarray(out_grads, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.spec.in_dim:
-        raise InputError(f"expected input shape (n, {params.spec.in_dim}), got {x.shape}")
-    if out_grads.shape != (x.shape[0], params.spec.out_dim):
-        raise InputError(
-            f"expected out_grads shape {(x.shape[0], params.spec.out_dim)}, "
-            f"got {out_grads.shape}"
-        )
-    layers = unflatten(params)
-    n_layers = len(layers)
-
-    # forward, caching pre-activations and activations
-    acts = [x]
-    zs = []
-    a = x
-    for i, (w, b) in enumerate(layers):
-        z = a @ w.T + b
-        name = (
-            params.spec.output_activation
-            if i == n_layers - 1
-            else params.spec.hidden_activation
-        )
-        a = _activate(z, name)
-        zs.append(z)
-        acts.append(a)
-
-    grad = np.zeros_like(params.flat)
-    slices = list(_layer_slices(params.spec))
-    delta = out_grads * _activation_deriv(
-        zs[-1], acts[-1], params.spec.output_activation
-    )
-    for i in range(n_layers - 1, -1, -1):
-        w, _ = layers[i]
-        w_sl, b_sl, _, _ = slices[i]
-        grad[w_sl] = (delta.T @ acts[i]).ravel()
-        grad[b_sl] = delta.sum(axis=0)
-        if i > 0:
-            # acts[i] is the activated output of layer i-1, matching zs[i-1]
-            delta = (delta @ w) * _activation_deriv(
-                zs[i - 1], acts[i], params.spec.hidden_activation
-            )
-    return grad
+    return value_and_vjp(params, x)[1](out_grads)
 
 
 def backward(params: MlpParams, x: np.ndarray, out_grad: np.ndarray) -> np.ndarray:

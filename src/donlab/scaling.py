@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .datagen import AdrConfig, GrfConfig, build_adr_dataset
-from .deeponet import Dataset, DeepONetModel, empirical_risk, loss_grads
+from .deeponet import Dataset, DeepONetModel, empirical_risk, loss_grads_arrays
 from .errors import ConfigurationError, InputError, NumericalError
 
 VALID_EXPONENTS = (0.5, 2.0 / 3.0, 1.0 / 6.0)
@@ -224,12 +224,13 @@ def train_deeponet(
         adam_trunk = nn.adam_init(model.trunk.flat.size, lr=lr)
     model = model.copy()
     curve = []
+    s, p, y = dataset.s, dataset.p, dataset.y
     n = dataset.n
     for epoch in range(start_epoch, start_epoch + epochs):
         perm = np.random.default_rng([seed, epoch]).permutation(n)
         for lo in range(0, n, batch_size):
-            batch = dataset.take(perm[lo : lo + batch_size])
-            gb, gt, _ = loss_grads(model, batch)
+            idx = perm[lo : lo + batch_size]
+            gb, gt, _ = loss_grads_arrays(model, s[idx], p[idx], y[idx])
             adam_branch, model.branch = nn.adam_step(adam_branch, model.branch, gb)
             adam_trunk, model.trunk = nn.adam_step(adam_trunk, model.trunk, gt)
             if weight_ball is not None:

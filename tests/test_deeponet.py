@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,26 @@ class TestCheckpoint:
         assert np.array_equal(ab2.m, ab.m) and np.array_equal(ab2.v, ab.v)
         assert ab2.t == ab.t and at2 is None
         assert epoch == 7 and seeds == {"train": 5}
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, rng, tmp_path, monkeypatch):
+        model = random_model(rng, q=3)
+        path = tmp_path / "model.checkpoint.json"
+        save_checkpoint(model, path, epoch=1)
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, text, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(random_model(rng, q=3), path, epoch=2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        loaded, _, _, epoch, _ = load_checkpoint(path)
+        assert epoch == 1 and np.array_equal(loaded.branch.flat, model.branch.flat)
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
     def test_reject_non_checkpoint(self, tmp_path):
         p = tmp_path / "x.json"

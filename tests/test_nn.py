@@ -141,6 +141,93 @@ class TestBackward:
             nn.backward(params, np.ones(3), np.ones(3))
 
 
+ACTIVATION_PAIRS = [
+    (hidden, output)
+    for hidden in nn.HIDDEN_ACTIVATIONS
+    for output in nn.OUTPUT_ACTIVATIONS
+]
+
+
+def _two_pass_backward(params, x, out_grads):
+    """Reverse mode written out with pre-activations kept, as a reference."""
+    layers = nn.unflatten(params)
+    zs, acts = [], [x]
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w.T + b
+        last = i == len(layers) - 1
+        name = params.spec.output_activation if last else params.spec.hidden_activation
+        zs.append(z)
+        acts.append({"relu": lambda v: np.maximum(v, 0.0), "tanh": np.tanh,
+                     "sigmoid": nn._sigmoid, "linear": lambda v: v}[name](z))
+
+    def deriv(z, a, name):
+        return {"relu": lambda: (z > 0).astype(np.float64), "tanh": lambda: 1.0 - a * a,
+                "sigmoid": lambda: a * (1.0 - a), "linear": lambda: np.ones_like(z)}[name]()
+
+    grad = np.zeros_like(params.flat)
+    slices = list(nn._layer_slices(params.spec))
+    delta = out_grads * deriv(zs[-1], acts[-1], params.spec.output_activation)
+    for i in range(len(layers) - 1, -1, -1):
+        w_sl, b_sl, _, _ = slices[i]
+        grad[w_sl] = (delta.T @ acts[i]).ravel()
+        grad[b_sl] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ layers[i][0]) * deriv(
+                zs[i - 1], acts[i], params.spec.hidden_activation)
+    return grad
+
+
+@pytest.mark.parametrize("hidden,output", ACTIVATION_PAIRS)
+class TestValueAndVjp:
+    @staticmethod
+    def _setup(rng, hidden, output):
+        spec = nn.MlpSpec((5, 7, 6, 3), hidden_activation=hidden, output_activation=output)
+        params = random_params(spec, rng, scale=1.5)
+        return params, rng.uniform(-2, 2, (11, 5)), rng.uniform(-1, 1, (11, 3))
+
+    def test_value_is_forward_batch_bit_for_bit(self, rng, hidden, output):
+        params, x, _ = self._setup(rng, hidden, output)
+        out, _ = nn.value_and_vjp(params, x)
+        assert np.array_equal(out, nn.forward_batch(params, x))
+
+    def test_vjp_is_backward_batch_bit_for_bit(self, rng, hidden, output):
+        params, x, g = self._setup(rng, hidden, output)
+        _, vjp = nn.value_and_vjp(params, x)
+        got = vjp(g)
+        assert np.array_equal(got, nn.backward_batch(params, x, g))
+        assert np.array_equal(got, _two_pass_backward(params, x, g))
+        # the closure can be applied again with the same result
+        assert np.array_equal(vjp(g), got)
+
+    def test_forward_leaves_input_alone(self, rng, hidden, output):
+        params, x, g = self._setup(rng, hidden, output)
+        x_before = x.copy()
+        out = nn.forward_batch(params, x)
+        _, vjp = nn.value_and_vjp(params, x)
+        g_before = g.copy()
+        vjp(g)
+        assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
+        assert not np.shares_memory(out, x)
+
+    def test_wrong_out_grads_shape_rejected(self, rng, hidden, output):
+        params, x, g = self._setup(rng, hidden, output)
+        _, vjp = nn.value_and_vjp(params, x)
+        for bad in (g[:-1], g[:, :-1], g.ravel()):
+            with pytest.raises(InputError):
+                vjp(bad)
+            with pytest.raises(InputError):
+                nn.backward_batch(params, x, bad)
+
+
+def test_single_layer_linear_forward_is_not_a_view():
+    # one linear layer applies no activation, the case most likely to alias
+    spec = nn.MlpSpec((2, 2), output_activation="linear")
+    params = nn.MlpParams(spec, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+    x = np.array([[1.0, 2.0]])
+    out = nn.forward_batch(params, x)
+    assert np.array_equal(out, x) and not np.shares_memory(out, x)
+
+
 class TestAdam:
     def test_zero_grads_are_a_fixed_point(self):
         spec = nn.MlpSpec((2, 2))

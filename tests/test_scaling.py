@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from donlab import nn, scaling
 from donlab.datagen import AdrConfig
+from donlab.deeponet import Dataset, DeepONetModel
 from donlab.errors import ConfigurationError
 from donlab.scaling import (
     CellResult,
@@ -19,6 +21,7 @@ from donlab.scaling import (
     run_cell,
     run_suite,
     size_architecture,
+    train_deeponet,
 )
 
 # the reference (q, n) grids: one table per fixed-ratio family, as
@@ -175,11 +178,57 @@ class TestSuite:
         assert verdict["per_seed"]["0"]["excluded_failed_qs"] == [3]
         assert verdict["per_seed"]["0"]["qs"] == [2]
 
-    def test_threaded_matches_serial(self):
+    def test_threaded_matches_serial(self, monkeypatch):
+        # record each cell's final parameters too: the nets' working buffers
+        # must stay private to each call when cells train concurrently
+        finals = {}
+        real_train = scaling.train_deeponet
+
+        def recording_train(model, dataset, epochs, batch_size, seed, **kwargs):
+            out = real_train(model, dataset, epochs, batch_size, seed, **kwargs)
+            finals[(model.q, dataset.n, seed)] = np.concatenate(
+                [out[0].branch.flat, out[0].trunk.flat])
+            return out
+
+        monkeypatch.setattr(scaling, "train_deeponet", recording_train)
         plan = _tiny_plan(seeds=[0, 1])
         serial = run_suite(plan, max_workers=1)
+        serial_finals, finals = finals, {}
         threaded = run_suite(plan, max_workers=4)
         assert [c.loss_curve for c in serial.cells] == [c.loss_curve for c in threaded.cells]
+        assert len(serial_finals) == 4 and serial_finals.keys() == finals.keys()
+        for key, flat in serial_finals.items():
+            assert np.array_equal(flat, finals[key])
+
+
+def _golden_run(hidden: str, output: str) -> str:
+    """SHA-256 of the final branch+trunk flats and loss curve of a tiny run."""
+    rng = np.random.default_rng(11)
+    n, m, d2, q, width = 150, 6, 2, 3, 7
+    y = np.tanh(rng.standard_normal(n))
+    ds = Dataset(s=rng.uniform(-1, 1, (n, m)), p=rng.uniform(0, 1, (n, d2)), y=y,
+                 B=float(np.max(np.abs(y))), sensor_grid=np.linspace(0, 1, m))
+    common = dict(hidden_activation=hidden, output_activation=output)
+    model = DeepONetModel(
+        nn.init_mlp(nn.MlpSpec((m, width, width, q), **common), seed=[5, 1]),
+        nn.init_mlp(nn.MlpSpec((d2, width, width, q), **common), seed=[5, 2]),
+    )
+    trained, _, _, curve = train_deeponet(model, ds, epochs=4, batch_size=32, seed=5, lr=0.01)
+    h = hashlib.sha256()
+    h.update(trained.branch.flat.tobytes())
+    h.update(trained.trunk.flat.tobytes())
+    h.update(np.asarray(curve, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# Recorded with the two-pass forward/backward that value_and_vjp replaced:
+# a change to the floating-point operations of training shows up here.
+@pytest.mark.parametrize("hidden,output,digest", [
+    ("relu", "tanh", "d52ca34f9d544160e3b34fc545b465745679d646c504d3a5da0ef0f3cde00316"),
+    ("tanh", "sigmoid", "c021348bebedb886fabdf1d551aff64cdd86d12c7b83c75731ea17556ea4c821"),
+])
+def test_golden_training_trajectory(hidden, output, digest):
+    assert _golden_run(hidden, output) == digest
 
 
 def _suite_with_losses(rows) -> SuiteResult:
