@@ -67,6 +67,8 @@ def _cmd_gen_data(args) -> int:
     seed = int(cfg.get("seed", 0))
     out_name = cfg.get("out_name", "dataset")
     grf_cfg = cfg.get("grf", {})
+    grf_kw = dict(length_scale=float(grf_cfg.get("length_scale", 1e-3)),
+                  jitter=float(grf_cfg.get("jitter", 1e-10)))
     common = dict(
         sensor_count=int(cfg.get("sensor_count", 40)),
         num_functions=int(cfg.get("num_functions", 10)),
@@ -76,25 +78,18 @@ def _cmd_gen_data(args) -> int:
     )
     if kind == "adr":
         adr = datagen.AdrConfig(**cfg.get("adr", {}))
-        grf = datagen.GrfConfig(
-            grid=adr.x_grid,
-            length_scale=float(grf_cfg.get("length_scale", 1e-3)),
-            jitter=float(grf_cfg.get("jitter", 1e-10)),
-        )
+        grf = datagen.GrfConfig(grid=adr.x_grid, **grf_kw)
         ds = datagen.build_adr_dataset(grf=grf, adr=adr, **common)
     elif kind == "pendulum":
         pend = cfg.get("pendulum", {})
         nt = int(pend.get("nt", 101))
-        grf = datagen.GrfConfig(
-            grid=np.linspace(0.0, 1.0, nt),
-            length_scale=float(grf_cfg.get("length_scale", 1e-3)),
-            jitter=float(grf_cfg.get("jitter", 1e-10)),
-        )
+        grf = datagen.GrfConfig(grid=np.linspace(0.0, 1.0, nt), **grf_kw)
         ds = datagen.build_pendulum_dataset(
             grf=grf,
             pend_k=float(pend.get("k", 1.0)),
             y0=float(pend.get("y0", 0.0)),
             v0=float(pend.get("v0", 0.0)),
+            forcing_scale=float(pend.get("forcing_scale", 1.0)),
             **common,
         )
     else:

@@ -8,6 +8,7 @@ forced-pendulum integrator, dataset assembly, and CSV round-trip I/O.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .atomic import atomic_path
 from .deeponet import Dataset
 from .errors import (
     ConfigurationError,
@@ -147,21 +149,39 @@ def solve_adr(f: np.ndarray, config: AdrConfig) -> PdeSolution:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (config.nx,):
         raise InputError(f"f must have shape ({config.nx},), got {f.shape}")
+    jx, jt = np.divmod(np.arange(config.nx * config.nt), config.nt)
+    u = _adr_at(config, f[None, :], np.zeros_like(jx), jx, jt).reshape(config.nx, config.nt)
+    return PdeSolution(u=u, x_grid=config.x_grid, t_grid=config.t_grid, f=f)
+
+
+def _rows_by_step(jt: np.ndarray, nt: int) -> list[np.ndarray]:
+    """For each time index 0..nt-1, the query rows that sample it."""
+    order = np.argsort(jt, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(jt, minlength=nt))[:-1])
+
+
+def _adr_at(config: AdrConfig, fs, fn, jx, jt) -> np.ndarray:
+    """u at (x[jx[r]], t[jt[r]]) for the source fs[fn[r]], for every query row r.
+
+    All sources (rows of fs) advance together as the columns of one state,
+    so each stage is one multi-right-hand-side tridiagonal solve; only the
+    queried nodes of each step are kept.
+    """
     nx, nt = config.nx, config.nt
     dx = 1.0 / (nx - 1)
     dt = 1.0 / (nt - 1)
     r = config.D * dt / (2.0 * dx * dx)
-    ni = nx - 2
-    f_int = f[1:-1]
+    f_int = fs[:, 1:-1].T
 
     # banded form of I - r*T with T the second-difference stencil
-    ab = np.zeros((3, ni))
+    ab = np.zeros((3, nx - 2))
     ab[0, 1:] = -r
     ab[1, :] = 1.0 + 2.0 * r
     ab[2, :-1] = -r
 
-    u = np.zeros((nx, nt))
-    cur = np.zeros(nx)
+    rows = _rows_by_step(jt, nt)
+    out = np.zeros(jt.size)
+    cur = np.zeros((nx, fs.shape[0]))
     for j in range(1, nt):
         ui = cur[1:-1]
         lin = ui + r * (cur[:-2] - 2.0 * ui + cur[2:])
@@ -169,14 +189,13 @@ def solve_adr(f: np.ndarray, config: AdrConfig) -> PdeSolution:
         pred = solve_banded((1, 1), ab, lin + dt * g0)
         g1 = config.k * pred * pred + f_int
         new = solve_banded((1, 1), ab, lin + 0.5 * dt * (g0 + g1))
-        if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > BLOWUP_LIMIT:
-            raise DivergenceError(
-                f"solution blew up at time step {j} (t={j * dt:.4g})"
-            )
-        cur = np.zeros(nx)
+        blown = ~np.all(np.abs(new) <= BLOWUP_LIMIT, axis=0)  # inf and nan fail <= too
+        if blown.any():
+            raise DivergenceError(f"solution for source function {np.argmax(blown)} "
+                                  f"blew up at time step {j} (t={j * dt:.4g})")
         cur[1:-1] = new
-        u[1:-1, j] = new
-    return PdeSolution(u=u, x_grid=config.x_grid, t_grid=config.t_grid, f=f)
+        out[rows[j]] = cur[jx[rows[j]], fn[rows[j]]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +213,36 @@ def solve_pendulum(
     f = np.asarray(f_samples, dtype=np.float64)
     if f.ndim != 1 or f.size < 2:
         raise InputError("need at least two forcing samples")
-    n = f.size
+    return _pendulum_at(k, y0, v0, t_end, f[None, :], np.zeros(f.size, int), np.arange(f.size))
+
+
+def _pendulum_at(k, y0, v0, t_end, fs, fn, jt) -> np.ndarray:
+    """y at t[jt[r]] under the forcing fs[fn[r]], for every query row r.
+
+    All forcings (rows of fs) are integrated together, one RK4 step on
+    (num_sources,) arrays per time step.
+    """
+    n = fs.shape[1]
     h = t_end / (n - 1)
+    f = np.ascontiguousarray(fs.T)
     f_mid = 0.5 * (f[:-1] + f[1:])
-    y = np.empty(n)
-    y[0] = y0
-    yy, vv = float(y0), float(v0)
+    rows = _rows_by_step(jt, n)
+    out = np.full(jt.size, float(y0))
+    yy, vv = np.full(fs.shape[0], float(y0)), np.full(fs.shape[0], float(v0))
     for i in range(n - 1):
         f0, fm, f1 = f[i], f_mid[i], f[i + 1]
         k1y = vv
-        k1v = -k * math.sin(yy) + f0
+        k1v = -k * np.sin(yy) + f0
         k2y = vv + 0.5 * h * k1v
-        k2v = -k * math.sin(yy + 0.5 * h * k1y) + fm
+        k2v = -k * np.sin(yy + 0.5 * h * k1y) + fm
         k3y = vv + 0.5 * h * k2v
-        k3v = -k * math.sin(yy + 0.5 * h * k2y) + fm
+        k3v = -k * np.sin(yy + 0.5 * h * k2y) + fm
         k4y = vv + h * k3v
-        k4v = -k * math.sin(yy + h * k3y) + f1
-        yy += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        vv += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        y[i + 1] = yy
-    return y
+        k4v = -k * np.sin(yy + h * k3y) + f1
+        yy = yy + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        vv = vv + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        out[rows[i + 1]] = yy[fn[rows[i + 1]]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +260,46 @@ def sensor_indices(n_grid: int, m: int) -> np.ndarray:
     return np.floor(np.linspace(0.0, n_grid - 1, m) + 0.5).astype(int)
 
 
+def _assemble(grf, grids, solve, sensor_count, num_functions, points_per_function,
+              noise_std, seed, generator, scale=1.0) -> Dataset:
+    """Shared body of the dataset builders.
+
+    A source is ``scale`` times a GRF draw on grids[0]; a query point is one
+    node index per grid. Draws go function by function (source, node indices
+    grid by grid, noise), so the stream does not depend on how ``solve``
+    batches: ``solve(fs, fn, *nodes)`` gives every query row r its noise-free
+    label, the solution for source fs[fn[r]] at node indices nodes[.][r].
+    """
+    if noise_std < 0:
+        raise ConfigurationError("noise_std must be >= 0")
+    if num_functions < 1 or points_per_function < 1:
+        raise ConfigurationError("num_functions and points_per_function must be >= 1")
+    idx = sensor_indices(grids[0].size, sensor_count)
+    chol = grf_cholesky(grf)
+    rng = np.random.default_rng(seed)
+    per = points_per_function
+    draws = []
+    for _ in range(num_functions):
+        # a matrix-vector product per draw: one chol @ Z is not shown to give the same bits
+        draws.append((scale * (chol @ rng.standard_normal(grids[0].size)),
+                      *(rng.integers(0, grid.size, size=per) for grid in grids),
+                      rng.standard_normal(per)))
+    fs, *nodes, z = (np.array(col) for col in zip(*draws))
+    nodes = [j.ravel() for j in nodes]
+    y = solve(fs, np.repeat(np.arange(num_functions), per), *nodes) + noise_std * z.ravel()
+    return Dataset(
+        s=np.repeat(fs[:, idx], per, axis=0),
+        p=np.stack([grid[j] for grid, j in zip(grids, nodes)], axis=1),
+        y=y,
+        B=float(np.max(np.abs(y))),
+        sensor_grid=grids[0][idx],
+        noise_std=noise_std,
+        seed=seed,
+        generator={**generator, "length_scale": grf.length_scale, "jitter": grf.jitter,
+                   "num_functions": num_functions, "points_per_function": per},
+    )
+
+
 def build_adr_dataset(
     grf: GrfConfig,
     adr: AdrConfig,
@@ -246,54 +315,13 @@ def build_adr_dataset(
     input; query points are uniformly sampled grid nodes (x_j, t_k); labels
     are solver values there plus optional Gaussian noise.
     """
-    if noise_std < 0:
-        raise ConfigurationError("noise_std must be >= 0")
-    if num_functions < 1 or points_per_function < 1:
-        raise ConfigurationError("num_functions and points_per_function must be >= 1")
     x_grid = adr.x_grid
     if grf.grid.size != adr.nx or not np.allclose(grf.grid, x_grid):
         raise ConfigurationError("GRF grid must coincide with the solver x grid")
-    idx = sensor_indices(adr.nx, sensor_count)
-
-    chol = grf_cholesky(grf)
-    rng = np.random.default_rng(seed)
-    t_grid = adr.t_grid
-    n = num_functions * points_per_function
-    s = np.empty((n, sensor_count))
-    p = np.empty((n, 2))
-    y = np.empty(n)
-    row = 0
-    for _ in range(num_functions):
-        fvec = chol @ rng.standard_normal(adr.nx)
-        sol = solve_adr(fvec, adr)
-        jx = rng.integers(0, adr.nx, size=points_per_function)
-        jt = rng.integers(0, adr.nt, size=points_per_function)
-        z = rng.standard_normal(points_per_function)
-        sl = slice(row, row + points_per_function)
-        s[sl] = fvec[idx]
-        p[sl, 0] = x_grid[jx]
-        p[sl, 1] = t_grid[jt]
-        y[sl] = sol.u[jx, jt] + noise_std * z
-        row += points_per_function
-    return Dataset(
-        s=s,
-        p=p,
-        y=y,
-        B=float(np.max(np.abs(y))),
-        sensor_grid=x_grid[idx],
-        noise_std=noise_std,
-        seed=seed,
-        generator={
-            "kind": "adr",
-            "D": adr.D,
-            "k": adr.k,
-            "nx": adr.nx,
-            "nt": adr.nt,
-            "length_scale": grf.length_scale,
-            "jitter": grf.jitter,
-            "num_functions": num_functions,
-            "points_per_function": points_per_function,
-        },
+    return _assemble(
+        grf, (x_grid, adr.t_grid), functools.partial(_adr_at, adr), sensor_count,
+        num_functions, points_per_function, noise_std, seed,
+        {"kind": "adr", "D": adr.D, "k": adr.k, "nx": adr.nx, "nt": adr.nt},
     )
 
 
@@ -315,10 +343,6 @@ def build_pendulum_dataset(
     (scale 0 gives the unforced pendulum); labels come from the RK4
     integration at uniformly sampled grid times.
     """
-    if noise_std < 0:
-        raise ConfigurationError("noise_std must be >= 0")
-    if num_functions < 1 or points_per_function < 1:
-        raise ConfigurationError("num_functions and points_per_function must be >= 1")
     t_grid = grf.grid
     nt = t_grid.size
     if nt < 2:
@@ -327,45 +351,12 @@ def build_pendulum_dataset(
         raise ConfigurationError("pendulum time grid must span [0, 1]")
     if np.max(np.abs(np.diff(t_grid) - np.diff(t_grid)[0])) > 1e-12:
         raise ConfigurationError("pendulum time grid must be uniform")
-    idx = sensor_indices(nt, sensor_count)
-
-    chol = grf_cholesky(grf)
-    rng = np.random.default_rng(seed)
-    n = num_functions * points_per_function
-    s = np.empty((n, sensor_count))
-    p = np.empty((n, 1))
-    y = np.empty(n)
-    row = 0
-    for _ in range(num_functions):
-        fvec = forcing_scale * (chol @ rng.standard_normal(nt))
-        traj = solve_pendulum(pend_k, fvec, y0, v0, t_end=1.0)
-        jt = rng.integers(0, nt, size=points_per_function)
-        z = rng.standard_normal(points_per_function)
-        sl = slice(row, row + points_per_function)
-        s[sl] = fvec[idx]
-        p[sl, 0] = t_grid[jt]
-        y[sl] = traj[jt] + noise_std * z
-        row += points_per_function
-    return Dataset(
-        s=s,
-        p=p,
-        y=y,
-        B=float(np.max(np.abs(y))),
-        sensor_grid=t_grid[idx],
-        noise_std=noise_std,
-        seed=seed,
-        generator={
-            "kind": "pendulum",
-            "pend_k": pend_k,
-            "y0": y0,
-            "v0": v0,
-            "forcing_scale": forcing_scale,
-            "nt": nt,
-            "length_scale": grf.length_scale,
-            "jitter": grf.jitter,
-            "num_functions": num_functions,
-            "points_per_function": points_per_function,
-        },
+    return _assemble(
+        grf, (t_grid,), functools.partial(_pendulum_at, pend_k, y0, v0, 1.0), sensor_count,
+        num_functions, points_per_function, noise_std, seed,
+        {"kind": "pendulum", "pend_k": pend_k, "y0": y0, "v0": v0,
+         "forcing_scale": forcing_scale, "nt": nt},
+        scale=forcing_scale,
     )
 
 
@@ -385,7 +376,7 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
         + [f"p_{i}" for i in range(dataset.d2)]
         + ["y"]
     )
-    with path.open("w", newline="") as fh:
+    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for i in range(dataset.n):
@@ -404,7 +395,8 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
         "sensor_grid": [float(v) for v in dataset.sensor_grid],
         "generator": dataset.generator,
     }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=1))
+    with atomic_path(_sidecar_path(path)) as tmp:
+        tmp.write_text(json.dumps(meta, indent=1))
 
 
 def read_dataset_csv(path) -> Dataset:

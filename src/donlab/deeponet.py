@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
+from .atomic import atomic_path
 from .errors import InputError
 
 BOUNDED_OUTPUTS = ("sigmoid", "tanh")
@@ -262,16 +261,8 @@ def save_checkpoint(
         "adam_branch": adam_branch.to_dict() if adam_branch is not None else None,
         "adam_trunk": adam_trunk.to_dict() if adam_trunk is not None else None,
     }
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
-    tmp = Path(tmp)
-    try:
+    with atomic_path(path) as tmp:
         tmp.write_text(json.dumps(payload))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def load_checkpoint(path):

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
+from .atomic import atomic_path
 from .datagen import AdrConfig, GrfConfig, build_adr_dataset
 from .deeponet import Dataset, DeepONetModel, empirical_risk, loss_grads_arrays
 from .errors import ConfigurationError, InputError, NumericalError
@@ -361,13 +362,13 @@ def emit_plot_data(suite: SuiteResult, out_dir) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = out_dir / "curves.csv"
     summary = out_dir / "summary.csv"
-    with curves.open("w", newline="") as fh:
+    with atomic_path(curves) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["q", "n", "seed", "epoch", "loss"])
         for cell in suite.cells:
             for epoch, loss in enumerate(cell.loss_curve):
                 w.writerow([cell.q, cell.n, cell.seed, epoch, repr(float(loss))])
-    with summary.open("w", newline="") as fh:
+    with atomic_path(summary) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["q", "n", "seed", "best_loss", "final_loss"])
         for cell in suite.cells:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,35 @@ from donlab.deeponet import Dataset, DeepONetModel
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+class _FailingCsvWriter:
+    """Passes rows to the real writer until the shared budget runs out, then
+    raises like a full disk."""
+
+    def __init__(self, inner, budget):
+        self.inner, self.budget = inner, budget
+
+    def writerow(self, row):
+        if self.budget[0] == 0:
+            raise OSError("disk full")
+        self.budget[0] -= 1
+        return self.inner.writerow(row)
+
+
+@pytest.fixture
+def fail_csv_after(monkeypatch):
+    """Call with n: from then on csv writing raises once n more rows, counted
+    across all writers, have been written."""
+    real = csv.writer
+
+    def install(rows):
+        budget = [rows]
+        monkeypatch.setattr(
+            csv, "writer", lambda fh, *a, **kw: _FailingCsvWriter(real(fh, *a, **kw), budget)
+        )
+
+    return install
 
 
 def random_params(spec: nn.MlpSpec, rng, scale: float = 1.0) -> nn.MlpParams:

@@ -90,6 +90,19 @@ class TestGenData:
         ds = read_dataset_csv(out / "pend.csv")
         assert ds.d2 == 1
 
+    def test_pendulum_forcing_scale_is_passed_through(self, tmp_path):
+        cfg = _write(tmp_path / "p.json", {
+            "kind": "pendulum", "sensor_count": 5, "num_functions": 3,
+            "points_per_function": 8, "noise_std": 0.0, "seed": 1, "out_name": "pend",
+            "pendulum": {"k": 1.0, "nt": 31, "forcing_scale": 0},
+            "grf": {"length_scale": 0.1},
+        })
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", cfg, "--out-dir", str(out)]) == 0
+        ds = read_dataset_csv(out / "pend.csv")
+        assert np.all(ds.s == 0.0)
+        assert ds.generator["forcing_scale"] == 0
+
 
 @pytest.fixture
 def dataset_csv(tmp_path):

@@ -1,16 +1,20 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_banded
 
 from donlab.datagen import (
     AdrConfig,
     GrfConfig,
     build_adr_dataset,
     build_pendulum_dataset,
+    grf_cholesky,
     kernel_matrix,
     rbf_kernel,
     read_dataset_csv,
@@ -106,7 +110,55 @@ class TestGrf:
             sample_grf(cfg, 0)
 
 
+def _reference_adr(f, cfg):
+    """One source at a time, two banded solves per step: the reference loop."""
+    nx, nt = cfg.nx, cfg.nt
+    dx, dt = 1.0 / (nx - 1), 1.0 / (nt - 1)
+    r = cfg.D * dt / (2.0 * dx * dx)
+    ab = np.zeros((3, nx - 2))
+    ab[0, 1:], ab[1, :], ab[2, :-1] = -r, 1.0 + 2.0 * r, -r
+    u, cur = np.zeros((nx, nt)), np.zeros(nx)
+    for j in range(1, nt):
+        ui = cur[1:-1]
+        lin = ui + r * (cur[:-2] - 2.0 * ui + cur[2:])
+        g0 = cfg.k * ui * ui + f[1:-1]
+        pred = solve_banded((1, 1), ab, lin + dt * g0)
+        g1 = cfg.k * pred * pred + f[1:-1]
+        new = solve_banded((1, 1), ab, lin + 0.5 * dt * (g0 + g1))
+        cur = np.zeros(nx)
+        cur[1:-1] = u[1:-1, j] = new
+    return u
+
+
+def _reference_pendulum(k, f, y0, v0, t_end=1.0):
+    """Scalar RK4 with math.sin: the reference loop."""
+    h = t_end / (f.size - 1)
+    f_mid = 0.5 * (f[:-1] + f[1:])
+    y = np.empty(f.size)
+    y[0] = y0
+    yy, vv = float(y0), float(v0)
+    for i in range(f.size - 1):
+        k1y, k1v = vv, -k * math.sin(yy) + f[i]
+        k2y = vv + 0.5 * h * k1v
+        k2v = -k * math.sin(yy + 0.5 * h * k1y) + f_mid[i]
+        k3y = vv + 0.5 * h * k2v
+        k3v = -k * math.sin(yy + 0.5 * h * k2y) + f_mid[i]
+        k4y = vv + h * k3v
+        k4v = -k * math.sin(yy + h * k3y) + f[i + 1]
+        yy += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        vv += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        y[i + 1] = yy
+    return y
+
+
 class TestAdrSolver:
+    @pytest.mark.parametrize("D,k,nx,nt", [(0.01, 0.01, 101, 101), (0.0, 0.0, 3, 5),
+                                           (0.3, -2.0, 57, 13), (1.0, 1.0, 4, 3)])
+    def test_matches_reference_loop_bit_for_bit(self, D, k, nx, nt):
+        cfg = AdrConfig(D=D, k=k, nx=nx, nt=nt)
+        f = np.random.default_rng(nx).standard_normal(nx)
+        assert np.array_equal(solve_adr(f, cfg).u, _reference_adr(f, cfg))
+
     def test_zero_source_stays_zero(self):
         cfg = AdrConfig(D=0.01, k=0.01, nx=21, nt=21)
         sol = solve_adr(np.zeros(21), cfg)
@@ -156,6 +208,14 @@ class TestAdrSolver:
 
 
 class TestPendulum:
+    @pytest.mark.parametrize("n", [2, 3, 101, 257])
+    def test_matches_reference_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        k, y0, v0, t_end = rng.uniform(-5, 5), rng.normal(), rng.normal(), rng.uniform(0.1, 3)
+        f = rng.standard_normal(n)
+        assert np.array_equal(solve_pendulum(k, f, y0, v0, t_end),
+                              _reference_pendulum(k, f, y0, v0, t_end))
+
     def test_equilibrium(self):
         y = solve_pendulum(1.0, np.zeros(50), 0.0, 0.0)
         assert np.all(y == 0.0)
@@ -291,6 +351,119 @@ class TestPendulumDataset:
             assert abs(ds.y[i] - want) < 1e-5
 
 
+class TestBatchedAssembly:
+    """The builders solve all sources together; each label must still be the
+    single-source solution at its node, bit for bit."""
+
+    def test_adr_labels_are_single_source_solves(self):
+        adr = AdrConfig(D=0.02, k=-0.3, nx=21, nt=31)
+        grf = GrfConfig(grid=adr.x_grid, length_scale=0.1)
+        per = 40
+        ds = build_adr_dataset(grf, adr, sensor_count=21, num_functions=7,
+                               points_per_function=per, noise_std=0.0, seed=4)
+        jx = np.searchsorted(adr.x_grid, ds.p[:, 0])
+        jt = np.searchsorted(adr.t_grid, ds.p[:, 1])
+        assert np.array_equal(adr.x_grid[jx], ds.p[:, 0])
+        assert np.array_equal(adr.t_grid[jt], ds.p[:, 1])
+        for i in range(7):
+            rows = slice(i * per, (i + 1) * per)
+            u = solve_adr(ds.s[i * per], adr).u  # all 21 sensors: s is the whole source
+            assert np.array_equal(ds.y[rows], u[jx[rows], jt[rows]])
+
+    def test_pendulum_labels_are_single_source_solves(self):
+        t_grid = np.linspace(0, 1, 41)
+        grf = GrfConfig(grid=t_grid, length_scale=0.1)
+        per = 25
+        ds = build_pendulum_dataset(grf, pend_k=3.0, sensor_count=41, num_functions=6,
+                                    points_per_function=per, noise_std=0.0, seed=8,
+                                    y0=0.4, v0=-1.1, forcing_scale=1.7)
+        jt = np.searchsorted(t_grid, ds.p[:, 0])
+        assert np.array_equal(t_grid[jt], ds.p[:, 0])
+        for i in range(6):
+            rows = slice(i * per, (i + 1) * per)
+            traj = solve_pendulum(3.0, ds.s[i * per], 0.4, -1.1)
+            assert np.array_equal(ds.y[rows], traj[jt[rows]])
+
+    def test_one_diverging_source_is_named_with_its_step(self):
+        # near-constant sources with D = 0: u_t = k u^2 + c blows up only where c is
+        # large enough, which for this seed is the third of four sources
+        adr = AdrConfig(D=0.0, k=20.0, nx=21, nt=101)
+        grf = GrfConfig(grid=adr.x_grid, length_scale=1.0)
+        chol, rng = grf_cholesky(grf), np.random.default_rng(7)
+        blown = {}
+        for i in range(4):  # replay the builder's draws, solving one source at a time
+            f = chol @ rng.standard_normal(adr.nx)
+            rng.integers(0, adr.nx, size=10)  # the node and noise draws, unused here
+            rng.integers(0, adr.nt, size=10)
+            rng.standard_normal(10)
+            try:
+                solve_adr(f, adr)
+            except DivergenceError as exc:
+                blown[i] = re.search(r"time step (\d+)", str(exc)).group(1)
+        assert list(blown) == [2]
+        with pytest.raises(DivergenceError,
+                           match=rf"source function 2 blew up at time step {blown[2]} "):
+            build_adr_dataset(grf, adr, sensor_count=5, num_functions=4,
+                              points_per_function=10, noise_std=0.0, seed=7)
+
+
+def _digest(ds):
+    h = hashlib.sha256()
+    for a in (ds.s, ds.p, ds.y):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenDatasets:
+    """SHA-256 of s, p and y, recorded with the one-source-at-a-time solvers:
+    how the solves are batched must not move a bit of any dataset."""
+
+    @pytest.mark.parametrize("adr_kw,l,kw,digest", [
+        (dict(D=0.01, k=0.01, nx=21, nt=21), 0.05,
+         dict(sensor_count=10, num_functions=3, points_per_function=17, noise_std=0.1, seed=0),
+         "8e60270a1e98bbada3e5e3b73dc1c0518961836ef6527e50fe7c97be5283cd26"),
+        (dict(D=0.05, k=-0.5, nx=31, nt=26), 0.1,
+         dict(sensor_count=7, num_functions=5, points_per_function=13, noise_std=0.0, seed=7),
+         "1b7c6f497209d8a7926ed3584d55a9680e14253bee0560dfb8151ae7fa4b0fb2"),
+        (dict(D=0.0, k=0.0, nx=17, nt=41), 0.2,
+         dict(sensor_count=17, num_functions=4, points_per_function=30, noise_std=0.02, seed=3),
+         "1eba1043ce176a9d653b4b1a13ebda20b28de28035b26fb57c1e1e2baf1d5885"),
+        (dict(), 1e-3,
+         dict(sensor_count=40, num_functions=6, points_per_function=50, noise_std=0.0, seed=11),
+         "6b3deca03f152a31cbf5d5c4e6a12845a97bb3ec93c79518213338bb275284ee"),
+    ], ids=["noisy", "negative-k", "pure-source", "default-grid"])
+    def test_adr(self, adr_kw, l, kw, digest):
+        adr = AdrConfig(**adr_kw)
+        grf = GrfConfig(grid=adr.x_grid, length_scale=l)
+        assert _digest(build_adr_dataset(grf, adr, **kw)) == digest
+
+    @pytest.mark.parametrize("nt,l,kw,digest", [
+        (21, 0.1, dict(pend_k=1.0, sensor_count=7, num_functions=4, points_per_function=11,
+                       noise_std=0.05, seed=0),
+         "e29192d0442289b43c6be72450b2cb112c67b8383ee7e4f19b9db2d4373e9b71"),
+        (41, 0.05, dict(pend_k=4.0, sensor_count=10, num_functions=6, points_per_function=9,
+                        noise_std=0.0, seed=5, y0=0.3, v0=-0.7, forcing_scale=2.5),
+         "08c76503b15c3b5eb12a604fe30797a775d4c1f7b247b785a2182bd1ba8534ac"),
+        (31, 0.2, dict(pend_k=-2.0, sensor_count=5, num_functions=3, points_per_function=20,
+                       noise_std=0.1, seed=2, y0=1.2, v0=0.5, forcing_scale=0.0),
+         "c37ae7dbc9d368e5727a734a803388a8daf494b90d5f2dae35b002a9a576c794"),
+    ], ids=["noisy", "scaled-forcing", "unforced"])
+    def test_pendulum(self, nt, l, kw, digest):
+        grf = GrfConfig(grid=np.linspace(0, 1, nt), length_scale=l)
+        assert _digest(build_pendulum_dataset(grf, **kw)) == digest
+
+    def test_csv_and_sidecar_bytes(self, tmp_path):
+        grf, adr = _small_adr_inputs()
+        ds = build_adr_dataset(grf, adr, sensor_count=4, num_functions=2,
+                               points_per_function=5, noise_std=0.03, seed=1)
+        path = tmp_path / "g.csv"
+        write_dataset_csv(ds, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "ac73b9165b57ef394d18d9f8689c79e209799fd4cfd6916833a22ceb19b3dae5"
+        assert hashlib.sha256((tmp_path / "g.csv.meta.json").read_bytes()).hexdigest() == \
+            "935b8a090cc8d2b097d318120a49d1935d4106dc62a1b5dc0283627fb71787db"
+
+
 class TestCsvRoundTrip:
     def test_round_trip_identity(self, tmp_path):
         grf, adr = _small_adr_inputs()
@@ -314,6 +487,17 @@ class TestCsvRoundTrip:
         write_dataset_csv(ds, p1)
         write_dataset_csv(read_dataset_csv(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_interrupted_write_keeps_previous_files(self, tmp_path, fail_csv_after):
+        grf, adr = _small_adr_inputs()
+        kw = dict(sensor_count=4, num_functions=2, points_per_function=6, noise_std=0.0)
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(build_adr_dataset(grf, adr, seed=1, **kw), path)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        fail_csv_after(5)
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset_csv(build_adr_dataset(grf, adr, seed=2, **kw), path)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -157,6 +157,19 @@ class TestSuite:
         assert len(a.cells) == 4  # 2 q's x 2 seeds
         assert [c.loss_curve for c in a.cells] == [c.loss_curve for c in b.cells]
 
+    def test_one_diverging_source_fails_only_its_cell(self):
+        # near-constant sources, D = 0, k = 2: for data seed 2 one of the six
+        # sources of the q=2 cell blows up, and none of the q=3 cell's fourteen
+        plan = _tiny_plan(adr=AdrConfig(D=0.0, k=2.0, nx=21, nt=101),
+                          grf_length_scale=1.0, seeds=[2], epochs=1)
+        suite = run_suite(plan)
+        failed, ok = suite.cells
+        assert (failed.q, ok.q) == (2, 3)
+        assert failed.failed and not ok.failed
+        assert failed.error.startswith("DivergenceError: solution for source function 3 ")
+        assert math.isfinite(ok.final_loss)
+        assert check_monotonic(suite)["per_seed"]["2"]["excluded_failed_qs"] == [2]
+
     def test_failures_do_not_abort(self, monkeypatch):
         plan = _tiny_plan(seeds=[0])
         real_run_cell = scaling.run_cell
@@ -287,6 +300,21 @@ class TestEmitPlotData:
                (tmp_path / "b" / "curves.csv").read_bytes()
         assert (tmp_path / "a" / "summary.csv").read_bytes() == \
                (tmp_path / "b" / "summary.csv").read_bytes()
+
+    def test_interrupted_emit_keeps_previous_files(self, tmp_path, fail_csv_after):
+        emit_plot_data(run_suite(_tiny_plan(epochs=2)), tmp_path)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        suite = run_suite(_tiny_plan(epochs=3))
+        fail_csv_after(3)
+        with pytest.raises(OSError, match="disk full"):
+            emit_plot_data(suite, tmp_path)  # fails inside curves.csv
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        fail_csv_after(1 + 2 * 3 + 1)  # curves.csv (7 rows) completes, summary.csv fails
+        with pytest.raises(OSError, match="disk full"):
+            emit_plot_data(suite, tmp_path)
+        after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert sorted(after) == ["curves.csv", "summary.csv"]
+        assert after["summary.csv"] == before["summary.csv"]
 
     def test_empty_suite_header_only(self, tmp_path):
         suite = SuiteResult(plan=_tiny_plan(), cells=[])
