@@ -14,6 +14,7 @@ import json
 import time
 from pathlib import Path
 
+from donlab.atomic import atomic_write_text
 from donlab.datagen import AdrConfig
 from donlab.scaling import (
     ExperimentPlan,
@@ -51,7 +52,7 @@ def main():
         verdict = check_monotonic(suite)
         out_dir = out_root / name
         emit_plot_data(suite, out_dir)
-        (out_dir / "suite-summary.json").write_text(json.dumps({
+        atomic_write_text(out_dir / "suite-summary.json", json.dumps({
             "plan": plan.to_dict(),
             "verdict": verdict,
             "wall_time": time.perf_counter() - t0,

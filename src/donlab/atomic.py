@@ -19,3 +19,9 @@ def atomic_path(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text`` through :func:`atomic_path`."""
+    with atomic_path(path) as tmp:
+        tmp.write_text(text)

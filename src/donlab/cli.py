@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, datagen, gradcheck, nn, scaling
+from .atomic import atomic_path, atomic_write_text
 from .deeponet import (
     Dataset,
     DeepONetModel,
@@ -45,8 +46,8 @@ def _load_config(path: str) -> dict:
 
 def _echo_config(cfg: dict, out_dir: Path, subcommand: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"effective-config-{subcommand}.json"
-    path.write_text(json.dumps(cfg, indent=1, sort_keys=True))
+    atomic_write_text(out_dir / f"effective-config-{subcommand}.json",
+                      json.dumps(cfg, indent=1, sort_keys=True))
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -155,7 +156,7 @@ def _cmd_train(args) -> int:
         adam_trunk=adam_t, epoch=start_epoch + epochs,
     )
     loss_csv = out_dir / f"{out_name}.loss.csv"
-    with loss_csv.open("w") as fh:
+    with atomic_path(loss_csv) as tmp, tmp.open("w") as fh:
         fh.write("epoch,loss\n")
         for i, loss in enumerate(curve):
             fh.write(f"{start_epoch + i},{repr(float(loss))}\n")
@@ -197,7 +198,7 @@ def _cmd_experiment(args) -> int:
         },
         "failures": [c.to_dict() for c in suite.failures],
     }
-    (out_dir / "suite-summary.json").write_text(json.dumps(payload, indent=1))
+    atomic_write_text(out_dir / "suite-summary.json", json.dumps(payload, indent=1))
     _echo_config(cfg, out_dir, "experiment")
     print(f"wrote {curves}, {summary}, suite-summary.json")
     print(f"majority monotone verdict: {verdict['majority_monotone']}")
@@ -246,7 +247,7 @@ def _cmd_bound(args) -> int:
     text = json.dumps(payload, indent=1)
     print(text)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "bound-report.json").write_text(text)
+    atomic_write_text(out_dir / "bound-report.json", text)
     _echo_config(cfg, out_dir, "bound")
     return 0
 
@@ -343,7 +344,7 @@ def _cmd_verify(args) -> int:
     text = json.dumps(payload, indent=1)
     print(text)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "verify-report.json").write_text(text)
+    atomic_write_text(out_dir / "verify-report.json", text)
     _echo_config(cfg, out_dir, "verify")
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)

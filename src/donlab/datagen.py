@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .atomic import atomic_path
+from .atomic import atomic_path, atomic_write_text
 from .deeponet import Dataset
 from .errors import (
     ConfigurationError,
@@ -369,23 +369,30 @@ def _sidecar_path(path) -> Path:
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Columns s_0..s_{m-1}, p_0..p_{d2-1}, y plus a metadata sidecar JSON."""
+    """Columns s_0..s_{m-1}, p_0..p_{d2-1}, y plus a metadata sidecar JSON.
+
+    Every float is written as its ``repr`` and every line ends in ``\\r\\n``,
+    as ``csv.writer`` would write them. The text of an ``s`` row is formatted
+    once and reused while the following rows repeat it bit for bit."""
     path = Path(path)
     header = (
         [f"s_{i}" for i in range(dataset.m)]
         + [f"p_{i}" for i in range(dataset.d2)]
         + ["y"]
     )
+    s = np.ascontiguousarray(dataset.s)
+    # Bitwise, not float ==: -0.0 == 0.0 and nan != nan would reuse the wrong text.
+    bits = s.view(np.int64)
+    new_s = np.ones(dataset.n, dtype=bool)
+    new_s[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(dataset.n):
-            row = (
-                [repr(float(v)) for v in dataset.s[i]]
-                + [repr(float(v)) for v in dataset.p[i]]
-                + [repr(float(dataset.y[i]))]
-            )
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        s_text = ""
+        rows = zip(new_s.tolist(), dataset.p.tolist(), dataset.y.tolist())
+        for i, (new, p_row, y) in enumerate(rows):
+            if new:
+                s_text = ",".join(map(repr, s[i].tolist()))
+            fh.write(f"{s_text},{','.join(map(repr, p_row))},{y!r}\r\n")
     meta = {
         "B": dataset.B,
         "m": dataset.m,
@@ -395,12 +402,14 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
         "sensor_grid": [float(v) for v in dataset.sensor_grid],
         "generator": dataset.generator,
     }
-    with atomic_path(_sidecar_path(path)) as tmp:
-        tmp.write_text(json.dumps(meta, indent=1))
+    atomic_write_text(_sidecar_path(path), json.dumps(meta, indent=1))
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Inverse of :func:`write_dataset_csv`; exact float64 round trip."""
+    """Inverse of :func:`write_dataset_csv`; exact float64 round trip.
+
+    Accepts any file the ``csv`` module tokenises with the expected header.
+    An ``s`` row whose text equals the previous row's is not parsed again."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"dataset file not found: {path}")
@@ -416,18 +425,21 @@ def read_dataset_csv(path) -> Dataset:
         if m < 1 or d2 < 1 or header != expected:
             raise FormatError(f"unexpected header in {path}: {header}")
         s_rows, p_rows, y_rows = [], [], []
+        s_text = s_vals = None
         for ln, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise FormatError(
                     f"{path}:{ln}: expected {len(header)} columns, got {len(row)}"
                 )
             try:
-                vals = [float(v) for v in row]
+                text = row[:m]
+                if text != s_text:
+                    s_vals, s_text = [float(v) for v in text], text
+                p_rows.append([float(v) for v in row[m : m + d2]])
+                y_rows.append(float(row[m + d2]))
             except ValueError as exc:
                 raise FormatError(f"{path}:{ln}: non-numeric value ({exc})") from exc
-            s_rows.append(vals[:m])
-            p_rows.append(vals[m : m + d2])
-            y_rows.append(vals[m + d2])
+            s_rows.append(s_vals)
     s = np.array(s_rows, dtype=np.float64).reshape(len(s_rows), m)
     p = np.array(p_rows, dtype=np.float64).reshape(len(p_rows), d2)
     y = np.array(y_rows, dtype=np.float64)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .atomic import atomic_path
+from .atomic import atomic_write_text
 from .errors import InputError
 
 BOUNDED_OUTPUTS = ("sigmoid", "tanh")
@@ -261,8 +261,7 @@ def save_checkpoint(
         "adam_branch": adam_branch.to_dict() if adam_branch is not None else None,
         "adam_trunk": adam_trunk.to_dict() if adam_trunk is not None else None,
     }
-    with atomic_path(path) as tmp:
-        tmp.write_text(json.dumps(payload))
+    atomic_write_text(path, json.dumps(payload))
 
 
 def load_checkpoint(path):

@@ -1,4 +1,4 @@
-import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,31 +12,45 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-class _FailingCsvWriter:
-    """Passes rows to the real writer until the shared budget runs out, then
+class _FailingFile:
+    """Passes writes to the real file until the shared budget runs out, then
     raises like a full disk."""
 
     def __init__(self, inner, budget):
         self.inner, self.budget = inner, budget
 
-    def writerow(self, row):
+    def write(self, data):
         if self.budget[0] == 0:
             raise OSError("disk full")
         self.budget[0] -= 1
-        return self.inner.writerow(row)
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.inner.close()
 
 
 @pytest.fixture
-def fail_csv_after(monkeypatch):
-    """Call with n: from then on csv writing raises once n more rows, counted
-    across all writers, have been written."""
-    real = csv.writer
+def fail_writes_after(monkeypatch):
+    """Call with n: from then on a file opened for writing through
+    ``Path.open`` (which ``Path.write_text`` uses too) raises on ``write`` once
+    n more ``write`` calls, counted across all such files, have been made.
+    ``csv.writer`` makes one call per row."""
+    real = Path.open
 
-    def install(rows):
-        budget = [rows]
-        monkeypatch.setattr(
-            csv, "writer", lambda fh, *a, **kw: _FailingCsvWriter(real(fh, *a, **kw), budget)
-        )
+    def install(writes):
+        budget = [writes]
+
+        def failing_open(self, mode="r", *args, **kwargs):
+            fh = real(self, mode, *args, **kwargs)
+            return _FailingFile(fh, budget) if set(mode) & set("wax+") else fh
+
+        monkeypatch.setattr(Path, "open", failing_open)
 
     return install
 

@@ -154,6 +154,22 @@ class TestTrain:
         assert np.array_equal(m_full.branch.flat, m_res.branch.flat)
         assert np.array_equal(m_full.trunk.flat, m_res.trunk.flat)
 
+    def test_interrupted_loss_csv_keeps_previous_file(self, tmp_path, dataset_csv,
+                                                      fail_writes_after, capsys):
+        base = {"dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
+                "batch_size": 16, "epochs": 4, "out_name": "run"}
+        out = tmp_path / "trained"
+        cfg = _write(tmp_path / "t.json", base)
+        assert main(["train", "--config", cfg, "--seed", "3", "--out-dir", str(out)]) == 0
+        before = (out / "run.loss.csv").read_bytes()
+        fail_writes_after(1 + 2)  # checkpoint, loss header, first loss row
+        assert main(["train", "--config", cfg, "--seed", "4", "--out-dir", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        *_, seeds = load_checkpoint(out / "run.checkpoint.json")
+        assert seeds == {"train": 4}
+        assert (out / "run.loss.csv").read_bytes() == before
+        assert not [f for f in out.iterdir() if f.name.endswith(".tmp")]
+
 
 class TestExperiment:
     def _plan_cfg(self, tmp_path, **overrides):

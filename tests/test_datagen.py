@@ -25,6 +25,7 @@ from donlab.datagen import (
     solve_pendulum,
     write_dataset_csv,
 )
+from donlab.deeponet import Dataset
 from donlab.errors import (
     ConfigurationError,
     DivergenceError,
@@ -488,16 +489,65 @@ class TestCsvRoundTrip:
         write_dataset_csv(read_dataset_csv(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_interrupted_write_keeps_previous_files(self, tmp_path, fail_csv_after):
+    def test_interrupted_write_keeps_previous_files(self, tmp_path, fail_writes_after):
         grf, adr = _small_adr_inputs()
         kw = dict(sensor_count=4, num_functions=2, points_per_function=6, noise_std=0.0)
         path = tmp_path / "ds.csv"
         write_dataset_csv(build_adr_dataset(grf, adr, seed=1, **kw), path)
         before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-        fail_csv_after(5)
+        fail_writes_after(5)
         with pytest.raises(OSError, match="disk full"):
             write_dataset_csv(build_adr_dataset(grf, adr, seed=2, **kw), path)
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+    def test_signed_zero_rows_keep_their_own_text(self, tmp_path):
+        s = np.array([[0.0, 1.5], [-0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]])
+        ds = Dataset(s=s, p=np.full((4, 1), 0.5), y=np.zeros(4), B=0.0,
+                     sensor_grid=np.array([0.0, 1.0]))
+        path = tmp_path / "z.csv"
+        write_dataset_csv(ds, path)
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[1:] == [b"0.0,1.5,0.5,0.0", b"-0.0,1.5,0.5,0.0",
+                             b"-0.0,1.5,0.5,0.0", b"0.0,1.5,0.5,0.0", b""]
+        back = read_dataset_csv(path)
+        assert np.array_equal(back.s.view(np.int64), s.view(np.int64))
+
+    def test_distinct_rows_round_trip(self, tmp_path, rng):
+        from conftest import random_dataset
+
+        ds = random_dataset(rng, n=40, m=6, d2=3)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_dataset_csv(ds, p1)
+        back = read_dataset_csv(p1)
+        for a, b in ((back.s, ds.s), (back.p, ds.p), (back.y, ds.y)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        write_dataset_csv(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("column", [1, 4, 6], ids=["s_1", "p_0", "y"])
+    def test_non_numeric_value_names_its_line(self, tmp_path, column):
+        grf, adr = _small_adr_inputs()
+        ds = build_adr_dataset(grf, adr, sensor_count=4, num_functions=2,
+                               points_per_function=5, noise_std=0.0, seed=3)
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(ds, path)
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")  # file line 4: its s text repeats line 3's
+        assert lines[2].split(",")[:4] == row[:4]
+        row[column] = "abc"
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r":4: non-numeric value .*'abc'"):
+            read_dataset_csv(path)
+
+    def test_lf_line_endings_read(self, tmp_path):
+        p = tmp_path / "lf.csv"
+        p.write_text("s_0,s_1,p_0,y\n1.0,-2.5,0.5,3.0\n1.0,-2.5,0.25,-1.5\n")
+        ds = read_dataset_csv(p)
+        assert ds.s.tolist() == [[1.0, -2.5], [1.0, -2.5]]
+        assert ds.p.tolist() == [[0.5], [0.25]]
+        assert ds.y.tolist() == [3.0, -1.5]
+        assert ds.B == 3.0
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"

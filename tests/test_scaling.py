@@ -301,15 +301,15 @@ class TestEmitPlotData:
         assert (tmp_path / "a" / "summary.csv").read_bytes() == \
                (tmp_path / "b" / "summary.csv").read_bytes()
 
-    def test_interrupted_emit_keeps_previous_files(self, tmp_path, fail_csv_after):
+    def test_interrupted_emit_keeps_previous_files(self, tmp_path, fail_writes_after):
         emit_plot_data(run_suite(_tiny_plan(epochs=2)), tmp_path)
         before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
         suite = run_suite(_tiny_plan(epochs=3))
-        fail_csv_after(3)
+        fail_writes_after(3)
         with pytest.raises(OSError, match="disk full"):
             emit_plot_data(suite, tmp_path)  # fails inside curves.csv
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
-        fail_csv_after(1 + 2 * 3 + 1)  # curves.csv (7 rows) completes, summary.csv fails
+        fail_writes_after(1 + 2 * 3 + 1)  # curves.csv (7 rows) completes, summary.csv fails
         with pytest.raises(OSError, match="disk full"):
             emit_plot_data(suite, tmp_path)
         after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
