@@ -127,11 +127,39 @@ def don_forward_batch(model: DeepONetModel, s: np.ndarray, p: np.ndarray) -> np.
 
 def empirical_risk(model: DeepONetModel, dataset: Dataset) -> float:
     """Mean squared residual (1/n) sum_i (y_i - h(s_i, p_i))^2."""
+    return float(_stacked_risks(model, model.branch.flat, model.trunk.flat, dataset))
+
+
+# A stacked risk pass takes _STACK_VECTORS parameter vectors at most, and
+# fewer when its layer buffers would hold more than _STACK_ELEMENTS floats.
+_STACK_VECTORS = 1024
+_STACK_ELEMENTS = 1 << 20
+
+
+def _stack_size(model: DeepONetModel, rows: int) -> int:
+    """How many parameter vectors of model one stacked pass on rows takes."""
+    widest = max(model.branch.spec.layer_dims + model.trunk.spec.layer_dims)
+    return max(1, min(_STACK_VECTORS, _STACK_ELEMENTS // max(1, rows * widest)))
+
+
+def _stacked_risks(
+    model: DeepONetModel, branch_flats: np.ndarray, trunk_flats: np.ndarray,
+    dataset: Dataset,
+) -> np.ndarray:
+    """Empirical risks of many (branch, trunk) flat pairs of model's specs.
+
+    branch_flats and trunk_flats have shape lead + (P,) and broadcast
+    against each other over lead; entry k of the result is the risk of the
+    pair (branch_flats[k], trunk_flats[k]), bit-identical to
+    :func:`empirical_risk` of that pair. Unstacked flats give a 0-d array.
+    """
     if dataset.n == 0:
         raise InputError("empirical risk of an empty dataset is undefined")
-    h = don_forward_batch(model, dataset.s, dataset.p)
-    r = dataset.y - h
-    return float(np.mean(r * r))
+    bspec, tspec = model.branch.spec, model.trunk.spec
+    b = nn._forward(bspec, branch_flats, nn._check_input(bspec, dataset.s), None)
+    t = nn._forward(tspec, trunk_flats, nn._check_input(tspec, dataset.p), None)
+    r = dataset.y - np.einsum("...ij,...ij->...i", b, t)
+    return np.mean(r * r, axis=-1)
 
 
 def loss_grads(
@@ -164,7 +192,11 @@ def loss_grads_arrays(
 
 
 def _uniform_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """Uniform draw from the Euclidean ball of the given radius."""
+    """Uniform draw from the Euclidean ball of the given radius.
+
+    Draws dim normals, then one uniform for the radius unless the normals
+    are all zero; radius 0 gives a vector of signed zeros.
+    """
     z = rng.standard_normal(dim)
     norm = np.linalg.norm(z)
     if norm == 0.0:

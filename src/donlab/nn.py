@@ -189,37 +189,42 @@ def _scale_by_deriv_(delta: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
     return delta
 
 
-def _check_input(params: MlpParams, x) -> np.ndarray:
+def _check_input(spec: MlpSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.spec.in_dim:
+    if x.ndim != 2 or x.shape[1] != spec.in_dim:
         raise InputError(
-            f"expected input shape (n, {params.spec.in_dim}), got {x.shape}"
+            f"expected input shape (n, {spec.in_dim}), got {x.shape}"
         )
     return x
 
 
-def _forward(params: MlpParams, x: np.ndarray, acts: list | None):
+def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None):
     """The forward loop. Appends each layer's input to acts unless it is None.
+
+    flat has shape lead + (P,): one net of this spec per index of lead, each
+    applied to the same x, giving lead + (n, out_dim). lead == () is the
+    one-net pass, and every stacked slice equals it bit for bit.
 
     Every layer computes into a fresh buffer z, so x is never modified and
     only the current layer is held when acts is None.
     """
-    spec = params.spec
-    layers = unflatten(params)
-    last = len(layers) - 1
+    lead = flat.shape[:-1]
+    last = spec.depth - 1
     a = x
-    for i, (w, b) in enumerate(layers):
+    for i, (w_sl, b_sl, n_out, n_in) in enumerate(_layer_slices(spec)):
         if acts is not None:
             acts.append(a)
-        z = a @ w.T
-        z += b
+        w = flat[..., w_sl].reshape(lead + (n_out, n_in))
+        b = flat[..., b_sl]
+        z = a @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
         a = _activate_(z, spec.output_activation if i == last else spec.hidden_activation)
-    return a, layers
+    return a
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Forward pass for a batch: x of shape (n, in_dim) -> (n, out_dim)."""
-    return _forward(params, _check_input(params, x), None)[0]
+    return _forward(params.spec, params.flat, _check_input(params.spec, x), None)
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -238,9 +243,9 @@ def value_and_vjp(params: MlpParams, x: np.ndarray):
     by exact reverse mode from the activations cached by this one pass.
     """
     spec = params.spec
-    x = _check_input(params, x)
+    x = _check_input(spec, x)
     acts: list[np.ndarray] = []
-    out, layers = _forward(params, x, acts)
+    out = _forward(spec, params.flat, x, acts)
 
     def vjp(out_grads: np.ndarray) -> np.ndarray:
         delta = np.array(out_grads, dtype=np.float64)  # a copy: scaled in place
@@ -251,15 +256,14 @@ def value_and_vjp(params: MlpParams, x: np.ndarray):
         delta = _scale_by_deriv_(delta, out, spec.output_activation)
         grad = np.zeros_like(params.flat)
         slices = list(_layer_slices(spec))
-        for i in range(len(layers) - 1, -1, -1):
-            w_sl, b_sl, _, _ = slices[i]
+        for i in range(len(slices) - 1, -1, -1):
+            w_sl, b_sl, n_out, n_in = slices[i]
             grad[w_sl] = (delta.T @ acts[i]).ravel()
             grad[b_sl] = delta.sum(axis=0)
             if i > 0:
                 # acts[i] is the activated output of layer i-1
-                delta = _scale_by_deriv_(
-                    delta @ layers[i][0], acts[i], spec.hidden_activation
-                )
+                w = params.flat[w_sl].reshape(n_out, n_in)
+                delta = _scale_by_deriv_(delta @ w, acts[i], spec.hidden_activation)
         return grad
 
     return out, vjp

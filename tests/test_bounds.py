@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from donlab import bounds, deeponet, nn
 from donlab.bounds import (
     BoundInputs,
     FunctionClassSpec,
@@ -19,6 +20,7 @@ from donlab.bounds import (
     verify_cover_bruteforce,
     verify_perturbation,
 )
+from donlab.deeponet import DeepONetModel, empirical_risk
 from donlab.errors import InputError
 
 from conftest import random_dataset, random_model
@@ -316,7 +318,69 @@ class TestPerturbationBound:
         assert perturbation_bound(1, 1.0, 1.0, 1.0, 1.0) == pytest.approx(3.0)
 
 
+def _reference_verify_perturbation(model, theta, dataset, trials, seed, j):
+    """The one-trial-at-a-time loop that verify_perturbation replaced."""
+
+    def ball_draw(rng, dim, radius):
+        z = rng.standard_normal(dim)
+        norm = np.linalg.norm(z)
+        if norm == 0.0 or radius == 0.0:
+            return np.zeros(dim)
+        return z * (radius * rng.uniform() ** (1.0 / dim) / norm)
+
+    base = empirical_risk(model, dataset)
+    rng = np.random.default_rng(seed)
+    max_observed = -math.inf
+    for _ in range(trials):
+        db = ball_draw(rng, model.branch.flat.size, theta / 2.0)
+        dt = ball_draw(rng, model.trunk.flat.size, theta / 2.0)
+        pert = DeepONetModel(
+            branch=nn.MlpParams(model.branch.spec, model.branch.flat + db),
+            trunk=nn.MlpParams(model.trunk.spec, model.trunk.flat + dt),
+        )
+        increment = empirical_risk(pert, dataset) - base
+        if increment > max_observed:
+            max_observed = increment
+    return max_observed
+
+
 class TestVerifyPerturbation:
+    @pytest.mark.parametrize("output", ["sigmoid", "tanh"])
+    @pytest.mark.parametrize("theta", [0.0, 0.05])
+    @pytest.mark.parametrize("extra", [None, 0, 1])
+    def test_equals_per_trial_loop(self, rng, output, theta, extra):
+        model = random_model(rng, q=3, width=5, output=output)
+        ds = random_dataset(rng, n=12)
+        chunk = deeponet._stack_size(model, ds.n)
+        trials = 1 if extra is None else chunk + extra
+        rep = verify_perturbation(model, theta, ds, trials=trials, seed=[3, trials], j=2.0)
+        want = _reference_verify_perturbation(model, theta, ds, trials, [3, trials], 2.0)
+        assert math.copysign(1.0, rep.max_observed) == math.copysign(1.0, want)
+        assert rep.max_observed == want and rep.trials == trials
+        assert rep.holds == (want <= rep.bound)
+
+    def test_nan_label_gives_minus_infinity(self, rng):
+        model = random_model(rng, q=2, output="sigmoid")
+        ds = random_dataset(rng, n=6)
+        ds.y[2] = math.nan
+        rep = verify_perturbation(model, 0.05, ds, trials=40, seed=0, j=1.0)
+        assert rep.max_observed == -math.inf and rep.holds
+        assert _reference_verify_perturbation(model, 0.05, ds, 40, 0, 1.0) == -math.inf
+
+    def test_nan_increment_does_not_hide_its_chunk(self, rng, monkeypatch):
+        model = random_model(rng, q=2, output="tanh")
+        ds = random_dataset(rng, n=6)
+        base = empirical_risk(model, ds)
+
+        def half_nan(model, branch_flats, trunk_flats, dataset):
+            risks = np.full(branch_flats.shape[0], math.nan)
+            risks[1::2] = base + 0.25
+            return risks
+
+        monkeypatch.setattr(bounds, "_stacked_risks", half_nan)
+        rep = verify_perturbation(model, 0.05, ds, trials=10, seed=0, j=1.0)
+        assert rep.max_observed == (base + 0.25) - base
+
     def test_zero_theta_increments_zero(self, rng):
         model = random_model(rng, q=2, output="sigmoid")
         ds = random_dataset(rng, n=10)
@@ -371,6 +435,12 @@ class TestHoeffdingMc:
     def test_standard_setting_holds(self):
         rep = hoeffding_mc_check(0.0, 1.0, 100, 0.2, trials=100_000, seed=2)
         assert rep.holds
+
+    def test_chunking_keeps_the_draws(self):
+        # 3,000 means of 100 draws span several chunks; one array holds them all
+        rep = hoeffding_mc_check(0.0, 1.0, 100, 0.02, trials=3000, seed=5)
+        means = np.random.default_rng(5).uniform(0.0, 1.0, (3000, 100)).mean(axis=1)
+        assert rep.empirical_tail == np.count_nonzero(means - 0.5 >= 0.02) / 3000
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(InputError):

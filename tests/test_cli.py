@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -278,3 +279,14 @@ class TestVerify:
         assert "gradient_check" in err
         report = json.loads((out / "verify-report.json").read_text())
         assert report["failed"] == ["gradient_check"]
+
+    def test_report_bytes_are_golden(self, tmp_path, capsys):
+        # 1,500 perturbation trials span two stacked chunks and 2,000
+        # Hoeffding trials span several draw chunks; the hash was recorded on
+        # the one-trial-at-a-time implementation
+        cfg = _write(tmp_path / "v.json", {"gradient_models": 3, "perturbation_trials": 1500,
+                                           "cover_probes": 2000, "hoeffding_trials": 2000})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--seed", "31", "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256((out / "verify-report.json").read_bytes()).hexdigest()
+        assert digest == "e90a12c98e90299333541b97e3542349d571567dbff08b9baf6d324ebd9c54c0"

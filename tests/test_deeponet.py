@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from donlab import gradcheck, nn
+from donlab import deeponet, gradcheck, nn
 from donlab.deeponet import (
     Dataset,
     DeepONetModel,
@@ -167,6 +167,73 @@ class TestLossGrads:
         model = random_model(rng)
         with pytest.raises(InputError):
             loss_grads(model, random_dataset(rng, n=0))
+
+
+ACTIVATION_PAIRS = [
+    (hidden, output)
+    for hidden in nn.HIDDEN_ACTIVATIONS
+    for output in nn.OUTPUT_ACTIVATIONS
+]
+
+
+def _fd_reference(model, batch):
+    """fd_gradient over empirical_risk, one probe vector at a time."""
+
+    def risk_branch(flat):
+        return empirical_risk(DeepONetModel(nn.MlpParams(model.branch.spec, flat),
+                                            model.trunk), batch)
+
+    def risk_trunk(flat):
+        return empirical_risk(DeepONetModel(model.branch,
+                                            nn.MlpParams(model.trunk.spec, flat)), batch)
+
+    return (gradcheck.fd_gradient(risk_branch, model.branch.flat),
+            gradcheck.fd_gradient(risk_trunk, model.trunk.flat))
+
+
+@pytest.mark.parametrize("hidden,output", ACTIVATION_PAIRS)
+class TestStackedRisks:
+    def test_stacked_risks_equal_empirical_risk(self, rng, hidden, output):
+        model = random_model(rng, q=3, width=5, hidden=hidden, output=output)
+        ds = random_dataset(rng, n=9)
+        bflats = rng.uniform(-1, 1, (3, model.branch.flat.size))
+        tflats = rng.uniform(-1, 1, (3, model.trunk.flat.size))
+        both = deeponet._stacked_risks(model, bflats, tflats, ds)
+        trunk_fixed = deeponet._stacked_risks(model, bflats, model.trunk.flat, ds)
+        for k in range(3):
+            pair = DeepONetModel(nn.MlpParams(model.branch.spec, bflats[k]),
+                                 nn.MlpParams(model.trunk.spec, tflats[k]))
+            assert both[k] == empirical_risk(pair, ds)
+            pair = DeepONetModel(nn.MlpParams(model.branch.spec, bflats[k]), model.trunk)
+            assert trunk_fixed[k] == empirical_risk(pair, ds)
+
+    def test_fd_loss_grads_equals_fd_gradient(self, rng, hidden, output):
+        model = random_model(rng, q=2, width=4, hidden=hidden, output=output)
+        batch = random_dataset(rng, n=8)
+        got, want = gradcheck.fd_loss_grads(model, batch), _fd_reference(model, batch)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_fd_loss_grads_in_several_chunks(self, rng, monkeypatch, hidden, output):
+        # 7 vectors per pass: 3 coordinates per chunk, the last one partial
+        monkeypatch.setattr(deeponet, "_STACK_VECTORS", 7)
+        model = random_model(rng, q=2, width=3, hidden=hidden, output=output)
+        batch = random_dataset(rng, n=5)
+        got, want = gradcheck.fd_loss_grads(model, batch), _fd_reference(model, batch)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_stack_size_shrinks_for_large_datasets(rng):
+    model = random_model(rng, m=3, width=4)
+    assert deeponet._stack_size(model, 8) == deeponet._STACK_VECTORS
+    assert deeponet._stack_size(model, 1 << 18) == 1
+    assert deeponet._stack_size(model, 1 << 14) * (1 << 14) * 4 <= deeponet._STACK_ELEMENTS
+
+
+def test_uniform_in_ball_radius_and_zero_radius():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        assert np.linalg.norm(deeponet._uniform_in_ball(rng, 7, 0.3)) <= 0.3
+    assert np.all(deeponet._uniform_in_ball(rng, 7, 0.0) == 0.0)
 
 
 class TestWeightLipschitz:

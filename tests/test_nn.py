@@ -219,6 +219,20 @@ class TestValueAndVjp:
                 nn.backward_batch(params, x, bad)
 
 
+@pytest.mark.parametrize("hidden,output", ACTIVATION_PAIRS)
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_forward_equals_per_vector_forward_batch(rng, hidden, output, k):
+    spec = nn.MlpSpec((5, 7, 6, 3), hidden_activation=hidden, output_activation=output)
+    flats = rng.uniform(-1.5, 1.5, (k, nn.param_count(spec)))
+    x = rng.uniform(-2, 2, (11, 5))
+    x_before = x.copy()
+    got = nn._forward(spec, flats, x, None)
+    assert got.shape == (k, 11, 3)
+    for i in range(k):
+        assert np.array_equal(got[i], nn.forward_batch(nn.MlpParams(spec, flats[i]), x))
+    assert np.array_equal(x, x_before)
+
+
 def test_single_layer_linear_forward_is_not_a_view():
     # one linear layer applies no activation, the case most likely to alias
     spec = nn.MlpSpec((2, 2), output_activation="linear")
