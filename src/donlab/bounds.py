@@ -316,8 +316,8 @@ def verify_perturbation(
         db = np.empty((k, branch.size))
         dt = np.empty((k, trunk.size))
         for i in range(k):
-            db[i] = _uniform_in_ball(rng, branch.size, theta / 2.0)
-            dt[i] = _uniform_in_ball(rng, trunk.size, theta / 2.0)
+            _uniform_in_ball(rng, branch.size, theta / 2.0, out=db[i])
+            _uniform_in_ball(rng, trunk.size, theta / 2.0, out=dt[i])
         increments = _stacked_risks(model, branch + db, trunk + dt, dataset) - base
         increments = increments[~np.isnan(increments)]  # NaN never counts
         if increments.size:

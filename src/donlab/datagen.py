@@ -7,7 +7,6 @@ forced-pendulum integrator, dataset assembly, and CSV round-trip I/O.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -408,41 +407,46 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 def read_dataset_csv(path) -> Dataset:
     """Inverse of :func:`write_dataset_csv`; exact float64 round trip.
 
-    Accepts any file the ``csv`` module tokenises with the expected header.
-    An ``s`` row whose text equals the previous row's is not parsed again."""
+    Reads unquoted comma-separated fields, one record per line, with lines
+    ending in ``\\r\\n``, ``\\n`` or ``\\r``; a quote is a non-numeric value.
+    Each line is split once from the right into its ``s`` text and its ``p``
+    and ``y`` fields; an ``s`` text equal to the previous row's is not split
+    or parsed again."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"dataset file not found: {path}")
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"dataset file {path} is empty") from None
+        line = fh.readline()
+        if not line:
+            raise InputError(f"dataset file {path} is empty")
+        line = line.rstrip("\r\n")
+        header = line.split(",") if line else []
         m = sum(1 for c in header if c.startswith("s_"))
         d2 = sum(1 for c in header if c.startswith("p_"))
         expected = [f"s_{i}" for i in range(m)] + [f"p_{i}" for i in range(d2)] + ["y"]
         if m < 1 or d2 < 1 or header != expected:
             raise FormatError(f"unexpected header in {path}: {header}")
-        s_rows, p_rows, y_rows = [], [], []
-        s_text = s_vals = None
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}:{ln}: expected {len(header)} columns, got {len(row)}"
-                )
+        s_rows, runs, py_rows = [], [], []
+        s_text = None
+        for ln, line in enumerate(fh, start=2):
+            line = line.rstrip("\r\n")
+            text, *py = line.rsplit(",", d2 + 1)
+            new = text != s_text
+            if len(py) != d2 + 1 or (new and text.count(",") != m - 1):
+                got = line.count(",") + 1 if line else 0
+                raise FormatError(f"{path}:{ln}: expected {len(header)} columns, got {got}")
             try:
-                text = row[:m]
-                if text != s_text:
-                    s_vals, s_text = [float(v) for v in text], text
-                p_rows.append([float(v) for v in row[m : m + d2]])
-                y_rows.append(float(row[m + d2]))
+                if new:
+                    s_rows.append(list(map(float, text.split(","))))
+                    s_text = text
+                py_rows.append(list(map(float, py)))
             except ValueError as exc:
                 raise FormatError(f"{path}:{ln}: non-numeric value ({exc})") from exc
-            s_rows.append(s_vals)
+            runs.append(len(s_rows) - 1)
     s = np.array(s_rows, dtype=np.float64).reshape(len(s_rows), m)
-    p = np.array(p_rows, dtype=np.float64).reshape(len(p_rows), d2)
-    y = np.array(y_rows, dtype=np.float64)
+    s = s[np.asarray(runs, dtype=np.intp)]
+    py = np.array(py_rows, dtype=np.float64).reshape(len(py_rows), d2 + 1)
+    p, y = py[:, :d2].copy(), py[:, d2].copy()
 
     sidecar = _sidecar_path(path)
     if sidecar.exists():

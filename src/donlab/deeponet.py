@@ -191,18 +191,23 @@ def loss_grads_arrays(
     return branch_grads, trunk_grads, loss
 
 
-def _uniform_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
+def _uniform_in_ball(
+    rng: np.random.Generator, dim: int, radius: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Uniform draw from the Euclidean ball of the given radius.
 
-    Draws dim normals, then one uniform for the radius unless the normals
-    are all zero; radius 0 gives a vector of signed zeros.
+    Draws dim normals into out (a new array when out is None), then one
+    uniform for the radius unless the normals are all zero, and scales them
+    in place; radius 0 gives a vector of signed zeros.
     """
-    z = rng.standard_normal(dim)
-    norm = np.linalg.norm(z)
+    z = rng.standard_normal(dim, out=out)
+    norm = math.sqrt(z.dot(z))  # np.linalg.norm of a 1-d float vector
     if norm == 0.0:
-        return np.zeros(dim)
+        z.fill(0.0)
+        return z
     r = radius * rng.uniform() ** (1.0 / dim)
-    return z * (r / norm)
+    z *= r / norm
+    return z
 
 
 def estimate_J(

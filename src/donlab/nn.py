@@ -150,12 +150,13 @@ def init_mlp(spec: MlpSpec, seed) -> MlpParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow warnings for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # piecewise form avoids overflow warnings for large |z|: with e = exp(-|z|),
+    # 1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; minimum(z, -z) is -|z|
+    # but keeps a NaN's sign
+    e = np.exp(np.minimum(z, -z))
+    denom = e + 1.0
+    out = 1.0 / denom
+    np.divide(e, denom, out=out, where=z < 0)
     return out
 
 

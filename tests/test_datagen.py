@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import re
@@ -570,3 +571,130 @@ class TestCsvRoundTrip:
         p.write_text("s_0,p_0,y\n1.0,2.0,3.0\n1.0,2.0\n")
         with pytest.raises(FormatError):
             read_dataset_csv(p)
+
+
+def _csv_module_read(path):
+    """The ``csv.reader`` tokeniser that read_dataset_csv replaced, kept as a
+    reference: (s, p, y) of a dataset file, with the same FormatErrors."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        m = sum(1 for c in header if c.startswith("s_"))
+        d2 = sum(1 for c in header if c.startswith("p_"))
+        s_rows, p_rows, y_rows = [], [], []
+        s_text = s_vals = None
+        for ln, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{path}:{ln}: expected {len(header)} columns, got {len(row)}"
+                )
+            try:
+                text = row[:m]
+                if text != s_text:
+                    s_vals, s_text = [float(v) for v in text], text
+                p_rows.append([float(v) for v in row[m : m + d2]])
+                y_rows.append(float(row[m + d2]))
+            except ValueError as exc:
+                raise FormatError(f"{path}:{ln}: non-numeric value ({exc})") from exc
+            s_rows.append(s_vals)
+    s = np.array(s_rows, dtype=np.float64).reshape(len(s_rows), m)
+    p = np.array(p_rows, dtype=np.float64).reshape(len(p_rows), d2)
+    return s, p, np.array(y_rows, dtype=np.float64)
+
+
+# texts float() reads as signed zeros, NaNs, infinities, subnormals and extremes
+_SPECIAL_TEXTS = ["0.0", "-0.0", "0", "nan", "-nan", "NaN", "inf", "-inf", "Infinity",
+                  "5e-324", "-5e-324", "1e-310", "-2.5e-315", "2.2250738585072014e-308",
+                  "1.7976931348623157e+308", "-1e400", "1e-400"]
+
+
+def _random_rows(rng, m, d2, distinct):
+    """Data lines of a file: runs of repeated s texts (a text may come back
+    after another), or a new s text on every row when distinct."""
+    def field():
+        if rng.random() < 0.25:
+            return str(rng.choice(_SPECIAL_TEXTS))
+        return repr(float(rng.standard_normal() * 10.0 ** rng.integers(-8, 8)))
+
+    s_texts = [",".join(field() for _ in range(m)) for _ in range(5)]
+    rows = []
+    for _ in range(30):
+        if distinct:
+            text, length = ",".join(field() for _ in range(m)), 1
+        else:
+            text, length = s_texts[rng.integers(5)], int(rng.integers(1, 6))
+        rows += [text + "," + ",".join(field() for _ in range(d2 + 1)) for _ in range(length)]
+    return rows
+
+
+def _write_lines(path, header_cols, rows, end="\r\n", final_end=True):
+    m, d2 = header_cols
+    header = ",".join([f"s_{i}" for i in range(m)] + [f"p_{i}" for i in range(d2)] + ["y"])
+    path.write_bytes((end.join([header] + rows) + (end if final_end else "")).encode())
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestReaderMatchesCsvModule:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("distinct", [False, True], ids=["runs", "distinct"])
+    @pytest.mark.parametrize("end", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+    @pytest.mark.parametrize("final_end", [True, False], ids=["ended", "unended"])
+    def test_arrays_equal_reference_bit_for_bit(self, tmp_path, seed, distinct, end, final_end):
+        rng = np.random.default_rng([seed, distinct])
+        m, d2 = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        path = tmp_path / "r.csv"
+        _write_lines(path, (m, d2), _random_rows(rng, m, d2, distinct), end, final_end)
+        back = read_dataset_csv(path)
+        for got, want in zip((back.s, back.p, back.y), _csv_module_read(path)):
+            assert _same_bits(got, want)
+        assert back.p.flags.c_contiguous and back.y.flags.c_contiguous
+
+    def test_header_only_file_gives_empty_arrays(self, tmp_path):
+        path = tmp_path / "h.csv"
+        _write_lines(path, (3, 2), [])
+        back = read_dataset_csv(path)
+        assert back.s.shape == (0, 3) and back.p.shape == (0, 2) and back.y.shape == (0,)
+
+    @pytest.mark.parametrize("lines,ln", [
+        (["1.0,2.0,0.5,3.0", "", "1.0,2.0,0.5,3.0"], 3),
+        (["1.0,2.0,0.5,3.0", "1.0,2.0,0.5,3.0", ""], 4),
+    ], ids=["middle", "trailing"])
+    @pytest.mark.parametrize("end", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+    def test_blank_line_gives_zero_columns(self, tmp_path, lines, ln, end):
+        path = tmp_path / "b.csv"
+        _write_lines(path, (2, 1), lines, end)
+        want = f":{ln}: expected 4 columns, got 0"
+        with pytest.raises(FormatError, match=want) as got:
+            read_dataset_csv(path)
+        with pytest.raises(FormatError) as ref:
+            _csv_module_read(path)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("row,got", [
+        ("1.0,2.0,0.5,3.0,9.0", 5),
+        ("1.0,2.0,0.5", 3),
+        ("1.0,7.0,0.5,3.0,9.0", 5),
+        ("1.0,7.0,0.5", 3),
+        ("1.0,2.0,0.5,3.0,", 5),
+        ("1.0", 1),
+    ], ids=["extra-repeated-s", "missing-repeated-s", "extra-new-s", "missing-new-s",
+            "trailing-comma", "one-field"])
+    def test_wrong_column_count_names_its_line(self, tmp_path, row, got):
+        path = tmp_path / "c.csv"
+        _write_lines(path, (2, 1), ["1.0,2.0,0.25,1.0", "1.0,2.0,0.5,3.0", row])
+        with pytest.raises(FormatError, match=f":4: expected 4 columns, got {got}$") as new:
+            read_dataset_csv(path)
+        with pytest.raises(FormatError) as ref:
+            _csv_module_read(path)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("row", ['"1.0",2.0,0.5,3.0', '1.0,2.0,"0.5",3.0', '1.0,2.0,0.5,"3.0"'],
+                             ids=["s", "p", "y"])
+    def test_quoted_field_is_rejected_naming_its_line(self, tmp_path, row):
+        path = tmp_path / "q.csv"
+        _write_lines(path, (2, 1), ["1.0,2.0,0.5,3.0", row])
+        with pytest.raises(FormatError, match=r":3: non-numeric value .*'\"\d\.\d\"'"):
+            read_dataset_csv(path)

@@ -236,6 +236,45 @@ def test_uniform_in_ball_radius_and_zero_radius():
     assert np.all(deeponet._uniform_in_ball(rng, 7, 0.0) == 0.0)
 
 
+def _reference_uniform_in_ball(rng, dim, radius):
+    """The sampler before it drew into a caller's row, kept as a reference."""
+    z = rng.standard_normal(dim)
+    norm = np.linalg.norm(z)
+    if norm == 0.0:
+        return np.zeros(dim)
+    r = radius * rng.uniform() ** (1.0 / dim)
+    return z * (r / norm)
+
+
+@pytest.mark.parametrize("into_row", [False, True])
+def test_uniform_in_ball_equals_reference_draws(into_row):
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    rows = np.empty((40, 92))
+    for i, (dim, radius) in enumerate([(1, 0.5), (60, 0.0), (92, 0.025), (60, 3.0)] * 10):
+        row = rows[i, :dim] if into_row else None
+        got = deeponet._uniform_in_ball(got_rng, dim, radius, out=row)
+        want = _reference_uniform_in_ball(want_rng, dim, radius)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if into_row:
+            assert np.shares_memory(got, rows)
+    assert got_rng.random() == want_rng.random()
+
+
+def test_uniform_in_ball_zero_normals_draw_no_uniform():
+    class ZeroNormals:
+        def standard_normal(self, dim, out=None):
+            z = np.zeros(dim) if out is None else out
+            z[...] = -0.0
+            return z
+
+        def uniform(self):
+            raise AssertionError("a zero draw takes no radius")
+
+    row = np.full(5, 7.0)
+    got = deeponet._uniform_in_ball(ZeroNormals(), 5, 1.0, out=row)
+    assert got is row and np.array_equal(got.view(np.int64), np.zeros(5).view(np.int64))
+
+
 class TestWeightLipschitz:
     def test_degenerate_family_estimates_zero(self):
         spec = nn.MlpSpec((2, 3, 2))

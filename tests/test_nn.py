@@ -242,6 +242,31 @@ def test_single_layer_linear_forward_is_not_a_view():
     assert np.array_equal(out, x) and not np.shares_memory(out, x)
 
 
+def _masked_sigmoid(z):
+    """The boolean-mask form of nn._sigmoid, kept as a reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_masked_form_bit_for_bit(rng):
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny,
+                        709.0, 710.0, -710.0, 745.2, -745.2, 800.0, -800.0, 1e308, -1e308,
+                        np.inf, -np.inf, np.nan, -np.nan, 36.7, -36.7, 1e-17, -1e-17])
+    z = np.concatenate([special, rng.standard_normal(3975) * 40.0,
+                        rng.standard_normal(500) * 1e-310])
+    for x in (z, rng.permutation(z).reshape(3, 25, 60), -z):
+        x_before = x.copy()
+        got, want = nn._sigmoid(x), _masked_sigmoid(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(x.view(np.int64), x_before.view(np.int64))
+
+
 class TestAdam:
     def test_zero_grads_are_a_fixed_point(self):
         spec = nn.MlpSpec((2, 2))
