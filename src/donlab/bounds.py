@@ -22,10 +22,9 @@ from . import nn
 from .deeponet import (
     Dataset,
     DeepONetModel,
+    _RiskEvaluator,
     _stack_size,
-    _stacked_risks,
     _uniform_in_ball,
-    empirical_risk,
     j_upper_bound,
 )
 from .errors import InputError
@@ -305,9 +304,10 @@ def verify_perturbation(
     if j is None:
         j = analytic_j_for_model(model, dataset, theta)
     bound = perturbation_bound(model.q, c, j, theta, dataset.B)
-    base = empirical_risk(model, dataset)
-    rng = np.random.default_rng(seed)
+    risks = _RiskEvaluator(model, dataset).risks
     branch, trunk = model.branch.flat, model.trunk.flat
+    base = float(risks(branch, trunk))
+    rng = np.random.default_rng(seed)
     chunk = _stack_size(model, dataset.n)
     max_observed = -math.inf
     for start in range(0, trials, chunk):
@@ -318,7 +318,7 @@ def verify_perturbation(
         for i in range(k):
             _uniform_in_ball(rng, branch.size, theta / 2.0, out=db[i])
             _uniform_in_ball(rng, trunk.size, theta / 2.0, out=dt[i])
-        increments = _stacked_risks(model, branch + db, trunk + dt, dataset) - base
+        increments = risks(branch + db, trunk + dt) - base
         increments = increments[~np.isnan(increments)]  # NaN never counts
         if increments.size:
             max_observed = max(max_observed, float(increments.max()))

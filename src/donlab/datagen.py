@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .atomic import atomic_path, atomic_write_text
-from .deeponet import Dataset
+from .deeponet import Dataset, _distinct_rows
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -371,27 +371,22 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     """Columns s_0..s_{m-1}, p_0..p_{d2-1}, y plus a metadata sidecar JSON.
 
     Every float is written as its ``repr`` and every line ends in ``\\r\\n``,
-    as ``csv.writer`` would write them. The text of an ``s`` row is formatted
-    once and reused while the following rows repeat it bit for bit."""
+    as ``csv.writer`` would write them. The text of each bitwise-distinct
+    ``s`` row is formatted once and reused for every row that repeats it."""
     path = Path(path)
     header = (
         [f"s_{i}" for i in range(dataset.m)]
         + [f"p_{i}" for i in range(dataset.d2)]
         + ["y"]
     )
-    s = np.ascontiguousarray(dataset.s)
     # Bitwise, not float ==: -0.0 == 0.0 and nan != nan would reuse the wrong text.
-    bits = s.view(np.int64)
-    new_s = np.ones(dataset.n, dtype=bool)
-    new_s[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    first, inverse = _distinct_rows(dataset.s)
+    s_texts = [",".join(map(repr, row)) for row in dataset.s[first].tolist()]
     with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        s_text = ""
-        rows = zip(new_s.tolist(), dataset.p.tolist(), dataset.y.tolist())
-        for i, (new, p_row, y) in enumerate(rows):
-            if new:
-                s_text = ",".join(map(repr, s[i].tolist()))
-            fh.write(f"{s_text},{','.join(map(repr, p_row))},{y!r}\r\n")
+        rows = zip(inverse.tolist(), dataset.p.tolist(), dataset.y.tolist())
+        for k, p_row, y in rows:
+            fh.write(f"{s_texts[k]},{','.join(map(repr, p_row))},{y!r}\r\n")
     meta = {
         "B": dataset.B,
         "m": dataset.m,

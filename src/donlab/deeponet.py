@@ -127,7 +127,36 @@ def don_forward_batch(model: DeepONetModel, s: np.ndarray, p: np.ndarray) -> np.
 
 def empirical_risk(model: DeepONetModel, dataset: Dataset) -> float:
     """Mean squared residual (1/n) sum_i (y_i - h(s_i, p_i))^2."""
-    return float(_stacked_risks(model, model.branch.flat, model.trunk.flat, dataset))
+    return float(_RiskEvaluator(model, dataset).risks(model.branch.flat, model.trunk.flat))
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bitwise-distinct rows of a 2-d float64 array.
+
+    Returns (first, inverse): first holds the index of each distinct row's
+    first occurrence, in increasing order, and inverse maps every row to its
+    entry of first, so x[first][inverse] equals x bit for bit. Rows compare
+    by their bits: 0.0 and -0.0 differ, and NaNs match only with the same
+    payload. Runs of equal consecutive rows are collapsed first, and only
+    the run heads are sorted.
+    """
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+    head = np.ones(bits.shape[0], dtype=bool)
+    head[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    heads = np.flatnonzero(head)
+    run = np.cumsum(head) - 1  # each row's run, as an index into heads
+    if heads.size < 2:
+        return heads, run
+    keys = bits[heads]
+    order = np.lexsort(keys.T[::-1])  # stable: equal heads keep their order
+    ordered = keys[order]
+    starts = np.ones(heads.size, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    rep = np.empty(heads.size, dtype=np.intp)  # the first head equal to each head
+    rep[order] = order[starts][np.cumsum(starts) - 1]
+    is_first = rep == np.arange(heads.size)
+    rank = np.cumsum(is_first) - 1  # a first head's place among the firsts
+    return heads[is_first], rank[rep][run]
 
 
 # A stacked risk pass takes _STACK_VECTORS parameter vectors at most, and
@@ -137,29 +166,58 @@ _STACK_ELEMENTS = 1 << 20
 
 
 def _stack_size(model: DeepONetModel, rows: int) -> int:
-    """How many parameter vectors of model one stacked pass on rows takes."""
+    """How many parameter vectors of model one stacked pass on rows takes.
+
+    The bound also covers the outputs that _RiskEvaluator gathers back to
+    all rows: they are at most k * rows * q floats, and q is a layer width.
+    """
     widest = max(model.branch.spec.layer_dims + model.trunk.spec.layer_dims)
     return max(1, min(_STACK_VECTORS, _STACK_ELEMENTS // max(1, rows * widest)))
 
 
-def _stacked_risks(
-    model: DeepONetModel, branch_flats: np.ndarray, trunk_flats: np.ndarray,
-    dataset: Dataset,
-) -> np.ndarray:
-    """Empirical risks of many (branch, trunk) flat pairs of model's specs.
+class _RiskEvaluator:
+    """Empirical risks of many (branch, trunk) flat pairs on one dataset.
 
-    branch_flats and trunk_flats have shape lead + (P,) and broadcast
-    against each other over lead; entry k of the result is the risk of the
-    pair (branch_flats[k], trunk_flats[k]), bit-identical to
-    :func:`empirical_risk` of that pair. Unstacked flats give a 0-d array.
+    The bitwise-distinct rows of dataset.s and dataset.p are found once;
+    each pass runs the branch only on distinct s rows and the trunk only on
+    distinct p rows, and gathers their outputs back to every row before the
+    residuals and their mean are taken.
     """
-    if dataset.n == 0:
-        raise InputError("empirical risk of an empty dataset is undefined")
-    bspec, tspec = model.branch.spec, model.trunk.spec
-    b = nn._forward(bspec, branch_flats, nn._check_input(bspec, dataset.s), None)
-    t = nn._forward(tspec, trunk_flats, nn._check_input(tspec, dataset.p), None)
-    r = dataset.y - np.einsum("...ij,...ij->...i", b, t)
-    return np.mean(r * r, axis=-1)
+
+    def __init__(self, model: DeepONetModel, dataset: Dataset):
+        if dataset.n == 0:
+            raise InputError("empirical risk of an empty dataset is undefined")
+        self.bspec, self.tspec = model.branch.spec, model.trunk.spec
+        self.s, self.s_rows = self._distinct(nn._check_input(self.bspec, dataset.s))
+        self.p, self.p_rows = self._distinct(nn._check_input(self.tspec, dataset.p))
+        self.y = dataset.y
+
+    @staticmethod
+    def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(distinct rows, their gather index), or (x, None) if all differ."""
+        first, inverse = _distinct_rows(x)
+        if first.size == x.shape[0]:
+            return x, None
+        return x[first], inverse
+
+    def risks(self, branch_flats: np.ndarray, trunk_flats: np.ndarray) -> np.ndarray:
+        """Risk of each (branch, trunk) pair of flats.
+
+        branch_flats and trunk_flats have shape lead + (P,) and broadcast
+        against each other over lead; entry k of the result is the risk of
+        the pair (branch_flats[k], trunk_flats[k]), bit-identical to
+        :func:`empirical_risk` of that pair. Unstacked flats give a 0-d array.
+        """
+        # np.take keeps the gathered outputs in C order, as the per-row pass
+        # had them; a strided layout would make the mean sum in another order
+        b = nn._forward(self.bspec, branch_flats, self.s, None)
+        if self.s_rows is not None:
+            b = np.take(b, self.s_rows, axis=-2)
+        t = nn._forward(self.tspec, trunk_flats, self.p, None)
+        if self.p_rows is not None:
+            t = np.take(t, self.p_rows, axis=-2)
+        r = self.y - np.einsum("...ij,...ij->...i", b, t)
+        return np.mean(r * r, axis=-1)
 
 
 def loss_grads(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .deeponet import Dataset, DeepONetModel, _stack_size, _stacked_risks
+from .deeponet import Dataset, DeepONetModel, _RiskEvaluator, _stack_size
 
 DEFAULT_STEP = 1e-6
 
@@ -67,8 +67,9 @@ def fd_loss_grads(model: DeepONetModel, batch: Dataset,
             g[idx] = (r[0] - r[1]) / (2.0 * step)
         return g
 
+    risks = _RiskEvaluator(model, batch).risks
     branch, trunk = model.branch.flat, model.trunk.flat
     return (
-        fd(branch, lambda probes: _stacked_risks(model, probes, trunk, batch)),
-        fd(trunk, lambda probes: _stacked_risks(model, branch, probes, batch)),
+        fd(branch, lambda probes: risks(probes, trunk)),
+        fd(trunk, lambda probes: risks(branch, probes)),
     )

@@ -7,6 +7,7 @@ calls with the same inputs are bit-identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,17 +101,22 @@ class MlpParams:
         return MlpParams(self.spec, self.flat.copy())
 
 
-def _layer_slices(spec: MlpSpec):
-    """Yield (weight_slice, bias_slice, out_dim, in_dim) per layer, in order."""
-    dims = spec.layer_dims
+def _layer_slices(spec: MlpSpec) -> tuple[tuple[slice, slice, int, int], ...]:
+    """(weight_slice, bias_slice, out_dim, in_dim) per layer, in order."""
+    return _slices_of_dims(spec.layer_dims)
+
+
+@functools.lru_cache(maxsize=None)
+def _slices_of_dims(dims: tuple[int, ...]) -> tuple[tuple[slice, slice, int, int], ...]:
+    out = []
     off = 0
-    for i in range(len(dims) - 1):
-        n_in, n_out = dims[i], dims[i + 1]
+    for n_in, n_out in zip(dims, dims[1:]):
         w_sl = slice(off, off + n_in * n_out)
         off += n_in * n_out
         b_sl = slice(off, off + n_out)
         off += n_out
-        yield w_sl, b_sl, n_out, n_in
+        out.append((w_sl, b_sl, n_out, n_in))
+    return tuple(out)
 
 
 def unflatten(params: MlpParams) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -255,11 +261,11 @@ def value_and_vjp(params: MlpParams, x: np.ndarray):
                 f"expected out_grads shape {out.shape}, got {delta.shape}"
             )
         delta = _scale_by_deriv_(delta, out, spec.output_activation)
-        grad = np.zeros_like(params.flat)
-        slices = list(_layer_slices(spec))
+        grad = np.empty_like(params.flat)  # every weight and bias slice is written
+        slices = _layer_slices(spec)
         for i in range(len(slices) - 1, -1, -1):
             w_sl, b_sl, n_out, n_in = slices[i]
-            grad[w_sl] = (delta.T @ acts[i]).ravel()
+            np.matmul(delta.T, acts[i], out=grad[w_sl].reshape(n_out, n_in))
             grad[b_sl] = delta.sum(axis=0)
             if i > 0:
                 # acts[i] is the activated output of layer i-1
@@ -369,11 +375,24 @@ def adam_step(
     if grads.shape != params.flat.shape or state.m.shape != params.flat.shape:
         raise InputError("gradient / state length does not match parameter vector")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_flat = params.flat - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # Two work buffers, with the operations in the order of the textbook form
+    #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+    #   flat - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    # so the result is the same bit for bit; the second buffer ends as flat.
+    work = grads * (1.0 - state.beta1)
+    m = state.m * state.beta1
+    m += work
+    np.multiply(grads, 1.0 - state.beta2, out=work)
+    work *= grads
+    v = state.v * state.beta2
+    v += work
+    np.divide(m, 1.0 - state.beta1**t, out=work)
+    work *= state.lr
+    new_flat = v / (1.0 - state.beta2**t)
+    np.sqrt(new_flat, out=new_flat)
+    new_flat += state.eps
+    np.divide(work, new_flat, out=new_flat)
+    np.subtract(params.flat, new_flat, out=new_flat)
     new_state = AdamState(
         m=m, v=v, t=t, lr=state.lr, beta1=state.beta1,
         beta2=state.beta2, eps=state.eps,

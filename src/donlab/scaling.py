@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .atomic import atomic_path
 from .datagen import AdrConfig, GrfConfig, build_adr_dataset
-from .deeponet import Dataset, DeepONetModel, empirical_risk, loss_grads_arrays
+from .deeponet import Dataset, DeepONetModel, _RiskEvaluator, loss_grads_arrays
 from .errors import ConfigurationError, InputError, NumericalError
 
 VALID_EXPONENTS = (0.5, 2.0 / 3.0, 1.0 / 6.0)
@@ -227,6 +227,7 @@ def train_deeponet(
     curve = []
     s, p, y = dataset.s, dataset.p, dataset.y
     n = dataset.n
+    risks = _RiskEvaluator(model, dataset).risks if epochs > 0 else None
     for epoch in range(start_epoch, start_epoch + epochs):
         perm = np.random.default_rng([seed, epoch]).permutation(n)
         for lo in range(0, n, batch_size):
@@ -237,7 +238,7 @@ def train_deeponet(
             if weight_ball is not None:
                 model.branch = nn.project_to_ball(model.branch, weight_ball)
                 model.trunk = nn.project_to_ball(model.trunk, weight_ball)
-        loss = empirical_risk(model, dataset)
+        loss = float(risks(model.branch.flat, model.trunk.flat))
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite training loss at epoch {epoch}")
         curve.append(loss)

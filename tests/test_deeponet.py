@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from donlab import deeponet, gradcheck, nn
+from donlab import deeponet, gradcheck, nn, scaling
 from donlab.deeponet import (
     Dataset,
     DeepONetModel,
@@ -198,8 +198,9 @@ class TestStackedRisks:
         ds = random_dataset(rng, n=9)
         bflats = rng.uniform(-1, 1, (3, model.branch.flat.size))
         tflats = rng.uniform(-1, 1, (3, model.trunk.flat.size))
-        both = deeponet._stacked_risks(model, bflats, tflats, ds)
-        trunk_fixed = deeponet._stacked_risks(model, bflats, model.trunk.flat, ds)
+        risks = deeponet._RiskEvaluator(model, ds).risks
+        both = risks(bflats, tflats)
+        trunk_fixed = risks(bflats, model.trunk.flat)
         for k in range(3):
             pair = DeepONetModel(nn.MlpParams(model.branch.spec, bflats[k]),
                                  nn.MlpParams(model.trunk.spec, tflats[k]))
@@ -227,6 +228,168 @@ def test_stack_size_shrinks_for_large_datasets(rng):
     assert deeponet._stack_size(model, 8) == deeponet._STACK_VECTORS
     assert deeponet._stack_size(model, 1 << 18) == 1
     assert deeponet._stack_size(model, 1 << 14) * (1 << 14) * 4 <= deeponet._STACK_ELEMENTS
+
+
+def _reference_risks(model, branch_flats, trunk_flats, dataset):
+    """The risk pass before distinct rows: both nets run on every row."""
+    bspec, tspec = model.branch.spec, model.trunk.spec
+    b = nn._forward(bspec, branch_flats, nn._check_input(bspec, dataset.s), None)
+    t = nn._forward(tspec, trunk_flats, nn._check_input(tspec, dataset.p), None)
+    r = dataset.y - np.einsum("...ij,...ij->...i", b, t)
+    return np.mean(r * r, axis=-1)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _ulps(a, b):
+    return abs(int(_bits(a)) - int(_bits(b)))
+
+
+def _with_rows(rng, base, order):
+    """Dataset whose s and p rows are base's rows taken in the given order."""
+    ds = base.take(np.asarray(order))
+    ds.y = rng.uniform(-1.0, 1.0, ds.n)
+    return ds
+
+
+# Rows picked from 5 base rows: all distinct, consecutive runs only, and
+# repeats that are apart (as in the p column of an ADR dataset).
+ROW_ORDERS = {
+    "distinct": [0, 1, 2, 3, 4],
+    "runs": [0, 0, 0, 1, 1, 2, 3, 3, 3, 3, 4],
+    "apart": [2, 0, 1, 2, 4, 0, 0, 3, 1, 2, 4, 2],
+}
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("name", sorted(ROW_ORDERS))
+    def test_first_and_inverse_rebuild_the_rows(self, rng, name):
+        base = rng.uniform(-1, 1, (5, 3))
+        x = base[ROW_ORDERS[name]]
+        first, inverse = deeponet._distinct_rows(x)
+        assert np.array_equal(_bits(x[first][inverse]), _bits(x))
+        assert first.size == len(set(ROW_ORDERS[name]))
+        assert list(first) == sorted(first)  # first occurrences, in order
+        assert all(inverse[i] == list(first).index(i) for i in first)
+
+    @pytest.mark.parametrize("n,cols", [(40, 1), (200, 2), (60, 4)])
+    def test_equals_first_occurrence_by_bytes(self, rng, n, cols):
+        values = np.array([0.0, -0.0, 1.5, np.nan, -np.nan])
+        x = values[rng.integers(0, values.size, (n, cols))]
+        x = np.repeat(x, rng.integers(1, 4, n), axis=0)  # and consecutive runs
+        seen = {}
+        for i, row in enumerate(x):
+            seen.setdefault(row.tobytes(), i)
+        first, inverse = deeponet._distinct_rows(x)
+        assert list(first) == list(seen.values())
+        assert [first[k] for k in inverse] == [seen[row.tobytes()] for row in x]
+
+    def test_all_distinct_is_the_identity(self, rng):
+        first, inverse = deeponet._distinct_rows(rng.uniform(-1, 1, (7, 2)))
+        assert np.array_equal(first, np.arange(7)) and np.array_equal(inverse, np.arange(7))
+
+    def test_signed_zeros_differ(self):
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+        first, inverse = deeponet._distinct_rows(x)
+        assert list(first) == [0, 1] and list(inverse) == [0, 1, 0, 1]
+
+    def test_nan_rows_match_only_with_their_payload(self):
+        quiet = np.float64(np.nan)
+        other = np.array([_bits(quiet) | 1], dtype=np.uint64).view(np.float64)[0]
+        x = np.array([[quiet], [other], [quiet], [other], [other]])
+        first, inverse = deeponet._distinct_rows(x)
+        assert list(first) == [0, 1] and list(inverse) == [0, 1, 0, 1, 1]
+        assert np.array_equal(_bits(x[first][inverse]), _bits(x))
+
+    def test_empty_and_single_row(self):
+        first, inverse = deeponet._distinct_rows(np.empty((0, 3)))
+        assert first.size == 0 and inverse.size == 0
+        first, inverse = deeponet._distinct_rows(np.ones((1, 3)))
+        assert list(first) == [0] and list(inverse) == [0]
+
+
+class TestRiskOnDistinctRows:
+    @pytest.mark.parametrize("name", sorted(ROW_ORDERS))
+    def test_equals_per_row_risk(self, rng, name):
+        model = random_model(rng, q=3, width=5)
+        ds = _with_rows(rng, random_dataset(rng, n=5), ROW_ORDERS[name])
+        want = _reference_risks(model, model.branch.flat, model.trunk.flat, ds)
+        assert _bits(empirical_risk(model, ds)) == _bits(want)
+
+    def test_signed_zero_and_nan_payload_rows(self, rng):
+        model = random_model(rng, q=2, width=4)
+        ds = random_dataset(rng, n=6)
+        ds.s[:] = ds.s[0]
+        ds.s[1::2, 0] = -0.0
+        ds.s[::2, 0] = 0.0
+        ds.p[:] = ds.p[0]
+        ds.p[3:, 1] = np.array([_bits(np.nan) | 1], dtype=np.uint64).view(np.float64)[0]
+        ds.p[:3, 1] = np.nan
+        ev = deeponet._RiskEvaluator(model, ds)
+        assert ev.s.shape[0] == 2 and ev.p.shape[0] == 2
+        want = _reference_risks(model, model.branch.flat, model.trunk.flat, ds)
+        assert _bits(ev.risks(model.branch.flat, model.trunk.flat)) == _bits(want)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stacked_branch_flats_with_unstacked_trunk(self, rng, k):
+        model = random_model(rng, q=3, width=5)
+        ds = _with_rows(rng, random_dataset(rng, n=5), ROW_ORDERS["apart"])
+        bflats = rng.uniform(-1, 1, (k, model.branch.flat.size))
+        got = deeponet._RiskEvaluator(model, ds).risks(bflats, model.trunk.flat)
+        want = _reference_risks(model, bflats, model.trunk.flat, ds)
+        assert got.shape == (k,) and np.array_equal(_bits(got), _bits(want))
+
+    def test_branch_forward_sees_only_distinct_rows(self, rng, monkeypatch):
+        model = random_model(rng, m=3, d2=2, q=2, width=4)
+        ds = _with_rows(rng, random_dataset(rng, n=5), ROW_ORDERS["apart"])
+        seen = []
+        real = nn._forward
+
+        def recording(spec, flat, x, acts):
+            seen.append((spec.in_dim, x.shape[0]))
+            return real(spec, flat, x, acts)
+
+        monkeypatch.setattr(nn, "_forward", recording)
+        empirical_risk(model, ds)
+        assert sorted(seen) == [(2, 5), (3, 5)]  # 5 distinct rows of 12
+
+    def test_train_deeponet_curve_equals_per_row_risks(self, rng):
+        model = random_model(rng, q=3, width=5)
+        ds = _with_rows(rng, random_dataset(rng, n=5), ROW_ORDERS["apart"] * 4)
+        _, _, _, curve = scaling.train_deeponet(model, ds, 3, 8, seed=2, lr=0.01)
+        ab = at = None
+        for epoch in range(3):
+            model, ab, at, _ = scaling.train_deeponet(
+                model, ds, 1, 8, seed=2, lr=0.01, adam_branch=ab, adam_trunk=at,
+                start_epoch=epoch)
+            want = _reference_risks(model, model.branch.flat, model.trunk.flat, ds)
+            assert _bits(curve[epoch]) == _bits(want)
+
+
+def _criterion11_cell(q):
+    plan = scaling.ExperimentPlan(exponent=0.5, anchor_q=4, anchor_n=4000,
+                                  q_list=[4, 8, 16], target_params=8000)
+    cell = next(c for c in scaling.plan_cells(plan) if c.q == q)
+    ds = scaling.build_cell_dataset(plan, cell.n, seed=[0, cell.q, cell.n])
+    return scaling._cell_model(plan, cell.q, cell.width, 0), ds
+
+
+def test_adr_risk_at_train_cell_shape_is_bit_identical():
+    model, ds = _criterion11_cell(8)  # 16,000 rows, width 31
+    ev = deeponet._RiskEvaluator(model, ds)
+    assert ev.s.shape[0] == 160 and ev.p.shape[0] < ds.n
+    want = _reference_risks(model, model.branch.flat, model.trunk.flat, ds)
+    assert _bits(ev.risks(model.branch.flat, model.trunk.flat)) == _bits(want)
+
+
+def test_adr_risk_at_anchor_shape_within_four_ulps():
+    # 40 distinct branch rows at width 32 may take the BLAS small-matrix
+    # kernel, which can round differently from the 4,000-row product
+    model, ds = _criterion11_cell(4)
+    want = _reference_risks(model, model.branch.flat, model.trunk.flat, ds)
+    assert _ulps(empirical_risk(model, ds), want) <= 4
 
 
 def test_uniform_in_ball_radius_and_zero_radius():
