@@ -171,6 +171,22 @@ class TestTrain:
         assert (out / "run.loss.csv").read_bytes() == before
         assert not [f for f in out.iterdir() if f.name.endswith(".tmp")]
 
+    @pytest.mark.parametrize("epochs, digest", [
+        (0, "3fa50e7af75568cd37c73b84567563df5fa316859ecdd8454347d6ffb625de2c"),
+        (2, "85747d20091ed6fc05b71508fd98f93ddecf69fb735af983be1d53c85f0f5e8d"),
+    ])
+    def test_fresh_checkpoint_bytes_are_golden(self, tmp_path, dataset_csv, epochs, digest):
+        # a fresh run builds its model from the config; the hashes were
+        # recorded on the inline construction that the model factory replaced
+        cfg = _write(tmp_path / "t.json", {
+            "dataset": str(dataset_csv), "q": 3, "width": 5, "depth": 3,
+            "batch_size": 16, "epochs": epochs, "seed": 7, "out_name": "run",
+        })
+        out = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+        got = hashlib.sha256((out / "run.checkpoint.json").read_bytes()).hexdigest()
+        assert got == digest
+
 
 class TestExperiment:
     def _plan_cfg(self, tmp_path, **overrides):
@@ -207,6 +223,17 @@ class TestExperiment:
         summary = json.loads((out / "suite-summary.json").read_text())
         assert "majority_monotone" in summary["verdict"]
         assert summary["failures"] == []
+
+    def test_suite_csv_bytes_are_golden(self, tmp_path):
+        cfg = self._plan_cfg(tmp_path, seeds=[0, 1])
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", cfg, "--out-dir", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("summary.csv", "curves.csv")}
+        assert digests == {
+            "summary.csv": "40f3bcb54a363c0c29f169749e934f919afef77de3dc65115e9dbe87bfbc284a",
+            "curves.csv": "4076d2b5d24fe1e3f852126e5b248b7ec114971f64c8f69fd476100b66a3d932",
+        }
 
     def test_failed_cells_exit_one(self, tmp_path):
         cfg = self._plan_cfg(tmp_path, adr={"D": 0.0, "k": 200.0, "nx": 21, "nt": 101})
@@ -253,6 +280,20 @@ class TestBound:
         assert main(["bound", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["which_theorem"] == "sigmoid"
+
+    @pytest.mark.parametrize("variant, w_t, digest", [
+        ("general", 2.0, "f706a442f99323dbd9675df7f722c1c33072f499b0d8a0b29a464c51b4d8b684"),
+        ("sigmoid", 3.0, "4b33f87343c75012f59535dc0babcb9f711b141d3c37132d342233ddc42df3b6"),
+    ])
+    def test_report_bytes_are_golden(self, tmp_path, capsys, variant, w_t, digest):
+        cfg = self._cfg(tmp_path, 1000, variant=variant, alpha=0.3,
+                        **{"class": {"d_b": 50, "d_t": 40, "w_b": 3.0, "w_t": w_t,
+                                     "q": 4, "c": 1.0}})
+        out = tmp_path / "o"
+        assert main(["bound", "--config", cfg, "--out-dir", str(out)]) == 0
+        text = (out / "bound-report.json").read_text()
+        assert capsys.readouterr().out == text + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_missing_field_is_config_error(self, tmp_path):
         cfg = _write(tmp_path / "b.json", {"variant": "general", "n": 10})

@@ -102,6 +102,29 @@ class TestSizeArchitecture:
             size_architecture(10, 4)
 
 
+def test_plan_to_dict_is_golden():
+    # the dict, key order included, is what suite-summary.json records
+    plan = _tiny_plan(adr=AdrConfig(D=0.02, k=-0.5, nx=31, nt=41), seeds=[4, 2])
+    got = plan.to_dict()
+    assert got == {
+        "exponent": 0.5, "anchor_q": 2, "anchor_n": 300, "q_list": [2, 3],
+        "target_params": 700, "depth": 3, "branch_in": 10, "trunk_in": 2,
+        "epochs": 3, "batch_size": 64, "seeds": [4, 2],
+        "adr": {"D": 0.02, "k": -0.5, "nx": 31, "nt": 41},
+        "grf_length_scale": 0.05, "grf_jitter": 1e-10, "noise_std": 0.0,
+        "points_per_function": 50, "hidden_activation": "relu",
+        "output_activation": "tanh", "lr": 0.001, "param_tolerance": 0.2,
+    }
+    assert list(got) == [
+        "exponent", "anchor_q", "anchor_n", "q_list", "target_params", "depth",
+        "branch_in", "trunk_in", "epochs", "batch_size", "seeds", "adr",
+        "grf_length_scale", "grf_jitter", "noise_std", "points_per_function",
+        "hidden_activation", "output_activation", "lr", "param_tolerance",
+    ]
+    assert list(got["adr"]) == ["D", "k", "nx", "nt"]
+    assert ExperimentPlan.from_dict(got) == plan
+
+
 class TestPlanCells:
     def test_param_budget_enforced(self):
         cells = plan_cells(_tiny_plan())
