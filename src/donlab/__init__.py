@@ -24,9 +24,7 @@ from .datagen import (
     PdeSolution,
     build_adr_dataset,
     build_pendulum_dataset,
-    rbf_kernel,
     read_dataset_csv,
-    sample_grf,
     solve_adr,
     solve_pendulum,
     write_dataset_csv,
@@ -34,7 +32,6 @@ from .datagen import (
 from .deeponet import (
     Dataset,
     DeepONetModel,
-    don_forward,
     don_forward_batch,
     empirical_risk,
     estimate_J,
@@ -57,9 +54,7 @@ from .nn import (
     MlpSpec,
     adam_init,
     adam_step,
-    backward,
     flatten,
-    forward,
     init_mlp,
     param_count,
     param_l2_norm,

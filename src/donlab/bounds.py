@@ -138,6 +138,34 @@ def _as_float(n: int) -> float:
         return math.inf
 
 
+def _q_lower_report(inputs: BoundInputs, log_terms: dict, log_prod: float,
+                    threshold: float, which_theorem: str) -> BoundReport:
+    """The tail both q lower bounds share, from the log of their product term.
+
+    q_lower = n^(1/4) * (eps^2 / (288 B^2) / (ln(e^log_prod + 2) + ln(2/(1-delta))))^(1/4);
+    log_cover_terms is log_terms followed by the terms computed here.
+    """
+    eps = inputs.epsilon
+    b = inputs.label_bound
+    log_plus2 = float(np.logaddexp(log_prod, LOG2))
+    log_conf = LOG2 - math.log1p(-inputs.delta)
+    denom = log_plus2 + log_conf
+    factor = eps * eps / (288.0 * b * b) / denom
+    return BoundReport(
+        q_lower=_fourth_root(inputs.n) * _fourth_root(factor),
+        threshold=threshold,
+        log_cover_terms={
+            **log_terms,
+            "log_product": log_prod,
+            "log_product_plus_2": log_plus2,
+            "log_confidence": log_conf,
+            "log_denominator": denom,
+        },
+        which_theorem=which_theorem,
+        j_source=inputs.j_source,
+    )
+
+
 def q_lower_bound_general(inputs: BoundInputs) -> BoundReport:
     """Lower bound on q for bounded-output branch/trunk classes.
 
@@ -158,24 +186,8 @@ def q_lower_bound_general(inputs: BoundInputs) -> BoundReport:
         + db * (math.log(fc.w_b) + 0.5 * math.log(fc.d_b))
         + dt * (math.log(fc.w_t) + 0.5 * math.log(fc.d_t))
     )
-    log_plus2 = float(np.logaddexp(log_prod, LOG2))
-    log_conf = LOG2 - math.log1p(-inputs.delta)
-    denom = log_plus2 + log_conf
-    factor = eps * eps / (288.0 * b * b) / denom
-    q_lower = _fourth_root(inputs.n) * _fourth_root(factor)
     threshold = inputs.sigma2 - eps * (1.0 + fc.c * inputs.j * (b + 2.0 * fc.c * fc.c))
-    return BoundReport(
-        q_lower=q_lower,
-        threshold=threshold,
-        log_cover_terms={
-            "log_product": log_prod,
-            "log_product_plus_2": log_plus2,
-            "log_confidence": log_conf,
-            "log_denominator": denom,
-        },
-        which_theorem="general",
-        j_source=inputs.j_source,
-    )
+    return _q_lower_report(inputs, {}, log_prod, threshold, "general")
 
 
 def alpha_prime(alpha: float) -> float:
@@ -208,25 +220,8 @@ def q_lower_bound_sigmoid(inputs: BoundInputs) -> BoundReport:
         -ap + math.log(4.0) + 2.0 * math.log(dmin) - math.log(eps)
         + math.log(w) + 0.5 * math.log(s)
     )
-    log_plus2 = float(np.logaddexp(LOG2, log_term))
-    log_conf = LOG2 - math.log1p(-inputs.delta)
-    denom = log_plus2 + log_conf
-    factor = eps * eps / (288.0 * b * b) / denom
-    q_lower = _fourth_root(inputs.n) * _fourth_root(factor)
     threshold = inputs.sigma2 - eps * (1.0 + inputs.j * (b + 2.0))
-    return BoundReport(
-        q_lower=q_lower,
-        threshold=threshold,
-        log_cover_terms={
-            "alpha_prime": ap,
-            "log_product": log_term,
-            "log_product_plus_2": log_plus2,
-            "log_confidence": log_conf,
-            "log_denominator": denom,
-        },
-        which_theorem="sigmoid",
-        j_source=inputs.j_source,
-    )
+    return _q_lower_report(inputs, {"alpha_prime": ap}, log_term, threshold, "sigmoid")
 
 
 def perturbation_bound(q: int, c: float, j: float, theta: float, b: float) -> float:
@@ -245,15 +240,6 @@ class PerturbationReport:
     holds: bool
     j_used: float
     trials: int
-
-    def to_dict(self) -> dict:
-        return {
-            "max_observed": self.max_observed,
-            "bound": self.bound,
-            "holds": self.holds,
-            "j_used": self.j_used,
-            "trials": self.trials,
-        }
 
 
 def analytic_j_for_model(
@@ -362,15 +348,6 @@ class HoeffdingReport:
     std_err: float
     holds: bool
     trials: int
-
-    def to_dict(self) -> dict:
-        return {
-            "empirical_tail": self.empirical_tail,
-            "bound": self.bound,
-            "std_err": self.std_err,
-            "holds": self.holds,
-            "trials": self.trials,
-        }
 
 
 _MC_CHUNK_ELEMENTS = 1 << 16

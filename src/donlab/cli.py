@@ -23,7 +23,7 @@ from . import bounds, datagen, gradcheck, nn, scaling
 from .atomic import atomic_path, atomic_write_text
 from .deeponet import (
     Dataset,
-    DeepONetModel,
+    init_model,
     load_checkpoint,
     loss_grads,
     save_checkpoint,
@@ -123,22 +123,12 @@ def _cmd_train(args) -> int:
         if model.branch.spec.in_dim != dataset.m or model.trunk.spec.in_dim != dataset.d2:
             raise InputError("checkpoint input dims do not match the dataset")
     else:
-        q = int(cfg.get("q", 8))
-        width = int(cfg.get("width", 16))
-        depth = int(cfg.get("depth", 3))
-        common = dict(
+        model = init_model(
+            dataset.m, dataset.d2, int(cfg.get("q", 8)), int(cfg.get("width", 16)),
+            int(cfg.get("depth", 3)), seed,
             hidden_activation=cfg.get("hidden_activation", "relu"),
             output_activation=cfg.get("output_activation", "tanh"),
             init_scheme=cfg.get("init_scheme", "he"),
-        )
-        hidden = [width] * (depth - 1)
-        model = DeepONetModel(
-            branch=nn.init_mlp(
-                nn.MlpSpec(tuple([dataset.m] + hidden + [q]), **common), seed=[seed, 1]
-            ),
-            trunk=nn.init_mlp(
-                nn.MlpSpec(tuple([dataset.d2] + hidden + [q]), **common), seed=[seed, 2]
-            ),
         )
         adam_b = adam_t = None
         start_epoch = 0
@@ -201,6 +191,9 @@ def _cmd_experiment(args) -> int:
     atomic_write_text(out_dir / "suite-summary.json", json.dumps(payload, indent=1))
     _echo_config(cfg, out_dir, "experiment")
     print(f"wrote {curves}, {summary}, suite-summary.json")
+    for seed, row in verdict["per_seed"].items():
+        print(f"seed {seed}: best losses {['%.4g' % v for v in row['best_losses']]} "
+              f"monotone={row['monotone']}")
     print(f"majority monotone verdict: {verdict['majority_monotone']}")
     if suite.failures:
         print(f"{len(suite.failures)} cell(s) failed", file=sys.stderr)
@@ -258,12 +251,8 @@ def _cmd_bound(args) -> int:
 
 def _toy_model_and_data(seed: int):
     rng = np.random.default_rng([seed, 7])
-    common = dict(hidden_activation="tanh", output_activation="sigmoid",
-                  init_scheme="xavier")
-    model = DeepONetModel(
-        branch=nn.init_mlp(nn.MlpSpec((6, 8, 4), **common), seed=[seed, 1]),
-        trunk=nn.init_mlp(nn.MlpSpec((2, 8, 4), **common), seed=[seed, 2]),
-    )
+    model = init_model(6, 2, 4, 8, 2, seed, hidden_activation="tanh",
+                       output_activation="sigmoid", init_scheme="xavier")
     n = 64
     s = rng.uniform(-1.0, 1.0, size=(n, 6))
     p = rng.uniform(0.0, 1.0, size=(n, 2))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,16 +54,8 @@ class GrfConfig:
             raise ConfigurationError("jitter must be >= 0")
 
 
-def rbf_kernel(x1: float, x2: float, l: float) -> float:
-    """exp(-|x1 - x2|^2 / (2 l^2)); always in (0, 1]."""
-    if l <= 0:
-        raise InputError("length scale must be > 0")
-    d = x1 - x2
-    return math.exp(-(d * d) / (2.0 * l * l))
-
-
 def kernel_matrix(grid: np.ndarray, l: float) -> np.ndarray:
-    """RBF kernel matrix of a 1-d grid."""
+    """RBF kernel matrix of a 1-d grid: entry (i, j) is exp(-|g_i - g_j|^2 / (2 l^2))."""
     if l <= 0:
         raise InputError("length scale must be > 0")
     g = np.asarray(grid, dtype=np.float64)
@@ -83,13 +74,6 @@ def grf_cholesky(config: GrfConfig) -> np.ndarray:
             f"kernel matrix is not positive definite at jitter={config.jitter}; "
             "raise the jitter"
         ) from exc
-
-
-def sample_grf(config: GrfConfig, seed) -> np.ndarray:
-    """One field draw f = L z with z iid standard normal; deterministic in seed."""
-    chol = grf_cholesky(config)
-    rng = np.random.default_rng(seed)
-    return chol @ rng.standard_normal(config.grid.size)
 
 
 def sample_grf_batch(config: GrfConfig, count: int, seed) -> np.ndarray:

@@ -52,6 +52,24 @@ class DeepONetModel:
         return DeepONetModel(self.branch.copy(), self.trunk.copy())
 
 
+def init_model(m: int, d2: int, q: int, width: int, depth: int, seed,
+               hidden_activation: str, output_activation: str,
+               init_scheme: str) -> DeepONetModel:
+    """A fresh branch net on m inputs and trunk net on d2 inputs.
+
+    Each has depth weight layers: depth - 1 hidden layers of the given width,
+    then q outputs. The branch is drawn with seed [seed, 1] and the trunk
+    with [seed, 2].
+    """
+    common = dict(hidden_activation=hidden_activation,
+                  output_activation=output_activation, init_scheme=init_scheme)
+    hidden = [width] * (depth - 1)
+    return DeepONetModel(
+        branch=nn.init_mlp(nn.MlpSpec(tuple([m] + hidden + [q]), **common), seed=[seed, 1]),
+        trunk=nn.init_mlp(nn.MlpSpec(tuple([d2] + hidden + [q]), **common), seed=[seed, 2]),
+    )
+
+
 @dataclass
 class Dataset:
     """Training triples (s_i, p_i, y_i) stored as arrays, plus metadata.
@@ -109,13 +127,6 @@ class Dataset:
             seed=self.seed,
             generator=self.generator,
         )
-
-
-def don_forward(model: DeepONetModel, s: np.ndarray, p: np.ndarray) -> float:
-    """Scalar model output <Branch(s), Trunk(p)> for one (s, p) pair."""
-    b = nn.forward(model.branch, s)
-    t = nn.forward(model.trunk, p)
-    return float(b @ t)
 
 
 def don_forward_batch(model: DeepONetModel, s: np.ndarray, p: np.ndarray) -> np.ndarray:

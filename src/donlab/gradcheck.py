@@ -35,12 +35,13 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
-def fd_backward(params: nn.MlpParams, x: np.ndarray, out_grad: np.ndarray,
+def fd_backward(params: nn.MlpParams, x: np.ndarray, out_grads: np.ndarray,
                 step: float = DEFAULT_STEP) -> np.ndarray:
-    """FD gradient of <out_grad, forward(params, x)> w.r.t. the flat vector."""
+    """FD gradient of sum_i <out_grads[i], forward_batch(params, x)[i]> w.r.t.
+    the flat vector; x has shape (n, in_dim) and out_grads (n, out_dim)."""
 
     def fun(flat):
-        return float(out_grad @ nn.forward(nn.MlpParams(params.spec, flat), x))
+        return float(np.vdot(out_grads, nn.forward_batch(nn.MlpParams(params.spec, flat), x)))
 
     return fd_gradient(fun, params.flat, step)
 

@@ -234,14 +234,6 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return _forward(params.spec, params.flat, _check_input(params.spec, x), None)
 
 
-def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the net on a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError(f"expected a 1-d input, got shape {x.shape}")
-    return forward_batch(params, x[None, :])[0]
-
-
 def value_and_vjp(params: MlpParams, x: np.ndarray):
     """Forward pass plus its vector-Jacobian product with respect to flat.
 
@@ -279,20 +271,11 @@ def value_and_vjp(params: MlpParams, x: np.ndarray):
 def backward_batch(
     params: MlpParams, x: np.ndarray, out_grads: np.ndarray
 ) -> np.ndarray:
-    """Gradient of sum_i <out_grads[i], forward(params, x[i])> w.r.t. flat.
+    """Gradient of sum_i <out_grads[i], forward_batch(params, x)[i]> w.r.t. flat.
 
     Exact reverse-mode differentiation; shapes (n, in_dim) and (n, out_dim).
     """
     return value_and_vjp(params, x)[1](out_grads)
-
-
-def backward(params: MlpParams, x: np.ndarray, out_grad: np.ndarray) -> np.ndarray:
-    """Gradient of <out_grad, forward(params, x)> w.r.t. the flat vector."""
-    x = np.asarray(x, dtype=np.float64)
-    out_grad = np.asarray(out_grad, dtype=np.float64)
-    if x.ndim != 1 or out_grad.ndim != 1:
-        raise InputError("backward expects 1-d input and output-gradient vectors")
-    return backward_batch(params, x[None, :], out_grad[None, :])
 
 
 def param_l2_norm(params: MlpParams) -> float:

@@ -19,7 +19,13 @@ import numpy as np
 from . import nn
 from .atomic import atomic_path
 from .datagen import AdrConfig, GrfConfig, build_adr_dataset
-from .deeponet import Dataset, DeepONetModel, _RiskEvaluator, loss_grads_arrays
+from .deeponet import (
+    Dataset,
+    DeepONetModel,
+    _RiskEvaluator,
+    init_model,
+    loss_grads_arrays,
+)
 from .errors import ConfigurationError, InputError, NumericalError
 
 VALID_EXPONENTS = (0.5, 2.0 / 3.0, 1.0 / 6.0)
@@ -65,9 +71,7 @@ class ExperimentPlan:
             raise ConfigurationError("bad epochs / batch size")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["adr"] = {"D": self.adr.D, "k": self.adr.k, "nx": self.adr.nx, "nt": self.adr.nt}
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
@@ -270,27 +274,14 @@ def build_cell_dataset(plan: ExperimentPlan, n: int, seed) -> Dataset:
     return sub
 
 
-def _cell_model(plan: ExperimentPlan, q: int, width: int, seed) -> DeepONetModel:
-    common = dict(
-        hidden_activation=plan.hidden_activation,
-        output_activation=plan.output_activation,
-        init_scheme="he",
-    )
-    hidden = [width] * (plan.depth - 1)
-    bspec = nn.MlpSpec(tuple([plan.branch_in] + hidden + [q]), **common)
-    tspec = nn.MlpSpec(tuple([plan.trunk_in] + hidden + [q]), **common)
-    return DeepONetModel(
-        branch=nn.init_mlp(bspec, seed=[seed, 1]),
-        trunk=nn.init_mlp(tspec, seed=[seed, 2]),
-    )
-
-
 def run_cell(cell: PlannedCell, plan: ExperimentPlan, seed: int) -> CellResult:
     """Train one (q, n, width) cell; failures are captured, not raised."""
     t0 = time.perf_counter()
     try:
         dataset = build_cell_dataset(plan, cell.n, seed=[seed, cell.q, cell.n])
-        model = _cell_model(plan, cell.q, cell.width, seed)
+        model = init_model(plan.branch_in, plan.trunk_in, cell.q, cell.width,
+                           plan.depth, seed, plan.hidden_activation,
+                           plan.output_activation, "he")
         _, _, _, curve = train_deeponet(
             model, dataset, plan.epochs, plan.batch_size, seed=seed, lr=plan.lr
         )

@@ -83,8 +83,8 @@ def test_criterion_01_gradient_correctness():
         x = rng.uniform(-1, 1, dims_b[0])
         og = rng.uniform(-1, 1, q)
         worst = max(worst, gradcheck.relative_error(
-            nn.backward(model.branch, x, og),
-            gradcheck.fd_backward(model.branch, x, og),
+            nn.backward_batch(model.branch, x[None], og[None]),
+            gradcheck.fd_backward(model.branch, x[None], og[None]),
         ))
     wall = time.perf_counter() - t0
     _report(1, "gradient correctness", worst < 1e-6 and wall < 10.0,
@@ -359,17 +359,21 @@ def test_criterion_10_hoeffding_tails():
 
 # -- 11 ---------------------------------------------------------------------
 
-def test_criterion_11_desk_scale_scaling_law():
-    t0 = time.perf_counter()
-    common = dict(
+def criterion11_plan(exponent: float) -> ExperimentPlan:
+    """Criterion 11's suite at the given exponent (0.5 for (a), 2/3 for (b));
+    plans/quadratic-data.json and plans/three-halves-data.json hold the same plans."""
+    return ExperimentPlan(
+        exponent=exponent, anchor_q=4, anchor_n=4000,
         q_list=[4, 8, 16], target_params=8000, epochs=60, batch_size=256,
         seeds=[0, 1, 2], adr=AdrConfig(D=0.01, k=0.01, nx=101, nt=101),
         points_per_function=100,
     )
-    suite_a = run_suite(ExperimentPlan(exponent=0.5, anchor_q=4,
-                                       anchor_n=4000, **common))
-    suite_b = run_suite(ExperimentPlan(exponent=2.0 / 3.0, anchor_q=4,
-                                       anchor_n=4000, **common))
+
+
+def test_criterion_11_desk_scale_scaling_law():
+    t0 = time.perf_counter()
+    suite_a = run_suite(criterion11_plan(0.5))
+    suite_b = run_suite(criterion11_plan(2.0 / 3.0))
     verdict_a = check_monotonic(suite_a)
     verdict_b = check_monotonic(suite_b)
 

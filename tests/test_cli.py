@@ -214,7 +214,7 @@ class TestExperiment:
             assert [int(cols[0]), int(cols[1]), int(cols[2])] == [q, n, w]
         assert not (tmp_path / "o" / "curves.csv").exists()
 
-    def test_full_run_emits_outputs_and_verdict(self, tmp_path):
+    def test_full_run_emits_outputs_and_verdict(self, tmp_path, capsys):
         cfg = self._plan_cfg(tmp_path)
         out = tmp_path / "o"
         assert main(["experiment", "--config", cfg, "--out-dir", str(out)]) == 0
@@ -223,6 +223,9 @@ class TestExperiment:
         summary = json.loads((out / "suite-summary.json").read_text())
         assert "majority_monotone" in summary["verdict"]
         assert summary["failures"] == []
+        row = summary["verdict"]["per_seed"]["0"]
+        losses = [f"{v:.4g}" for v in row["best_losses"]]
+        assert f"seed 0: best losses {losses} monotone={row['monotone']}\n" in capsys.readouterr().out
 
     def test_suite_csv_bytes_are_golden(self, tmp_path):
         cfg = self._plan_cfg(tmp_path, seeds=[0, 1])

@@ -17,9 +17,7 @@ from donlab.datagen import (
     build_pendulum_dataset,
     grf_cholesky,
     kernel_matrix,
-    rbf_kernel,
     read_dataset_csv,
-    sample_grf,
     sample_grf_batch,
     sensor_indices,
     solve_adr,
@@ -37,24 +35,27 @@ from donlab.errors import (
 
 
 class TestRbfKernel:
+    """The kernel of two points is the off-diagonal entry of a two-node grid's matrix."""
+
     def test_same_point_is_one(self):
-        assert rbf_kernel(0.3, 0.3, 0.1) == 1.0
+        assert kernel_matrix(np.array([0.3, 0.3]), 0.1)[0, 1] == 1.0
 
     def test_one_length_scale_apart(self):
-        assert rbf_kernel(0.0, 0.1, 0.1) == pytest.approx(math.exp(-0.5))
+        assert kernel_matrix(np.array([0.0, 0.1]), 0.1)[0, 1] == pytest.approx(math.exp(-0.5))
 
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.01, 10))
     @settings(max_examples=50, deadline=None)
     def test_symmetric_and_in_unit_interval(self, x1, x2, l):
-        a = rbf_kernel(x1, x2, l)
-        assert a == rbf_kernel(x2, x1, l)
+        k = kernel_matrix(np.array([x1, x2]), l)
+        a = k[0, 1]
+        assert a == k[1, 0]
         assert 0.0 <= a <= 1.0
         if (x1 - x2) ** 2 / (2 * l * l) < 700:  # exp stays above float64 underflow
             assert a > 0.0
 
     def test_nonpositive_length_scale_rejected(self):
         with pytest.raises(InputError):
-            rbf_kernel(0.0, 1.0, 0.0)
+            kernel_matrix(np.array([0.0, 1.0]), 0.0)
 
 
 class TestGrf:
@@ -68,8 +69,8 @@ class TestGrf:
 
     def test_deterministic_in_seed(self):
         cfg = GrfConfig(grid=np.linspace(0, 1, 12), length_scale=0.1)
-        assert np.array_equal(sample_grf(cfg, 4), sample_grf(cfg, 4))
-        assert not np.array_equal(sample_grf(cfg, 4), sample_grf(cfg, 5))
+        assert np.array_equal(sample_grf_batch(cfg, 1, 4), sample_grf_batch(cfg, 1, 4))
+        assert not np.array_equal(sample_grf_batch(cfg, 1, 4), sample_grf_batch(cfg, 1, 5))
 
     def test_tiny_length_scale_gives_near_iid(self):
         # paper-scale config: 40 sensors, length scale far below the spacing
@@ -109,7 +110,7 @@ class TestGrf:
     def test_non_pd_without_jitter_raises_with_advice(self):
         cfg = GrfConfig(grid=np.linspace(0, 1, 40), length_scale=100.0, jitter=0.0)
         with pytest.raises(NumericalError, match="jitter"):
-            sample_grf(cfg, 0)
+            sample_grf_batch(cfg, 1, 0)
 
 
 def _reference_adr(f, cfg):

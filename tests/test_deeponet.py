@@ -10,10 +10,10 @@ from donlab import deeponet, gradcheck, nn, scaling
 from donlab.deeponet import (
     Dataset,
     DeepONetModel,
-    don_forward,
     don_forward_batch,
     empirical_risk,
     estimate_J,
+    init_model,
     j_upper_bound,
     load_checkpoint,
     loss_grads,
@@ -41,14 +41,24 @@ class TestForward:
             nn.MlpParams(bspec, np.zeros(nn.param_count(bspec))),
             nn.MlpParams(tspec, np.zeros(nn.param_count(tspec))),
         )
-        assert don_forward(model, np.ones(3), np.ones(2)) == pytest.approx(0.25)
+        assert don_forward_batch(model, np.ones((1, 3)), np.ones((1, 2)))[0] == pytest.approx(0.25)
 
     def test_orthogonal_outputs(self):
         model = DeepONetModel(
             _const_output_net(3, [1.0, 0.0]),
             _const_output_net(2, [0.0, 1.0]),
         )
-        assert don_forward(model, np.ones(3), np.ones(2)) == 0.0
+        assert don_forward_batch(model, np.ones((1, 3)), np.ones((1, 2)))[0] == 0.0
+
+    def test_init_model_specs_and_seeds(self):
+        model = init_model(6, 2, 4, 8, 3, 5, hidden_activation="tanh",
+                           output_activation="sigmoid", init_scheme="xavier")
+        common = dict(hidden_activation="tanh", output_activation="sigmoid",
+                      init_scheme="xavier")
+        for net, dims, seed in ((model.branch, (6, 8, 8, 4), [5, 1]),
+                                (model.trunk, (2, 8, 8, 4), [5, 2])):
+            assert net.spec == nn.MlpSpec(dims, **common)
+            assert np.array_equal(net.flat, nn.init_mlp(net.spec, seed).flat)
 
     def test_q_mismatch_rejected(self, rng):
         b = random_params(nn.MlpSpec((3, 4, 2)), rng)
@@ -59,9 +69,9 @@ class TestForward:
     def test_output_bound_q7_sigmoid(self, rng):
         model = random_model(rng, q=7, hidden="relu", output="sigmoid")
         for _ in range(100):
-            s = rng.uniform(-5, 5, 3)
-            p = rng.uniform(-5, 5, 2)
-            assert abs(don_forward(model, s, p)) <= 7.0
+            s = rng.uniform(-5, 5, 3)[None]
+            p = rng.uniform(-5, 5, 2)[None]
+            assert abs(don_forward_batch(model, s, p)[0]) <= 7.0
 
     def test_output_bound_property_1000_draws(self, rng):
         for _ in range(50):
@@ -80,9 +90,9 @@ class TestForward:
         model = random_model(rng, m=3, d2=3, q=4)
         swapped = DeepONetModel(model.trunk, model.branch)
         for _ in range(10):
-            s = rng.uniform(-1, 1, 3)
-            p = rng.uniform(-1, 1, 3)
-            assert don_forward(model, s, p) == don_forward(swapped, p, s)
+            s = rng.uniform(-1, 1, 3)[None]
+            p = rng.uniform(-1, 1, 3)[None]
+            assert don_forward_batch(model, s, p)[0] == don_forward_batch(swapped, p, s)[0]
 
 
 class TestEmpiricalRisk:
@@ -373,7 +383,9 @@ def _criterion11_cell(q):
                                   q_list=[4, 8, 16], target_params=8000)
     cell = next(c for c in scaling.plan_cells(plan) if c.q == q)
     ds = scaling.build_cell_dataset(plan, cell.n, seed=[0, cell.q, cell.n])
-    return scaling._cell_model(plan, cell.q, cell.width, 0), ds
+    model = init_model(plan.branch_in, plan.trunk_in, cell.q, cell.width, plan.depth, 0,
+                       plan.hidden_activation, plan.output_activation, "he")
+    return model, ds
 
 
 def test_adr_risk_at_train_cell_shape_is_bit_identical():
@@ -538,7 +550,7 @@ class TestCheckpoint:
 def test_inner_product_symmetry_property(seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, m=2, d2=2, q=3)
-    s = rng.uniform(-1, 1, 2)
-    p = rng.uniform(-1, 1, 2)
+    s = rng.uniform(-1, 1, 2)[None]
+    p = rng.uniform(-1, 1, 2)[None]
     swapped = DeepONetModel(model.trunk, model.branch)
-    assert don_forward(model, s, p) == don_forward(swapped, p, s)
+    assert don_forward_batch(model, s, p)[0] == don_forward_batch(swapped, p, s)[0]

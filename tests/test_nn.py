@@ -72,22 +72,22 @@ class TestForward:
     def test_zero_params_linear_gives_zero(self):
         spec = nn.MlpSpec((3, 4, 2), output_activation="linear")
         params = nn.MlpParams(spec, np.zeros(nn.param_count(spec)))
-        assert np.array_equal(nn.forward(params, np.ones(3)), np.zeros(2))
+        assert np.array_equal(nn.forward_batch(params, np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_zero_params_sigmoid_gives_half(self):
         spec = nn.MlpSpec((3, 4, 2), output_activation="sigmoid")
         params = nn.MlpParams(spec, np.zeros(nn.param_count(spec)))
-        assert np.allclose(nn.forward(params, np.ones(3)), 0.5)
+        assert np.allclose(nn.forward_batch(params, np.ones((1, 3))), 0.5)
 
     def test_single_layer_identity(self):
         spec = nn.MlpSpec((1, 1), output_activation="linear")
         params = nn.MlpParams(spec, np.array([1.0, 0.0]))
-        assert nn.forward(params, np.array([3.0]))[0] == 3.0
+        assert nn.forward_batch(params, np.array([[3.0]]))[0, 0] == 3.0
 
     def test_dim_mismatch_rejected(self):
         params = nn.init_mlp(nn.MlpSpec((3, 2)), 0)
         with pytest.raises(InputError):
-            nn.forward(params, np.ones(4))
+            nn.forward_batch(params, np.ones((1, 4)))
 
     @pytest.mark.parametrize("act,lo,hi", [("sigmoid", 0.0, 1.0), ("tanh", -1.0, 1.0)])
     def test_bounded_outputs(self, rng, act, lo, hi):
@@ -96,10 +96,10 @@ class TestForward:
         spec = nn.MlpSpec((3, 6, 4), output_activation=act)
         for _ in range(20):
             params = random_params(spec, rng, scale=5.0)
-            out = nn.forward(params, rng.uniform(-10, 10, 3))
+            out = nn.forward_batch(params, rng.uniform(-10, 10, 3)[None])
             assert np.all(out >= lo) and np.all(out <= hi)
         mild = random_params(spec, rng, scale=0.3)
-        out = nn.forward(mild, rng.uniform(-1, 1, 3))
+        out = nn.forward_batch(mild, rng.uniform(-1, 1, 3)[None])
         assert np.all(out > lo) and np.all(out < hi)
 
 
@@ -107,14 +107,14 @@ class TestBackward:
     def test_zero_out_grad_gives_zero(self, rng):
         spec = nn.MlpSpec((3, 4, 2))
         params = random_params(spec, rng)
-        g = nn.backward(params, rng.uniform(-1, 1, 3), np.zeros(2))
+        g = nn.backward_batch(params, rng.uniform(-1, 1, 3)[None], np.zeros((1, 2)))
         assert np.all(g == 0.0)
 
     def test_linear_one_by_one_by_hand(self):
         # forward = w*a + b, so d/dw = a, d/db = 1
         spec = nn.MlpSpec((1, 1), output_activation="linear")
         params = nn.MlpParams(spec, np.array([0.7, 0.2]))
-        g = nn.backward(params, np.array([3.5]), np.array([1.0]))
+        g = nn.backward_batch(params, np.array([[3.5]]), np.array([[1.0]]))
         assert np.allclose(g, [3.5, 1.0])
 
     def test_matches_finite_differences(self, rng):
@@ -128,17 +128,17 @@ class TestBackward:
                 output_activation=str(rng.choice(["sigmoid", "tanh", "linear"])),
             )
             params = random_params(spec, rng)
-            x = rng.uniform(-1, 1, dims[0])
-            out_grad = rng.uniform(-1, 1, dims[-1])
-            analytic = nn.backward(params, x, out_grad)
-            numeric = gradcheck.fd_backward(params, x, out_grad)
+            x = rng.uniform(-1, 1, dims[0])[None]
+            out_grads = rng.uniform(-1, 1, dims[-1])[None]
+            analytic = nn.backward_batch(params, x, out_grads)
+            numeric = gradcheck.fd_backward(params, x, out_grads)
             worst = max(worst, gradcheck.relative_error(analytic, numeric))
         assert worst < 1e-6
 
     def test_shape_mismatch_rejected(self, rng):
         params = random_params(nn.MlpSpec((3, 2)), rng)
         with pytest.raises(InputError):
-            nn.backward(params, np.ones(3), np.ones(3))
+            nn.backward_batch(params, np.ones((1, 3)), np.ones((1, 3)))
 
 
 ACTIVATION_PAIRS = [
