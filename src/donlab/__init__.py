@@ -54,12 +54,10 @@ from .nn import (
     MlpSpec,
     adam_init,
     adam_step,
-    flatten,
     init_mlp,
     param_count,
     param_l2_norm,
     project_to_ball,
-    unflatten,
 )
 from .scaling import (
     CellResult,

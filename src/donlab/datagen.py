@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .atomic import atomic_path, atomic_write_text
 from .deeponet import Dataset, _distinct_rows
@@ -150,6 +149,8 @@ def _adr_at(config: AdrConfig, fs, fn, jx, jt) -> np.ndarray:
     so each stage is one multi-right-hand-side tridiagonal solve; only the
     queried nodes of each step are kept.
     """
+    from scipy.linalg import solve_banded  # loaded here so only ADR solves pay its import
+
     nx, nt = config.nx, config.nt
     dx = 1.0 / (nx - 1)
     dt = 1.0 / (nt - 1)

@@ -119,26 +119,6 @@ def _slices_of_dims(dims: tuple[int, ...]) -> tuple[tuple[slice, slice, int, int
     return tuple(out)
 
 
-def unflatten(params: MlpParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector into per-layer (W, b) views, W of shape (out, in)."""
-    out = []
-    for w_sl, b_sl, n_out, n_in in _layer_slices(params.spec):
-        out.append((params.flat[w_sl].reshape(n_out, n_in), params.flat[b_sl]))
-    return out
-
-
-def flatten(spec: MlpSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Inverse of :func:`unflatten`; the round trip is bit-exact."""
-    parts = []
-    for w, b in layers:
-        parts.append(np.asarray(w, dtype=np.float64).ravel())
-        parts.append(np.asarray(b, dtype=np.float64).ravel())
-    flat = np.concatenate(parts)
-    if flat.shape[0] != param_count(spec):
-        raise InputError("layer shapes inconsistent with spec")
-    return flat
-
-
 def init_mlp(spec: MlpSpec, seed) -> MlpParams:
     """Draw weights per the spec's init scheme; biases are zero.
 

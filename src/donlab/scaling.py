@@ -69,6 +69,8 @@ class ExperimentPlan:
             raise ConfigurationError("depth must be >= 2 weight layers")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigurationError("bad epochs / batch size")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must be non-empty and distinct; got {self.seeds}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -223,6 +225,10 @@ def train_deeponet(
     (bound-faithful mode); by default the norms are unconstrained and just
     reported by the callers.
     """
+    if epochs < 0:
+        raise InputError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise InputError(f"batch_size must be >= 1, got {batch_size}")
     if adam_branch is None:
         adam_branch = nn.adam_init(model.branch.flat.size, lr=lr)
     if adam_trunk is None:

@@ -171,6 +171,21 @@ class TestTrain:
         assert (out / "run.loss.csv").read_bytes() == before
         assert not [f for f in out.iterdir() if f.name.endswith(".tmp")]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", -2, "epochs must be >= 0, got -2"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ])
+    def test_bad_epochs_or_batch_size_exit_two(self, tmp_path, dataset_csv, capsys,
+                                               key, value, message):
+        cfg = _write(tmp_path / "t.json", {
+            "dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
+            "epochs": 1, "batch_size": 16, key: value, "out_name": "run",
+        })
+        out = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "run.checkpoint.json").exists()
+
     @pytest.mark.parametrize("epochs, digest", [
         (0, "3fa50e7af75568cd37c73b84567563df5fa316859ecdd8454347d6ffb625de2c"),
         (2, "85747d20091ed6fc05b71508fd98f93ddecf69fb735af983be1d53c85f0f5e8d"),
@@ -237,6 +252,14 @@ class TestExperiment:
             "summary.csv": "40f3bcb54a363c0c29f169749e934f919afef77de3dc65115e9dbe87bfbc284a",
             "curves.csv": "4076d2b5d24fe1e3f852126e5b248b7ec114971f64c8f69fd476100b66a3d932",
         }
+
+    @pytest.mark.parametrize("seeds", [[], [0, 0]])
+    def test_empty_or_repeated_seeds_exit_two(self, tmp_path, capsys, seeds):
+        cfg = self._plan_cfg(tmp_path, seeds=seeds)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert f"seeds must be non-empty and distinct; got {seeds}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_cells_exit_one(self, tmp_path):
         cfg = self._plan_cfg(tmp_path, adr={"D": 0.0, "k": 200.0, "nx": 21, "nt": 101})

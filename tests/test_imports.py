@@ -1,0 +1,97 @@
+"""The import footprint: scipy is loaded by the ADR solver only.
+
+Each case runs in a fresh interpreter, since this test process has scipy
+loaded already (the reference solvers in test_datagen use it).
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import donlab
+from donlab.datagen import write_dataset_csv
+from donlab.deeponet import Dataset
+
+SRC = Path(donlab.__file__).resolve().parent.parent
+PLANS = Path(__file__).resolve().parent.parent / "plans"
+
+_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import donlab, donlab.cli
+argv = json.loads(sys.argv[2])
+rc = donlab.cli.main(argv) if argv else 0
+print(json.dumps({"rc": rc, "scipy": "scipy" in sys.modules,
+                  "scipy.linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+def _fresh_run(argv) -> tuple[dict, str]:
+    """Run `donlab.cli.main(argv)` (or only the imports, for an empty argv)
+    in a new interpreter. Returns its exit code and which scipy modules it
+    loaded, and its standard error."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(SRC), json.dumps([str(a) for a in argv])],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def _write(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _hand_made_csv(tmp_path):
+    rng = np.random.default_rng(0)
+    ds = Dataset(s=rng.standard_normal((24, 4)), p=rng.random((24, 2)),
+                 y=rng.uniform(-1.0, 1.0, 24), B=1.0, sensor_grid=np.linspace(0, 1, 4))
+    path = tmp_path / "hand.csv"
+    write_dataset_csv(ds, path)
+    return path
+
+
+def _bound_cfg(tmp_path, variant):
+    return _write(tmp_path / f"{variant}.json", {
+        "variant": variant, "n": 1000, "epsilon": 0.5, "delta": 0.2, "label_bound": 1.5,
+        "sigma2": 1.0, "j": 2.0, "alpha": 0.3,
+        "class": {"d_b": 50, "d_t": 40, "w_b": 2.0, "w_t": 2.0, "q": 4, "c": 1.0},
+    })
+
+
+CASES = {
+    "import": lambda tmp: [],
+    "verify": lambda tmp: ["verify", "--config", _write(tmp / "v.json", {
+        "gradient_models": 1, "perturbation_trials": 20, "cover_probes": 50,
+        "hoeffding_trials": 50}), "--out-dir", tmp / "o"],
+    "bound-general": lambda tmp: ["bound", "--config", _bound_cfg(tmp, "general"),
+                                  "--out-dir", tmp / "o"],
+    "bound-sigmoid": lambda tmp: ["bound", "--config", _bound_cfg(tmp, "sigmoid"),
+                                  "--out-dir", tmp / "o"],
+    "train-csv": lambda tmp: ["train", "--config", _write(tmp / "t.json", {
+        "dataset": str(_hand_made_csv(tmp)), "q": 2, "width": 4, "depth": 2,
+        "epochs": 2, "batch_size": 8}), "--out-dir", tmp / "o"],
+    "experiment-dry-run": lambda tmp: ["experiment", "--config", PLANS / "quadratic-data.json",
+                                       "--out-dir", tmp / "o", "--dry-run"],
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_scipy_stays_unloaded(tmp_path, case):
+    got, err = _fresh_run(CASES[case](tmp_path))
+    assert got == {"rc": 0, "scipy": False, "scipy.linalg": False}, err
+
+
+def test_adr_gen_data_loads_scipy_linalg(tmp_path):
+    cfg = _write(tmp_path / "gen.json", {
+        "kind": "adr", "sensor_count": 6, "num_functions": 2, "points_per_function": 10,
+        "seed": 0, "out_name": "ds", "adr": {"nx": 11, "nt": 11},
+        "grf": {"length_scale": 0.1},
+    })
+    got, err = _fresh_run(["gen-data", "--config", cfg, "--out-dir", tmp_path / "o"])
+    assert got == {"rc": 0, "scipy": True, "scipy.linalg": True}, err
+    assert (tmp_path / "o" / "ds.csv").exists()

@@ -11,6 +11,12 @@ from donlab.errors import ConfigurationError, InputError
 from conftest import random_params
 
 
+def _layers(params):
+    """Per-layer (W, b) views of the flat vector, W of shape (out, in)."""
+    return [(params.flat[w_sl].reshape(n_out, n_in), params.flat[b_sl])
+            for w_sl, b_sl, n_out, n_in in nn._layer_slices(params.spec)]
+
+
 class TestSpecAndCounting:
     def test_param_count_closed_form(self):
         assert nn.param_count(nn.MlpSpec((2, 3, 1))) == 13  # 2*3+3 + 3*1+1
@@ -36,10 +42,18 @@ class TestSpecAndCounting:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=50, deadline=None)
-    def test_flatten_unflatten_round_trip(self, dims, seed):
+    def test_layer_slices_tile_flat_in_order(self, dims, seed):
         spec = nn.MlpSpec(tuple(dims))
         params = nn.init_mlp(spec, seed)
-        rebuilt = nn.flatten(spec, nn.unflatten(params))
+        slices = nn._layer_slices(spec)
+        off = 0
+        for (w_sl, b_sl, n_out, n_in), (d_in, d_out) in zip(slices, zip(dims, dims[1:]), strict=True):
+            assert (n_in, n_out) == (d_in, d_out)
+            assert (w_sl.start, w_sl.stop) == (off, off + n_in * n_out)
+            assert (b_sl.start, b_sl.stop) == (w_sl.stop, w_sl.stop + n_out)
+            off = b_sl.stop
+        assert off == nn.param_count(spec)
+        rebuilt = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in _layers(params)])
         assert np.array_equal(rebuilt, params.flat)
 
 
@@ -53,18 +67,18 @@ class TestInit:
 
     def test_biases_zero(self):
         params = nn.init_mlp(nn.MlpSpec((4, 5, 2)), 0)
-        for _, b in nn.unflatten(params):
+        for _, b in _layers(params):
             assert np.all(b == 0.0)
 
     def test_he_variance_first_layer(self):
         spec = nn.MlpSpec((40, 50, 50, 50, 50, 5), init_scheme="he")
-        w0, _ = nn.unflatten(nn.init_mlp(spec, 123))[0]
+        w0, _ = _layers(nn.init_mlp(spec, 123))[0]
         assert w0.size >= 2000
         assert abs(w0.var() - 2.0 / 40) <= 0.15 * (2.0 / 40)
 
     def test_xavier_variance_first_layer(self):
         spec = nn.MlpSpec((40, 50, 50, 5), init_scheme="xavier")
-        w0, _ = nn.unflatten(nn.init_mlp(spec, 9))[0]
+        w0, _ = _layers(nn.init_mlp(spec, 9))[0]
         assert abs(w0.var() - 2.0 / 90) <= 0.15 * (2.0 / 90)
 
 
@@ -150,7 +164,7 @@ ACTIVATION_PAIRS = [
 
 def _two_pass_backward(params, x, out_grads):
     """Reverse mode written out with pre-activations kept, as a reference."""
-    layers = nn.unflatten(params)
+    layers = _layers(params)
     zs, acts = [], [x]
     for i, (w, b) in enumerate(layers):
         z = acts[-1] @ w.T + b

@@ -125,6 +125,14 @@ def test_plan_to_dict_is_golden():
     assert ExperimentPlan.from_dict(got) == plan
 
 
+@pytest.mark.parametrize("seeds", [[], [0, 0], [1, 0, 1]])
+def test_plan_rejects_empty_or_repeated_seeds(seeds):
+    d = _tiny_plan().to_dict()
+    d["seeds"] = seeds
+    with pytest.raises(ConfigurationError, match="seeds must be non-empty and distinct"):
+        ExperimentPlan.from_dict(d)
+
+
 class TestPlanCells:
     def test_param_budget_enforced(self):
         cells = plan_cells(_tiny_plan())
