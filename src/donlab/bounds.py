@@ -22,6 +22,7 @@ from . import nn
 from .deeponet import (
     Dataset,
     DeepONetModel,
+    _WORKING_SET,
     _RiskEvaluator,
     _stack_size,
     _uniform_in_ball,
@@ -322,7 +323,8 @@ def verify_cover_bruteforce(d: int, w: float, theta: float, probes: int, seed) -
 
     Builds a centered uniform grid on [-w, w]^d whose cardinality stays
     within the ceiling of the (2 w sqrt(d) / theta)^d bound, then verifies
-    that uniform random probes all lie within theta of some grid point.
+    that uniform random probes all lie within theta of some grid point. The
+    probes are drawn and checked a chunk at a time, stopping at the first miss.
     """
     if not 1 <= d <= 3:
         raise InputError("brute-force cover check supports d in {1, 2, 3}")
@@ -334,11 +336,16 @@ def verify_cover_bruteforce(d: int, w: float, theta: float, probes: int, seed) -
         return False
     h = 2.0 * w / per_axis
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-w, w, size=(probes, d))
-    cell = np.clip(np.floor((x + w) / h), 0, per_axis - 1)
-    centers = -w + (cell + 0.5) * h
-    dist2 = np.sum((x - centers) ** 2, axis=1)
-    return bool(np.all(dist2 <= theta * theta))
+    # uniform fills row after row, so the chunk size never changes the draws
+    chunk = _WORKING_SET // d
+    for start in range(0, probes, chunk):
+        x = rng.uniform(-w, w, size=(min(chunk, probes - start), d))
+        cell = np.clip(np.floor((x + w) / h), 0, per_axis - 1)
+        centers = -w + (cell + 0.5) * h
+        dist2 = np.sum((x - centers) ** 2, axis=1)
+        if not np.all(dist2 <= theta * theta):
+            return False
+    return True
 
 
 @dataclass
@@ -348,9 +355,6 @@ class HoeffdingReport:
     std_err: float
     holds: bool
     trials: int
-
-
-_MC_CHUNK_ELEMENTS = 1 << 16
 
 
 def hoeffding_mc_check(
@@ -374,7 +378,7 @@ def hoeffding_mc_check(
     exceed = 0
     left = trials
     # uniform fills row after row, so the chunk size never changes the draws
-    chunk = max(1, _MC_CHUNK_ELEMENTS // n)
+    chunk = max(1, _WORKING_SET // n)
     while left > 0:
         take = min(chunk, left)
         means = rng.uniform(a, b, size=(take, n)).mean(axis=1)

@@ -269,8 +269,11 @@ def _cmd_verify(args) -> int:
     checks = []
 
     # 1) exact gradients vs central finite differences
+    gradient_models = int(cfg.get("gradient_models", 5))
+    if gradient_models < 1:
+        raise InputError(f"gradient_models must be >= 1, got {gradient_models}")
     worst = 0.0
-    for rep in range(int(cfg.get("gradient_models", 5))):
+    for rep in range(gradient_models):
         model, ds = _toy_model_and_data(seed + rep)
         batch = ds.take(np.arange(8))
         gb, gt, _ = loss_grads(model, batch)

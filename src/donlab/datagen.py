@@ -430,7 +430,12 @@ def read_dataset_csv(path) -> Dataset:
 
     sidecar = _sidecar_path(path)
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"sidecar {sidecar} must hold a JSON object")
         if meta.get("m") != m or meta.get("d2") != d2:
             raise FormatError(f"sidecar {sidecar} disagrees with the CSV header")
         return Dataset(

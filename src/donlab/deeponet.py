@@ -170,20 +170,25 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return heads[is_first], rank[rep][run]
 
 
-# A stacked risk pass takes _STACK_VECTORS parameter vectors at most, and
-# fewer when its layer buffers would hold more than _STACK_ELEMENTS floats.
+# Every stacked or Monte Carlo pass of donlab verify works on at most
+# _WORKING_SET floats at a time (512 KiB, which fits in L2); a stacked risk
+# pass also takes _STACK_VECTORS parameter vectors at most.
 _STACK_VECTORS = 1024
-_STACK_ELEMENTS = 1 << 20
+_WORKING_SET = 1 << 16
 
 
 def _stack_size(model: DeepONetModel, rows: int) -> int:
     """How many parameter vectors of model one stacked pass on rows takes.
 
-    The bound also covers the outputs that _RiskEvaluator gathers back to
-    all rows: they are at most k * rows * q floats, and q is a layer width.
+    Each vector counts rows * widest floats of layer buffer (the widest layer
+    of either net) plus P floats for itself (the larger parameter count), and
+    k vectors stay within _WORKING_SET unless k is 1. The buffer term also
+    covers the outputs that _RiskEvaluator gathers back to all rows: at most
+    k * rows * q floats, and q is a layer width.
     """
     widest = max(model.branch.spec.layer_dims + model.trunk.spec.layer_dims)
-    return max(1, min(_STACK_VECTORS, _STACK_ELEMENTS // max(1, rows * widest)))
+    vector = max(model.branch.flat.size, model.trunk.flat.size)
+    return max(1, min(_STACK_VECTORS, _WORKING_SET // (rows * widest + vector)))
 
 
 class _RiskEvaluator:
@@ -376,7 +381,8 @@ def load_checkpoint(path):
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if (not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT
+            or "branch" not in payload or "trunk" not in payload):
         raise InputError(f"{path} is not a donlab checkpoint")
     model = DeepONetModel(
         branch=nn.MlpParams(

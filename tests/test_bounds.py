@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from donlab import deeponet, nn
+from donlab import cli, deeponet, nn
 from donlab.bounds import (
     BoundInputs,
     FunctionClassSpec,
@@ -412,7 +413,42 @@ class TestVerifyPerturbation:
             verify_perturbation(model, 0.1, ds, trials=2, seed=0)
 
 
+def _reference_cover_bruteforce(d, w, theta, probes, seed):
+    """The one-array cover check that the chunked one replaced."""
+    per_axis = max(1, math.ceil(w * math.sqrt(d) / theta))
+    allowed = math.ceil((2.0 * w * math.sqrt(d) / theta) ** d)
+    if per_axis**d > max(allowed, 1):
+        return False
+    h = 2.0 * w / per_axis
+    x = np.random.default_rng(seed).uniform(-w, w, size=(probes, d))
+    cell = np.clip(np.floor((x + w) / h), 0, per_axis - 1)
+    centers = -w + (cell + 0.5) * h
+    dist2 = np.sum((x - centers) ** 2, axis=1)
+    return bool(np.all(dist2 <= theta * theta))
+
+
 class TestVerifyCoverBruteforce:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [None, 0, 1])
+    @pytest.mark.parametrize("theta", [0.25, 1e-16])
+    def test_equals_one_array_check(self, d, extra, theta):
+        # at theta 1e-16 the rounding of x - center exceeds theta within
+        # the first few probes
+        chunk = deeponet._WORKING_SET // d
+        probes = 1 if extra is None else chunk + extra
+        want = _reference_cover_bruteforce(d, 1.0, theta, probes, [d, probes])
+        assert want == (theta == 0.25)
+        assert verify_cover_bruteforce(d, 1.0, theta, probes, seed=[d, probes]) == want
+
+    @pytest.mark.parametrize("d, theta, seed", [(1, 1e-12, 5), (2, 1e-14, 24), (3, 1e-14, 4)])
+    def test_miss_after_the_first_chunk_found(self, d, theta, seed):
+        # with these seeds the first probe that rounding puts farther than
+        # theta from its center comes after the first chunk
+        chunk = deeponet._WORKING_SET // d
+        assert _reference_cover_bruteforce(d, 1.0, theta, chunk, seed)
+        assert not _reference_cover_bruteforce(d, 1.0, theta, 2 * chunk, seed)
+        assert not verify_cover_bruteforce(d, 1.0, theta, 2 * chunk, seed)
+
     def test_single_center_point_suffices(self):
         assert verify_cover_bruteforce(1, 1.0, 2.0, probes=1000, seed=0)
 
@@ -425,6 +461,27 @@ class TestVerifyCoverBruteforce:
     def test_dimension_limited(self):
         with pytest.raises(InputError):
             verify_cover_bruteforce(4, 1.0, 0.5, probes=10, seed=0)
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", ["cover", "perturbation"])
+def test_monte_carlo_pass_stays_within_the_working_set(check):
+    # in one array, 10^6 cover probes took 69 MiB and 10^4 perturbation
+    # trials 17 MiB; each pass now works on chunks of 2^16 floats (512 KiB)
+    model, ds = cli._toy_model_and_data(5)
+    run = {
+        "cover": lambda: verify_cover_bruteforce(2, 1.0, 0.25, 10**6, seed=0),
+        "perturbation": lambda: verify_perturbation(model, 0.05, ds, 10**4, seed=[5, 13]),
+    }[check]
+    assert _peak_bytes(run) < 8 << 20
 
 
 class TestHoeffdingMc:

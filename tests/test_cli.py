@@ -186,6 +186,33 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (out / "run.checkpoint.json").exists()
 
+    @pytest.mark.parametrize("checkpoint", [[1, 2], {"format": "donlab-checkpoint-v1"}])
+    def test_resume_from_non_checkpoint_exits_two(self, tmp_path, dataset_csv, capsys,
+                                                 checkpoint):
+        resume = tmp_path / "resume.json"
+        resume.write_text(json.dumps(checkpoint))
+        cfg = _write(tmp_path / "t.json", {
+            "dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
+            "epochs": 1, "resume_from": str(resume), "out_name": "run",
+        })
+        out = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert f"{resume} is not a donlab checkpoint" in capsys.readouterr().err
+        assert not (out / "run.checkpoint.json").exists()
+
+    @pytest.mark.parametrize("sidecar", ["[1]", "{not json"])
+    def test_bad_dataset_sidecar_exits_two(self, tmp_path, dataset_csv, capsys, sidecar):
+        meta = dataset_csv.parent / (dataset_csv.name + ".meta.json")
+        meta.write_text(sidecar)
+        cfg = _write(tmp_path / "t.json", {
+            "dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
+            "epochs": 1, "out_name": "run",
+        })
+        out = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert f"sidecar {meta}" in capsys.readouterr().err
+        assert not (out / "run.checkpoint.json").exists()
+
     @pytest.mark.parametrize("epochs, digest", [
         (0, "3fa50e7af75568cd37c73b84567563df5fa316859ecdd8454347d6ffb625de2c"),
         (2, "85747d20091ed6fc05b71508fd98f93ddecf69fb735af983be1d53c85f0f5e8d"),
@@ -346,6 +373,14 @@ class TestVerify:
         assert "gradient_check" in err
         report = json.loads((out / "verify-report.json").read_text())
         assert report["failed"] == ["gradient_check"]
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_gradient_models_exit_two(self, tmp_path, capsys, count):
+        cfg = _write(tmp_path / "v.json", {"gradient_models": count})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert f"gradient_models must be >= 1, got {count}" in capsys.readouterr().err
+        assert not (out / "verify-report.json").exists()
 
     def test_report_bytes_are_golden(self, tmp_path, capsys):
         # 1,500 perturbation trials span two stacked chunks and 2,000

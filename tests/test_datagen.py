@@ -573,6 +573,17 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError):
             read_dataset_csv(p)
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ("[1]", "must hold a JSON object"),
+        ("{not json", "is not valid JSON"),
+    ])
+    def test_bad_sidecar_rejected(self, tmp_path, sidecar, message):
+        p = tmp_path / "d.csv"
+        p.write_text("s_0,p_0,y\n1.0,2.0,3.0\n")
+        (tmp_path / "d.csv.meta.json").write_text(sidecar)
+        with pytest.raises(FormatError, match=f"sidecar .*d.csv.meta.json {message}"):
+            read_dataset_csv(p)
+
 
 def _csv_module_read(path):
     """The ``csv.reader`` tokeniser that read_dataset_csv replaced, kept as a

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -237,7 +238,12 @@ def test_stack_size_shrinks_for_large_datasets(rng):
     model = random_model(rng, m=3, width=4)
     assert deeponet._stack_size(model, 8) == deeponet._STACK_VECTORS
     assert deeponet._stack_size(model, 1 << 18) == 1
-    assert deeponet._stack_size(model, 1 << 14) * (1 << 14) * 4 <= deeponet._STACK_ELEMENTS
+    assert deeponet._stack_size(model, 1 << 14) * (1 << 14) * 4 <= deeponet._WORKING_SET
+    # many parameters on one row: the stacked vectors bind, not the buffers
+    big = random_model(rng, m=200, width=64)
+    k = deeponet._stack_size(big, 1)
+    assert k * big.branch.flat.size <= deeponet._WORKING_SET
+    assert k < deeponet._WORKING_SET // 200  # what the widest layer alone allows
 
 
 def _reference_risks(model, branch_flats, trunk_flats, dataset):
@@ -542,6 +548,19 @@ class TestCheckpoint:
             load_checkpoint(p)
         p.write_text("not json")
         with pytest.raises(InputError):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("drop", [None, "branch", "trunk"])
+    def test_reject_non_object_or_netless_checkpoint(self, rng, tmp_path, drop):
+        p = tmp_path / "x.json"
+        if drop is None:
+            p.write_text("[1, 2]")
+        else:
+            save_checkpoint(random_model(rng), p)
+            payload = json.loads(p.read_text())
+            del payload[drop]
+            p.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match="is not a donlab checkpoint"):
             load_checkpoint(p)
 
 
