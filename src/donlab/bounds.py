@@ -278,8 +278,9 @@ def verify_perturbation(
     Perturbs branch and trunk weights by random vectors of norm <= theta/2
     and compares the empirical-risk increment against the bound. With the
     analytic J (the default) a violation indicates an implementation bug.
-    Trials are drawn one by one and their risks evaluated a chunk at a time
-    in one stacked pass; a NaN increment is skipped.
+    A chunk of trials is drawn as one block from four streams spawned from
+    seed, each read row after row so the chunk size never changes the draws,
+    and evaluated in one stacked pass; a NaN increment is skipped.
     """
     if theta < 0:
         raise InputError("theta must be >= 0")
@@ -294,17 +295,14 @@ def verify_perturbation(
     risks = _RiskEvaluator(model, dataset).risks
     branch, trunk = model.branch.flat, model.trunk.flat
     base = float(risks(branch, trunk))
-    rng = np.random.default_rng(seed)
+    # branch normals, branch radii, trunk normals, trunk radii
+    bn, br, tn, tr = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
     chunk = _stack_size(model, dataset.n)
     max_observed = -math.inf
     for start in range(0, trials, chunk):
-        # the draws keep the one-trial-at-a-time order: branch, then trunk
         k = min(chunk, trials - start)
-        db = np.empty((k, branch.size))
-        dt = np.empty((k, trunk.size))
-        for i in range(k):
-            _uniform_in_ball(rng, branch.size, theta / 2.0, out=db[i])
-            _uniform_in_ball(rng, trunk.size, theta / 2.0, out=dt[i])
+        db = _uniform_in_ball(bn, br, k, branch.size, theta / 2.0)
+        dt = _uniform_in_ball(tn, tr, k, trunk.size, theta / 2.0)
         increments = risks(branch + db, trunk + dt) - base
         increments = increments[~np.isnan(increments)]  # NaN never counts
         if increments.size:
@@ -376,14 +374,11 @@ def hoeffding_mc_check(
     mean = 0.5 * (a + b)
     rng = np.random.default_rng(seed)
     exceed = 0
-    left = trials
     # uniform fills row after row, so the chunk size never changes the draws
     chunk = max(1, _WORKING_SET // n)
-    while left > 0:
-        take = min(chunk, left)
-        means = rng.uniform(a, b, size=(take, n)).mean(axis=1)
+    for start in range(0, trials, chunk):
+        means = rng.uniform(a, b, size=(min(chunk, trials - start), n)).mean(axis=1)
         exceed += int(np.count_nonzero(means - mean >= t))
-        left -= take
     emp = exceed / trials
     se = math.sqrt(emp * (1.0 - emp) / trials)
     return HoeffdingReport(

@@ -265,22 +265,17 @@ def loss_grads_arrays(
     return branch_grads, trunk_grads, loss
 
 
-def _uniform_in_ball(
-    rng: np.random.Generator, dim: int, radius: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Uniform draw from the Euclidean ball of the given radius.
+def _uniform_in_ball(normals: np.random.Generator, radii: np.random.Generator,
+                     count: int, dim: int, radius: float) -> np.ndarray:
+    """count uniform draws from the Euclidean ball of the given radius, as rows.
 
-    Draws dim normals into out (a new array when out is None), then one
-    uniform for the radius unless the normals are all zero, and scales them
-    in place; radius 0 gives a vector of signed zeros.
+    normals and radii are each read row after row, so one call equals count
+    one-row calls; a row of all-zero normals stays zero and takes its radius.
     """
-    z = rng.standard_normal(dim, out=out)
-    norm = math.sqrt(z.dot(z))  # np.linalg.norm of a 1-d float vector
-    if norm == 0.0:
-        z.fill(0.0)
-        return z
-    r = radius * rng.uniform() ** (1.0 / dim)
-    z *= r / norm
+    z = normals.standard_normal((count, dim))
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    norms[norms == 0.0] = np.inf  # a zero row scales by 0 and stays zero
+    z *= (radius * radii.random(count) ** (1.0 / dim) / norms)[:, None]
     return z
 
 
@@ -296,23 +291,27 @@ def estimate_J(
 
     Samples weight pairs uniformly in the 2-norm ball of radius
     ``weight_bound`` and inputs uniformly in the box ``input_domain``
-    (lo, hi vectors); returns the max of ||f_w1(x) - f_w2(x)||_inf /
-    ||w1 - w2||. This is a lower bound on the true constant.
+    (lo, hi vectors), pair after pair from three streams spawned from seed;
+    returns the max of ||f_w1(x) - f_w2(x)||_inf / ||w1 - w2||. This is a
+    lower bound on the true constant.
     """
     if pairs < 1:
         raise InputError("need at least one weight pair")
+    if inputs_per_pair < 1:
+        raise InputError(f"inputs_per_pair must be >= 1, got {inputs_per_pair}")
+    if not 0.0 <= weight_bound < math.inf:
+        raise InputError(f"weight_bound must be >= 0 and finite, got {weight_bound}")
     lo = np.asarray(input_domain[0], dtype=np.float64)
     hi = np.asarray(input_domain[1], dtype=np.float64)
     if lo.shape != (spec.in_dim,) or hi.shape != (spec.in_dim,):
         raise InputError("input box must be (lo, hi) vectors of the input dim")
-    rng = np.random.default_rng(seed)
+    normals, radii, inputs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
     dim = nn.param_count(spec)
     best = 0.0
     for _ in range(pairs):
-        w1 = _uniform_in_ball(rng, dim, weight_bound)
-        w2 = _uniform_in_ball(rng, dim, weight_bound)
+        w1, w2 = _uniform_in_ball(normals, radii, 2, dim, weight_bound)
         dw = np.linalg.norm(w1 - w2)
-        xs = rng.uniform(lo, hi, size=(inputs_per_pair, spec.in_dim))
+        xs = inputs.uniform(lo, hi, size=(inputs_per_pair, spec.in_dim))
         if dw == 0.0:
             continue  # degenerate pair
         f1 = nn.forward_batch(nn.MlpParams(spec, w1), xs)
@@ -375,6 +374,18 @@ def save_checkpoint(
     atomic_write_text(path, json.dumps(payload))
 
 
+def _checkpoint_net(payload: dict, key: str, path) -> nn.MlpParams:
+    """The net stored under key; an InputError names path and the bad key."""
+    net = payload[key]
+    try:
+        return nn.MlpParams(nn.MlpSpec.from_dict(net["spec"]),
+                            np.array(net["flat"], dtype=np.float64))
+    except KeyError as exc:
+        raise InputError(f"checkpoint {path}: {key} has no {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"checkpoint {path}: malformed {key}: {exc}") from exc
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, adam_branch, adam_trunk, epoch, seeds)."""
     try:
@@ -384,16 +395,8 @@ def load_checkpoint(path):
     if (not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT
             or "branch" not in payload or "trunk" not in payload):
         raise InputError(f"{path} is not a donlab checkpoint")
-    model = DeepONetModel(
-        branch=nn.MlpParams(
-            nn.MlpSpec.from_dict(payload["branch"]["spec"]),
-            np.array(payload["branch"]["flat"], dtype=np.float64),
-        ),
-        trunk=nn.MlpParams(
-            nn.MlpSpec.from_dict(payload["trunk"]["spec"]),
-            np.array(payload["trunk"]["flat"], dtype=np.float64),
-        ),
-    )
+    model = DeepONetModel(_checkpoint_net(payload, "branch", path),
+                          _checkpoint_net(payload, "trunk", path))
     ab = payload.get("adam_branch")
     at = payload.get("adam_trunk")
     return (

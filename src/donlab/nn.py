@@ -139,10 +139,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # piecewise form avoids overflow warnings for large |z|: with e = exp(-|z|),
     # 1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; minimum(z, -z) is -|z|
     # but keeps a NaN's sign
-    e = np.exp(np.minimum(z, -z))
-    denom = e + 1.0
-    out = 1.0 / denom
-    np.divide(e, denom, out=out, where=z < 0)
+    e = np.negative(z)
+    np.exp(np.minimum(z, e, out=e), out=e)
+    out = np.where(z < 0, e, 1.0)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -320,21 +320,15 @@ class TestPerturbationBound:
 
 
 def _reference_verify_perturbation(model, theta, dataset, trials, seed, j):
-    """The one-trial-at-a-time loop that verify_perturbation replaced."""
-
-    def ball_draw(rng, dim, radius):
-        z = rng.standard_normal(dim)
-        norm = np.linalg.norm(z)
-        if norm == 0.0 or radius == 0.0:
-            return np.zeros(dim)
-        return z * (radius * rng.uniform() ** (1.0 / dim) / norm)
-
+    """One trial at a time: one row from each of the four spawned streams
+    (branch normals, branch radii, trunk normals, trunk radii), then the
+    empirical risk of the perturbed model."""
+    bn, br, tn, tr = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
     base = empirical_risk(model, dataset)
-    rng = np.random.default_rng(seed)
     max_observed = -math.inf
     for _ in range(trials):
-        db = ball_draw(rng, model.branch.flat.size, theta / 2.0)
-        dt = ball_draw(rng, model.trunk.flat.size, theta / 2.0)
+        db = deeponet._uniform_in_ball(bn, br, 1, model.branch.flat.size, theta / 2.0)[0]
+        dt = deeponet._uniform_in_ball(tn, tr, 1, model.trunk.flat.size, theta / 2.0)[0]
         pert = DeepONetModel(
             branch=nn.MlpParams(model.branch.spec, model.branch.flat + db),
             trunk=nn.MlpParams(model.trunk.spec, model.trunk.flat + dt),

@@ -200,6 +200,23 @@ class TestTrain:
         assert f"{resume} is not a donlab checkpoint" in capsys.readouterr().err
         assert not (out / "run.checkpoint.json").exists()
 
+    @pytest.mark.parametrize("net, message", [
+        (1, "malformed branch: "), ({"spec": {}}, "branch has no 'layer_dims'"),
+    ])
+    def test_resume_from_malformed_net_names_file_and_key(self, tmp_path, dataset_csv,
+                                                          capsys, net, message):
+        resume = tmp_path / "resume.json"
+        resume.write_text(json.dumps({"format": "donlab-checkpoint-v1",
+                                      "branch": net, "trunk": 1}))
+        cfg = _write(tmp_path / "t.json", {
+            "dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
+            "epochs": 1, "resume_from": str(resume), "out_name": "run",
+        })
+        out = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert f"error: checkpoint {resume}: {message}" in capsys.readouterr().err
+        assert not (out / "run.checkpoint.json").exists()
+
     @pytest.mark.parametrize("sidecar", ["[1]", "{not json"])
     def test_bad_dataset_sidecar_exits_two(self, tmp_path, dataset_csv, capsys, sidecar):
         meta = dataset_csv.parent / (dataset_csv.name + ".meta.json")
@@ -384,11 +401,14 @@ class TestVerify:
 
     def test_report_bytes_are_golden(self, tmp_path, capsys):
         # 1,500 perturbation trials span two stacked chunks and 2,000
-        # Hoeffding trials span several draw chunks; the hash was recorded on
-        # the one-trial-at-a-time implementation
+        # Hoeffding trials span several draw chunks. The hash was re-recorded
+        # when the perturbation trials moved to four spawned streams drawn a
+        # block at a time; the report before that (e90a12c9...) differed only
+        # in perturbation_bound.observed (0.011972548602718902, now
+        # 0.014638822958627173)
         cfg = _write(tmp_path / "v.json", {"gradient_models": 3, "perturbation_trials": 1500,
                                            "cover_probes": 2000, "hoeffding_trials": 2000})
         out = tmp_path / "o"
         assert main(["verify", "--config", cfg, "--seed", "31", "--out-dir", str(out)]) == 0
         digest = hashlib.sha256((out / "verify-report.json").read_bytes()).hexdigest()
-        assert digest == "e90a12c98e90299333541b97e3542349d571567dbff08b9baf6d324ebd9c54c0"
+        assert digest == "61cd60954489e0314c6661b213196f7ee4e76a7444abc1b6654e4da2bf7a9818"

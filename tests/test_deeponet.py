@@ -410,50 +410,44 @@ def test_adr_risk_at_anchor_shape_within_four_ulps():
     assert _ulps(empirical_risk(model, ds), want) <= 4
 
 
-def test_uniform_in_ball_radius_and_zero_radius():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        assert np.linalg.norm(deeponet._uniform_in_ball(rng, 7, 0.3)) <= 0.3
-    assert np.all(deeponet._uniform_in_ball(rng, 7, 0.0) == 0.0)
+def _streams(seed):
+    return np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1])
 
 
-def _reference_uniform_in_ball(rng, dim, radius):
-    """The sampler before it drew into a caller's row, kept as a reference."""
-    z = rng.standard_normal(dim)
-    norm = np.linalg.norm(z)
-    if norm == 0.0:
-        return np.zeros(dim)
-    r = radius * rng.uniform() ** (1.0 / dim)
-    return z * (r / norm)
+@pytest.mark.parametrize("dim", [1, 7, 92])
+def test_uniform_in_ball_radius_and_zero_radius(dim):
+    rows = deeponet._uniform_in_ball(*_streams(4), 50, dim, 0.3)
+    assert rows.shape == (50, dim)
+    assert np.all(np.linalg.norm(rows, axis=1) <= 0.3)
+    # each row is its normals, rescaled to length radius * u^(1/dim)
+    z = _streams(4)[0].standard_normal((50, dim))
+    u = _streams(4)[1].random(50)
+    want = z / np.linalg.norm(z, axis=1)[:, None] * (0.3 * u ** (1.0 / dim))[:, None]
+    np.testing.assert_allclose(rows, want, rtol=1e-13, atol=0.0)
+    assert np.all(deeponet._uniform_in_ball(*_streams(4), 5, dim, 0.0) == 0.0)
 
 
-@pytest.mark.parametrize("into_row", [False, True])
-def test_uniform_in_ball_equals_reference_draws(into_row):
-    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
-    rows = np.empty((40, 92))
-    for i, (dim, radius) in enumerate([(1, 0.5), (60, 0.0), (92, 0.025), (60, 3.0)] * 10):
-        row = rows[i, :dim] if into_row else None
-        got = deeponet._uniform_in_ball(got_rng, dim, radius, out=row)
-        want = _reference_uniform_in_ball(want_rng, dim, radius)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        if into_row:
-            assert np.shares_memory(got, rows)
-    assert got_rng.random() == want_rng.random()
+@pytest.mark.parametrize("dim, radius", [(1, 0.5), (60, 0.0), (92, 0.025), (117, 3.0)])
+def test_uniform_in_ball_block_equals_one_row_calls(dim, radius):
+    got_streams, want_streams = _streams(9), _streams(9)
+    got = deeponet._uniform_in_ball(*got_streams, 37, dim, radius)
+    want = np.concatenate([deeponet._uniform_in_ball(*want_streams, 1, dim, radius)
+                           for _ in range(37)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for got_rng, want_rng in zip(got_streams, want_streams):
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_uniform_in_ball_zero_normals_draw_no_uniform():
+def test_uniform_in_ball_zero_normals_give_zero_rows_and_take_their_radii():
     class ZeroNormals:
-        def standard_normal(self, dim, out=None):
-            z = np.zeros(dim) if out is None else out
-            z[...] = -0.0
-            return z
+        def standard_normal(self, size):
+            return np.full(size, -0.0)
 
-        def uniform(self):
-            raise AssertionError("a zero draw takes no radius")
-
-    row = np.full(5, 7.0)
-    got = deeponet._uniform_in_ball(ZeroNormals(), 5, 1.0, out=row)
-    assert got is row and np.array_equal(got.view(np.int64), np.zeros(5).view(np.int64))
+    radii, after = np.random.default_rng(3), np.random.default_rng(3)
+    got = deeponet._uniform_in_ball(ZeroNormals(), radii, 4, 5, 1.0)
+    assert got.shape == (4, 5) and np.all(got == 0.0)
+    after.random(4)
+    assert radii.bit_generator.state == after.bit_generator.state
 
 
 class TestWeightLipschitz:
@@ -483,6 +477,19 @@ class TestWeightLipschitz:
         spec = nn.MlpSpec((2, 4, 2))
         with pytest.raises(InputError):
             estimate_J(spec, 1.0, (np.zeros(2), np.ones(2)), pairs=0, seed=0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"inputs_per_pair": 0}, "inputs_per_pair"),
+        ({"inputs_per_pair": -2}, "inputs_per_pair"),
+        ({"weight_bound": -1.0}, "weight_bound"),
+        ({"weight_bound": math.nan}, "weight_bound"),
+        ({"weight_bound": math.inf}, "weight_bound"),
+    ])
+    def test_estimate_rejects_bad_arguments(self, kwargs, name):
+        args = {"spec": nn.MlpSpec((2, 3, 1)), "weight_bound": 1.0,
+                "input_domain": (np.zeros(2), np.ones(2)), "pairs": 5, "seed": 0, **kwargs}
+        with pytest.raises(InputError, match=f"^{name} must be >= "):
+            estimate_J(**args)
 
 
 class TestJUpperBound:
@@ -562,6 +569,26 @@ class TestCheckpoint:
             p.write_text(json.dumps(payload))
         with pytest.raises(InputError, match="is not a donlab checkpoint"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.update(branch=1, trunk=1), "malformed branch: "),
+        (lambda c: c["trunk"].update(spec=[2, 3]), "malformed trunk: "),
+        (lambda c: c["branch"]["spec"].pop("layer_dims"), "branch has no 'layer_dims'"),
+        (lambda c: c["trunk"].pop("spec"), "trunk has no 'spec'"),
+        (lambda c: c["trunk"].pop("flat"), "trunk has no 'flat'"),
+        (lambda c: c["branch"]["spec"].update(layer_dims=4), "malformed branch: "),
+        (lambda c: c["trunk"].update(flat="abc"), "malformed trunk: "),
+        (lambda c: c["trunk"]["flat"].pop(), "malformed trunk: flat vector has length"),
+    ])
+    def test_reject_malformed_net(self, rng, tmp_path, edit, message):
+        p = tmp_path / "x.json"
+        save_checkpoint(random_model(rng), p)
+        payload = json.loads(p.read_text())
+        edit(payload)
+        p.write_text(json.dumps(payload))
+        with pytest.raises(InputError) as info:
+            load_checkpoint(p)
+        assert str(info.value).startswith(f"checkpoint {p}: {message}")
 
 
 @given(st.integers(0, 2**31 - 1))
