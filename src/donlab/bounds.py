@@ -46,18 +46,16 @@ class FunctionClassSpec:
     d_t: int
     w_b: float
     w_t: float
-    q: int
+    q: int = 1
     c: float = 1.0
     l_b: float | None = None
     l_t: float | None = None
 
     def __post_init__(self):
-        if self.d_b < 1 or self.d_t < 1:
-            raise InputError("parameter counts must be >= 1")
-        if self.w_b < 1.0 or self.w_t < 1.0:
-            raise InputError("weight-norm bounds must be >= 1")
-        if self.c < 1.0:
-            raise InputError("output sup-norm bound must be >= 1")
+        # written so that NaN fails each check
+        for name in ("d_b", "d_t", "w_b", "w_t", "c"):
+            if not getattr(self, name) >= 1:
+                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.q <= min(self.d_b, self.d_t):
             raise InputError("q must satisfy 1 <= q <= min(d_b, d_t)")
 
@@ -72,23 +70,21 @@ class BoundInputs:
     label_bound: float
     fclass: FunctionClassSpec
     j: float
-    sigma2: float
+    sigma2: float = 0.0
     alpha: float = 0.5
     j_source: str = "analytic"  # "estimated" | "analytic"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("n must be >= 1")
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be > 0")
+        # written so that NaN fails each check
+        if not self.n >= 1:
+            raise InputError(f"n must be >= 1, got {self.n}")
+        for name in ("epsilon", "label_bound", "j"):
+            if not getattr(self, name) > 0:
+                raise InputError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 < self.delta < 1.0:
             raise InputError("delta must lie strictly in (0, 1)")
-        if self.label_bound <= 0:
-            raise InputError("label bound must be > 0")
-        if self.j <= 0:
-            raise InputError("J must be > 0")
-        if self.sigma2 < 0:
-            raise InputError("sigma2 must be >= 0")
+        if not self.sigma2 >= 0:
+            raise InputError(f"sigma2 must be >= 0, got {self.sigma2}")
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha must lie strictly in (0, 1)")
         if self.j_source not in ("estimated", "analytic"):
@@ -118,9 +114,9 @@ class BoundReport:
 
 def log_covering_number_ball(theta: float, W: float, d: int) -> float:
     """Log of the covering-number bound (2 W sqrt(d) / theta)^d, floored at 0."""
-    if theta <= 0:
-        raise InputError("covering scale theta must be > 0")
-    if W <= 0 or d < 1:
+    if not theta > 0:
+        raise InputError(f"covering scale theta must be > 0, got {theta}")
+    if not (W > 0 and d >= 1):
         raise InputError("need W > 0 and d >= 1")
     val = d * (LOG2 + math.log(W) + 0.5 * math.log(d) - math.log(theta))
     return max(val, 0.0)
@@ -227,10 +223,10 @@ def q_lower_bound_sigmoid(inputs: BoundInputs) -> BoundReport:
 
 def perturbation_bound(q: int, c: float, j: float, theta: float, b: float) -> float:
     """Risk increment bound q c J theta (B + 2 q c^2) under a theta-cover move."""
-    if q < 1 or c <= 0 or j <= 0 or b <= 0:
+    if not (q >= 1 and c > 0 and j > 0 and b > 0):
         raise InputError("q, c, J, B must be positive")
-    if theta < 0:
-        raise InputError("theta must be >= 0")
+    if not theta >= 0:
+        raise InputError(f"theta must be >= 0, got {theta}")
     return q * c * j * theta * (b + 2.0 * q * c * c)
 
 
@@ -282,9 +278,9 @@ def verify_perturbation(
     seed, each read row after row so the chunk size never changes the draws,
     and evaluated in one stacked pass; a NaN increment is skipped.
     """
-    if theta < 0:
-        raise InputError("theta must be >= 0")
-    if trials < 1:
+    if not theta >= 0:
+        raise InputError(f"theta must be >= 0, got {theta}")
+    if not trials >= 1:
         raise InputError("need at least one trial")
     c = model.c_bound
     if not math.isfinite(c):
@@ -326,7 +322,7 @@ def verify_cover_bruteforce(d: int, w: float, theta: float, probes: int, seed) -
     """
     if not 1 <= d <= 3:
         raise InputError("brute-force cover check supports d in {1, 2, 3}")
-    if w <= 0 or theta <= 0 or probes < 1:
+    if not (w > 0 and theta > 0 and probes >= 1):
         raise InputError("need w > 0, theta > 0, probes >= 1")
     per_axis = max(1, math.ceil(w * math.sqrt(d) / theta))
     allowed = math.ceil((2.0 * w * math.sqrt(d) / theta) ** d)
@@ -364,12 +360,12 @@ def hoeffding_mc_check(
     P(mean - E >= t) must not exceed the bound by more than three Monte
     Carlo standard errors.
     """
-    if b <= a:
+    if not a < b:
         raise InputError("need a < b")
-    if n < 1 or trials < 1:
+    if not (n >= 1 and trials >= 1):
         raise InputError("n and trials must be >= 1")
-    if t < 0:
-        raise InputError("t must be >= 0")
+    if not t >= 0:
+        raise InputError(f"t must be >= 0, got {t}")
     bound = math.exp(-2.0 * n * t * t / ((b - a) ** 2))
     mean = 0.5 * (a + b)
     rng = np.random.default_rng(seed)

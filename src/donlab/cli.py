@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, experiment, bound, verify. Each takes a JSON
-config via --config plus the global overrides --seed / --out-dir /
---threads, and echoes its effective config into the output directory so a
-run can be reproduced bit-exactly from the echo.
+config via --config and an output directory via --out-dir, and echoes its
+effective config into that directory so a run can be reproduced
+bit-exactly from the echo. All but bound take --seed, which overrides the
+config seed; experiment alone takes --threads, its parallel training cells.
 
 Exit codes: 0 success, 1 verification or experiment failure, 2 usage or
 config error.
@@ -67,9 +68,7 @@ def _cmd_gen_data(args) -> int:
     kind = cfg.get("kind", "adr")
     seed = int(cfg.get("seed", 0))
     out_name = cfg.get("out_name", "dataset")
-    grf_cfg = cfg.get("grf", {})
-    grf_kw = dict(length_scale=float(grf_cfg.get("length_scale", 1e-3)),
-                  jitter=float(grf_cfg.get("jitter", 1e-10)))
+    grf_kw = cfg.get("grf", {})
     common = dict(
         sensor_count=int(cfg.get("sensor_count", 40)),
         num_functions=int(cfg.get("num_functions", 10)),
@@ -82,17 +81,10 @@ def _cmd_gen_data(args) -> int:
         grf = datagen.GrfConfig(grid=adr.x_grid, **grf_kw)
         ds = datagen.build_adr_dataset(grf=grf, adr=adr, **common)
     elif kind == "pendulum":
-        pend = cfg.get("pendulum", {})
-        nt = int(pend.get("nt", 101))
+        pend = dict(cfg.get("pendulum", {}))
+        pend_k, nt = pend.pop("k", 1.0), pend.pop("nt", 101)
         grf = datagen.GrfConfig(grid=np.linspace(0.0, 1.0, nt), **grf_kw)
-        ds = datagen.build_pendulum_dataset(
-            grf=grf,
-            pend_k=float(pend.get("k", 1.0)),
-            y0=float(pend.get("y0", 0.0)),
-            v0=float(pend.get("v0", 0.0)),
-            forcing_scale=float(pend.get("forcing_scale", 1.0)),
-            **common,
-        )
+        ds = datagen.build_pendulum_dataset(grf=grf, pend_k=pend_k, **pend, **common)
     else:
         raise InputError(f"unknown dataset kind {kind!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -209,27 +201,9 @@ def _cmd_bound(args) -> int:
     cfg = _load_config(args.config)
     out_dir = Path(args.out_dir)
     variant = cfg.get("variant", "general")
-    cls = cfg.get("class", {})
+    rest = {k: v for k, v in cfg.items() if k not in ("variant", "class")}
     inputs = bounds.BoundInputs(
-        n=int(cfg["n"]),
-        epsilon=float(cfg["epsilon"]),
-        delta=float(cfg["delta"]),
-        label_bound=float(cfg["label_bound"]),
-        fclass=bounds.FunctionClassSpec(
-            d_b=int(cls["d_b"]),
-            d_t=int(cls["d_t"]),
-            w_b=float(cls["w_b"]),
-            w_t=float(cls["w_t"]),
-            q=int(cls.get("q", 1)),
-            c=float(cls.get("c", 1.0)),
-            l_b=cls.get("l_b"),
-            l_t=cls.get("l_t"),
-        ),
-        j=float(cfg["j"]),
-        sigma2=float(cfg.get("sigma2", 0.0)),
-        alpha=float(cfg.get("alpha", 0.5)),
-        j_source=cfg.get("j_source", "analytic"),
-    )
+        **rest, fclass=bounds.FunctionClassSpec(**cfg.get("class", {})))
     if variant == "general":
         report = bounds.q_lower_bound_general(inputs)
     elif variant == "sigmoid":
@@ -357,15 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p, config_required=True, seed=True):
         p.add_argument("--config", required=config_required,
                        help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
         p.add_argument("--out-dir", default="donlab-out",
                        help="directory for outputs and the config echo")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel training cells (experiment only)")
 
     p = sub.add_parser("gen-data", help="generate a dataset CSV + sidecar")
     common(p)
@@ -377,12 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a fixed-ratio suite")
     common(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="parallel training cells")
     p.add_argument("--dry-run", action="store_true",
                    help="print the (q, n, width) table and exit")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("bound", help="evaluate a q lower bound")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="run the built-in verification checks")

@@ -36,7 +36,7 @@ class GrfConfig:
     """Mean-zero Gaussian field on a fixed grid with RBF covariance."""
 
     grid: np.ndarray
-    length_scale: float
+    length_scale: float = 1e-3
     jitter: float = 1e-10
 
     def __post_init__(self):
@@ -436,17 +436,11 @@ def read_dataset_csv(path) -> Dataset:
             raise FormatError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"sidecar {sidecar} must hold a JSON object")
-        if meta.get("m") != m or meta.get("d2") != d2:
+        if meta.pop("m", None) != m or meta.pop("d2", None) != d2:
             raise FormatError(f"sidecar {sidecar} disagrees with the CSV header")
-        return Dataset(
-            s=s,
-            p=p,
-            y=y,
-            B=float(meta["B"]),
-            sensor_grid=np.array(meta["sensor_grid"], dtype=np.float64),
-            noise_std=float(meta.get("noise_std", 0.0)),
-            seed=meta.get("seed"),
-            generator=meta.get("generator", {}),
-        )
+        try:
+            return Dataset(s=s, p=p, y=y, **meta)
+        except TypeError as exc:
+            raise FormatError(f"sidecar {sidecar} does not describe a dataset: {exc}") from exc
     b = float(np.max(np.abs(y))) if y.size else 0.0
     return Dataset(s=s, p=p, y=y, B=b, sensor_grid=np.full(m, np.nan))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -326,9 +326,9 @@ def j_upper_bound(W: float, p: int, Q: int, depth: int, R: float) -> float:
 
     Evaluated in log space; returns +inf when the value overflows float64.
     """
-    if W < 1.0:
-        raise InputError("the analytic bound requires W >= 1")
-    if p < 1 or Q < 1 or depth < 1 or R <= 0:
+    if not W >= 1.0:
+        raise InputError(f"the analytic bound requires W >= 1, got {W}")
+    if not (p >= 1 and Q >= 1 and depth >= 1 and R > 0):
         raise InputError("p, Q, depth must be >= 1 and R > 0")
     log_val = (
         2.0 * depth * (math.log(W) + 0.5 * math.log(p * Q))
@@ -366,20 +366,24 @@ def save_checkpoint(
         "q": model.q,
         "seeds": seeds or {},
         "epoch": epoch,
-        "branch": {"spec": model.branch.spec.to_dict(), "flat": model.branch.flat.tolist()},
-        "trunk": {"spec": model.trunk.spec.to_dict(), "flat": model.trunk.flat.tolist()},
+        "branch": {"spec": asdict(model.branch.spec), "flat": model.branch.flat.tolist()},
+        "trunk": {"spec": asdict(model.trunk.spec), "flat": model.trunk.flat.tolist()},
         "adam_branch": adam_branch.to_dict() if adam_branch is not None else None,
         "adam_trunk": adam_trunk.to_dict() if adam_trunk is not None else None,
     }
     atomic_write_text(path, json.dumps(payload))
 
 
-def _checkpoint_net(payload: dict, key: str, path) -> nn.MlpParams:
-    """The net stored under key; an InputError names path and the bad key."""
-    net = payload[key]
+def _checkpoint_part(payload: dict, key: str, path):
+    """The net (branch, trunk) or Adam state (adam_branch, adam_trunk) under key.
+
+    An InputError names path and key if the stored object does not build.
+    """
+    part = payload[key]
     try:
-        return nn.MlpParams(nn.MlpSpec.from_dict(net["spec"]),
-                            np.array(net["flat"], dtype=np.float64))
+        if key.startswith("adam_"):
+            return nn.AdamState(**part)
+        return nn.MlpParams(nn.MlpSpec(**part["spec"]), part["flat"])
     except KeyError as exc:
         raise InputError(f"checkpoint {path}: {key} has no {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -395,14 +399,11 @@ def load_checkpoint(path):
     if (not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT
             or "branch" not in payload or "trunk" not in payload):
         raise InputError(f"{path} is not a donlab checkpoint")
-    model = DeepONetModel(_checkpoint_net(payload, "branch", path),
-                          _checkpoint_net(payload, "trunk", path))
-    ab = payload.get("adam_branch")
-    at = payload.get("adam_trunk")
-    return (
-        model,
-        nn.AdamState.from_dict(ab) if ab else None,
-        nn.AdamState.from_dict(at) if at else None,
-        int(payload.get("epoch", 0)),
-        payload.get("seeds", {}),
-    )
+    model = DeepONetModel(_checkpoint_part(payload, "branch", path),
+                          _checkpoint_part(payload, "trunk", path))
+    ab, at = (_checkpoint_part(payload, key, path) if payload.get(key) else None
+              for key in ("adam_branch", "adam_trunk"))
+    epoch = payload.get("epoch", 0)
+    if type(epoch) is not int or epoch < 0:
+        raise InputError(f"checkpoint {path}: epoch must be an int >= 0, got {epoch!r}")
+    return model, ab, at, epoch, payload.get("seeds", {})

@@ -58,23 +58,6 @@ class MlpSpec:
     def out_dim(self) -> int:
         return self.layer_dims[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "layer_dims": list(self.layer_dims),
-            "hidden_activation": self.hidden_activation,
-            "output_activation": self.output_activation,
-            "init_scheme": self.init_scheme,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpSpec":
-        return cls(
-            layer_dims=tuple(d["layer_dims"]),
-            hidden_activation=d.get("hidden_activation", "relu"),
-            output_activation=d.get("output_activation", "linear"),
-            init_scheme=d.get("init_scheme", "he"),
-        )
-
 
 def param_count(spec: MlpSpec) -> int:
     """Total number of weights and biases: sum of d_in*d_out + d_out per layer."""
@@ -309,26 +292,10 @@ class AdamState:
             "eps": self.eps,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdamState":
-        return cls(
-            m=np.array(d["m"], dtype=np.float64),
-            v=np.array(d["v"], dtype=np.float64),
-            t=int(d["t"]),
-            lr=float(d["lr"]),
-            beta1=float(d["beta1"]),
-            beta2=float(d["beta2"]),
-            eps=float(d["eps"]),
-        )
 
-
-def adam_init(n_params: int, lr: float = 0.001, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(n_params: int, lr: float = 0.001) -> AdamState:
     """Fresh optimizer state with zero moments."""
-    return AdamState(
-        m=np.zeros(n_params), v=np.zeros(n_params), t=0,
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-    )
+    return AdamState(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
 
 
 def adam_step(

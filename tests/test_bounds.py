@@ -66,9 +66,14 @@ class TestFunctionClassSpec:
         with pytest.raises(InputError):
             FunctionClassSpec(d_b=5, d_t=8, w_b=1.0, w_t=1.0, q=6)
 
-    def test_weight_bounds_at_least_one(self):
-        with pytest.raises(InputError):
-            FunctionClassSpec(d_b=5, d_t=5, w_b=0.5, w_t=1.0, q=1)
+    @pytest.mark.parametrize("name, value", [
+        ("w_b", 0.5), ("w_b", math.nan), ("w_t", math.nan), ("d_b", math.nan),
+        ("c", 0.5), ("c", math.nan),
+    ])
+    def test_range_checks_reject_nan(self, name, value):
+        kwargs = dict(d_b=5, d_t=5, w_b=1.0, w_t=1.0, q=1)
+        with pytest.raises(InputError, match=f"^{name} must be >= 1, got {value}"):
+            FunctionClassSpec(**dict(kwargs, **{name: value}))
 
     def test_lipschitz_metadata_is_optional(self):
         fc = FunctionClassSpec(d_b=5, d_t=5, w_b=1.0, w_t=1.0, q=2, l_b=3.0)
@@ -85,9 +90,10 @@ class TestLogCoveringNumber:
     def test_clamped_below_at_zero(self):
         assert log_covering_number_ball(1e9, 1.0, 3) == 0.0
 
-    def test_nonpositive_scale_rejected(self):
+    @pytest.mark.parametrize("theta, w", [(0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)])
+    def test_nonpositive_scale_rejected(self, theta, w):
         with pytest.raises(InputError):
-            log_covering_number_ball(0.0, 1.0, 2)
+            log_covering_number_ball(theta, w, 2)
 
     @given(st.floats(0.01, 10), st.floats(0.5, 20), st.integers(1, 50))
     @settings(max_examples=60, deadline=None)
@@ -221,6 +227,24 @@ class TestQLowerBoundGeneral:
             _inputs(delta=1.0)
         with pytest.raises(InputError):
             _inputs(delta=0.0)
+        with pytest.raises(InputError):
+            _inputs(delta=math.nan)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("n", 0, "n must be >= 1, got 0"),
+        ("n", math.nan, "n must be >= 1, got nan"),
+        ("epsilon", math.nan, "epsilon must be > 0, got nan"),
+        ("label_bound", 0.0, "label_bound must be > 0, got 0.0"),
+        ("label_bound", math.nan, "label_bound must be > 0, got nan"),
+        ("j", math.nan, "j must be > 0, got nan"),
+        ("sigma2", -1.0, "sigma2 must be >= 0, got -1.0"),
+        ("sigma2", math.nan, "sigma2 must be >= 0, got nan"),
+        ("alpha", math.nan, "alpha must lie strictly in (0, 1)"),
+    ])
+    def test_range_checks_reject_nan(self, name, value, message):
+        with pytest.raises(InputError) as info:
+            _inputs(**{name: value})
+        assert str(info.value) == message
 
 
 class TestAlphaPrime:
@@ -318,6 +342,15 @@ class TestPerturbationBound:
     def test_unit_values(self):
         assert perturbation_bound(1, 1.0, 1.0, 1.0, 1.0) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("args", [
+        (1, 1.0, 1.0, -0.1, 1.0), (1, 1.0, 1.0, math.nan, 1.0),
+        (1, math.nan, 1.0, 1.0, 1.0), (1, 1.0, math.nan, 1.0, 1.0),
+        (1, 1.0, 1.0, 1.0, math.nan),
+    ])
+    def test_bad_range_rejected(self, args):
+        with pytest.raises(InputError):
+            perturbation_bound(*args)
+
 
 def _reference_verify_perturbation(model, theta, dataset, trials, seed, j):
     """One trial at a time: one row from each of the four spawned streams
@@ -406,6 +439,13 @@ class TestVerifyPerturbation:
         with pytest.raises(InputError):
             verify_perturbation(model, 0.1, ds, trials=2, seed=0)
 
+    @pytest.mark.parametrize("theta", [-0.1, math.nan])
+    def test_bad_theta_rejected(self, rng, theta):
+        model = random_model(rng, output="sigmoid")
+        ds = random_dataset(rng, n=5)
+        with pytest.raises(InputError, match=f"theta must be >= 0, got {theta}"):
+            verify_perturbation(model, theta, ds, trials=2, seed=0)
+
 
 def _reference_cover_bruteforce(d, w, theta, probes, seed):
     """The one-array cover check that the chunked one replaced."""
@@ -456,6 +496,12 @@ class TestVerifyCoverBruteforce:
         with pytest.raises(InputError):
             verify_cover_bruteforce(4, 1.0, 0.5, probes=10, seed=0)
 
+    @pytest.mark.parametrize("w, theta", [(0.0, 0.5), (1.0, 0.0), (math.nan, 0.5),
+                                          (1.0, math.nan)])
+    def test_bad_range_rejected(self, w, theta):
+        with pytest.raises(InputError, match="need w > 0, theta > 0"):
+            verify_cover_bruteforce(2, w, theta, probes=10, seed=0)
+
 
 def _peak_bytes(run):
     tracemalloc.start()
@@ -497,6 +543,12 @@ class TestHoeffdingMc:
         means = np.random.default_rng(5).uniform(0.0, 1.0, (3000, 100)).mean(axis=1)
         assert rep.empirical_tail == np.count_nonzero(means - 0.5 >= 0.02) / 3000
 
-    def test_degenerate_interval_rejected(self):
-        with pytest.raises(InputError):
-            hoeffding_mc_check(1.0, 1.0, 5, 0.1, trials=10, seed=0)
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_degenerate_interval_rejected(self, a, b):
+        with pytest.raises(InputError, match="need a < b"):
+            hoeffding_mc_check(a, b, 5, 0.1, trials=10, seed=0)
+
+    @pytest.mark.parametrize("t", [-0.1, math.nan])
+    def test_bad_deviation_rejected(self, t):
+        with pytest.raises(InputError, match=f"t must be >= 0, got {t}"):
+            hoeffding_mc_check(0.0, 1.0, 5, t, trials=10, seed=0)

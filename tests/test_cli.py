@@ -1,5 +1,8 @@
 import hashlib
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,15 @@ class TestUsageErrors:
                      {"dataset": str(tmp_path / "missing.csv"), "epochs": 1})
         assert main(["train", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("bound", "--seed"), ("gen-data", "--threads"), ("train", "--threads"),
+        ("bound", "--threads"), ("verify", "--threads"),
+    ])
+    def test_flag_offered_only_where_it_acts(self, tmp_path, capsys, command, flag):
+        cfg = _write(tmp_path / "c.json", {})
+        assert main([command, "--config", cfg, flag, "2", "--out-dir", str(tmp_path)]) == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
 
 class TestGenData:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):
@@ -90,6 +102,25 @@ class TestGenData:
         assert main(["gen-data", "--config", cfg, "--out-dir", str(out)]) == 0
         ds = read_dataset_csv(out / "pend.csv")
         assert ds.d2 == 1
+
+    @pytest.mark.parametrize("section, extra, message", [
+        ("grf", {"length": 0.1}, "'length'"),
+        ("pendulum", {"damping": 0.1}, "'damping'"),
+        ("pendulum", {"nt": 31.0}, "'float' object cannot be interpreted as an integer"),
+    ])
+    def test_bad_key_or_value_in_a_section_exits_two(self, tmp_path, capsys, section, extra,
+                                                      message):
+        cfg = {
+            "kind": "pendulum", "sensor_count": 5, "num_functions": 1,
+            "points_per_function": 8, "seed": 1, "out_name": "pend",
+            "pendulum": {"k": 1.0, "nt": 31}, "grf": {"length_scale": 0.1},
+        }
+        cfg[section].update(extra)
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", _write(tmp_path / "p.json", cfg),
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pendulum_forcing_scale_is_passed_through(self, tmp_path):
         cfg = _write(tmp_path / "p.json", {
@@ -201,7 +232,7 @@ class TestTrain:
         assert not (out / "run.checkpoint.json").exists()
 
     @pytest.mark.parametrize("net, message", [
-        (1, "malformed branch: "), ({"spec": {}}, "branch has no 'layer_dims'"),
+        (1, "malformed branch: "), ({"spec": {}}, "malformed branch: .*'layer_dims'"),
     ])
     def test_resume_from_malformed_net_names_file_and_key(self, tmp_path, dataset_csv,
                                                           capsys, net, message):
@@ -214,7 +245,8 @@ class TestTrain:
         })
         out = tmp_path / "trained"
         assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
-        assert f"error: checkpoint {resume}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.match(f"error: checkpoint {re.escape(str(resume))}: {message}", err)
         assert not (out / "run.checkpoint.json").exists()
 
     @pytest.mark.parametrize("sidecar", ["[1]", "{not json"])
@@ -229,6 +261,26 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
         assert f"sidecar {meta}" in capsys.readouterr().err
         assert not (out / "run.checkpoint.json").exists()
+
+    def test_unknown_sidecar_key_exits_two(self, tmp_path, dataset_csv, capsys):
+        meta = dataset_csv.parent / (dataset_csv.name + ".meta.json")
+        meta.write_text(json.dumps(dict(json.loads(meta.read_text()), labels="y")))
+        cfg = _write(tmp_path / "t.json", {"dataset": str(dataset_csv), "epochs": 1})
+        assert main(["train", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"sidecar {meta}" in err and "'labels'" in err
+
+    def test_rerun_from_echo_is_identical(self, tmp_path, dataset_csv):
+        cfg = _write(tmp_path / "t.json", {
+            "dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
+            "batch_size": 16, "epochs": 2, "lr": 0.01, "out_name": "run",
+        })
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--config", cfg, "--seed", "9", "--out-dir", str(out1)]) == 0
+        echo = out1 / "effective-config-train.json"
+        assert main(["train", "--config", str(echo), "--out-dir", str(out2)]) == 0
+        for name in ("run.checkpoint.json", "run.loss.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("epochs, digest", [
         (0, "3fa50e7af75568cd37c73b84567563df5fa316859ecdd8454347d6ffb625de2c"),
@@ -305,6 +357,17 @@ class TestExperiment:
         assert f"seeds must be non-empty and distinct; got {seeds}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dry_run_from_echo_prints_the_same_table(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", self._plan_cfg(tmp_path), "--seed", "4",
+                     "--out-dir", str(out)]) == 0
+        table = capsys.readouterr().out.splitlines()[:3]
+        echo = out / "effective-config-experiment.json"
+        assert json.loads(echo.read_text())["seeds"] == [4]
+        assert main(["experiment", "--config", str(echo), "--out-dir", str(tmp_path / "d"),
+                     "--dry-run"]) == 0
+        assert capsys.readouterr().out.splitlines() == table
+
     def test_failed_cells_exit_one(self, tmp_path):
         cfg = self._plan_cfg(tmp_path, adr={"D": 0.0, "k": 200.0, "nx": 21, "nt": 101})
         out = tmp_path / "o"
@@ -369,6 +432,43 @@ class TestBound:
         cfg = _write(tmp_path / "b.json", {"variant": "general", "n": 10})
         assert main(["bound", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("top, cls, message", [
+        ({"samples": 10}, {}, "'samples'"),
+        ({}, {"width": 3}, "'width'"),
+        ({"epsilon": math.nan}, {}, "epsilon must be > 0, got nan"),
+        ({}, {"w_b": math.nan}, "w_b must be >= 1, got nan"),
+        ({"n": "1000"}, {}, "'>=' not supported"),
+    ])
+    def test_bad_key_or_value_exits_two(self, tmp_path, capsys, top, cls, message):
+        cfg = json.loads(Path(self._cfg(tmp_path, 1000)).read_text())
+        cfg.update(top)
+        cfg["class"].update(cls)
+        out = tmp_path / "o"
+        assert main(["bound", "--config", _write(tmp_path / "bad.json", cfg),
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_defaults_apply(self, tmp_path, capsys):
+        # q, c, sigma2, alpha and j_source fall back to their defaults
+        cfg = {"n": 1000, "epsilon": 0.5, "delta": 0.2, "label_bound": 1.5, "j": 2.0,
+               "class": {"d_b": 50, "d_t": 40, "w_b": 3.0, "w_t": 2.0}}
+        assert main(["bound", "--config", _write(tmp_path / "b.json", cfg),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["j_source"] == "analytic"
+        assert report["threshold"] == 0.0 - 0.5 * (1.0 + 1.0 * 2.0 * (1.5 + 2.0))
+
+    def test_rerun_from_echo_is_identical(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        cfg = self._cfg(tmp_path, 1000, variant="sigmoid", alpha=0.3,
+                        **{"class": {"d_b": 50, "d_t": 40, "w_b": 2.0, "w_t": 2.0}})
+        assert main(["bound", "--config", cfg, "--out-dir", str(out1)]) == 0
+        echo = out1 / "effective-config-bound.json"
+        assert main(["bound", "--config", str(echo), "--out-dir", str(out2)]) == 0
+        first, second = (json.loads((d / "bound-report.json").read_text()) for d in (out1, out2))
+        assert first == second and first["report"]["which_theorem"] == "sigmoid"
+
 
 class TestVerify:
     def test_default_run_passes(self, tmp_path, capsys):
@@ -398,6 +498,16 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 2
         assert f"gradient_models must be >= 1, got {count}" in capsys.readouterr().err
         assert not (out / "verify-report.json").exists()
+
+    def test_rerun_from_echo_is_identical(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "v.json", {"gradient_models": 1, "perturbation_trials": 50,
+                                           "cover_probes": 200, "hoeffding_trials": 200})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["verify", "--config", cfg, "--seed", "3", "--out-dir", str(out1)]) == 0
+        echo = out1 / "effective-config-verify.json"
+        assert main(["verify", "--config", str(echo), "--out-dir", str(out2)]) == 0
+        report = "verify-report.json"
+        assert (out1 / report).read_bytes() == (out2 / report).read_bytes()
 
     def test_report_bytes_are_golden(self, tmp_path, capsys):
         # 1,500 perturbation trials span two stacked chunks and 2,000

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import math
 import re
 
@@ -582,6 +583,21 @@ class TestCsvRoundTrip:
         p.write_text("s_0,p_0,y\n1.0,2.0,3.0\n")
         (tmp_path / "d.csv.meta.json").write_text(sidecar)
         with pytest.raises(FormatError, match=f"sidecar .*d.csv.meta.json {message}"):
+            read_dataset_csv(p)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda meta: meta.update(labels="y"), "labels"),
+        (lambda meta: meta.pop("B"), "B"),
+        (lambda meta: meta.update(s=[[1.0]]), "s"),
+    ])
+    def test_sidecar_with_a_bad_key_rejected(self, tmp_path, edit, key):
+        p = tmp_path / "d.csv"
+        write_dataset_csv(Dataset(s=[[1.0]], p=[[2.0]], y=[0.5], B=1.0, sensor_grid=[0.0]), p)
+        sidecar = tmp_path / "d.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=f"^sidecar {re.escape(str(sidecar))} .*'{key}'"):
             read_dataset_csv(p)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -573,22 +574,32 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit, message", [
         (lambda c: c.update(branch=1, trunk=1), "malformed branch: "),
         (lambda c: c["trunk"].update(spec=[2, 3]), "malformed trunk: "),
-        (lambda c: c["branch"]["spec"].pop("layer_dims"), "branch has no 'layer_dims'"),
+        (lambda c: c["branch"]["spec"].pop("layer_dims"), "malformed branch: .*'layer_dims'"),
         (lambda c: c["trunk"].pop("spec"), "trunk has no 'spec'"),
         (lambda c: c["trunk"].pop("flat"), "trunk has no 'flat'"),
         (lambda c: c["branch"]["spec"].update(layer_dims=4), "malformed branch: "),
         (lambda c: c["trunk"].update(flat="abc"), "malformed trunk: "),
         (lambda c: c["trunk"]["flat"].pop(), "malformed trunk: flat vector has length"),
+        (lambda c: c["trunk"]["spec"].update(widths=[3]), "malformed trunk: .*'widths'"),
+        (lambda c: c.update(adam_branch=1), "malformed adam_branch: "),
+        (lambda c: c["adam_trunk"].pop("v"), "malformed adam_trunk: .*'v'"),
+        (lambda c: c["adam_branch"].update(momentum=0.5), "malformed adam_branch: .*'momentum'"),
+        (lambda c: c["adam_branch"].update(m=[1.0]), "malformed adam_branch: m and v must"),
+        (lambda c: c.update(epoch="x"), "epoch must be an int >= 0, got 'x'"),
+        (lambda c: c.update(epoch=-1), "epoch must be an int >= 0, got -1"),
+        (lambda c: c.update(epoch=2.5), "epoch must be an int >= 0, got 2.5"),
     ])
     def test_reject_malformed_net(self, rng, tmp_path, edit, message):
         p = tmp_path / "x.json"
-        save_checkpoint(random_model(rng), p)
+        model = random_model(rng)
+        save_checkpoint(model, p, adam_branch=nn.adam_init(model.branch.flat.size),
+                        adam_trunk=nn.adam_init(model.trunk.flat.size), epoch=3)
         payload = json.loads(p.read_text())
         edit(payload)
         p.write_text(json.dumps(payload))
         with pytest.raises(InputError) as info:
             load_checkpoint(p)
-        assert str(info.value).startswith(f"checkpoint {p}: {message}")
+        assert re.match(f"checkpoint {re.escape(str(p))}: {message}", str(info.value))
 
 
 @given(st.integers(0, 2**31 - 1))
