@@ -43,19 +43,19 @@ class GrfConfig:
         self.grid = np.asarray(self.grid, dtype=np.float64)
         if self.grid.ndim != 1 or self.grid.size < 1:
             raise ConfigurationError("grid must be a non-empty 1-d vector")
-        if np.any(np.diff(self.grid) <= 0):
+        if not np.all(np.diff(self.grid) > 0):
             raise ConfigurationError("grid must be strictly increasing")
-        if self.grid[0] < 0.0 or self.grid[-1] > 1.0:
+        if not (self.grid[0] >= 0.0 and self.grid[-1] <= 1.0):
             raise ConfigurationError("grid must lie in [0, 1]")
-        if self.length_scale <= 0:
+        if not self.length_scale > 0:
             raise ConfigurationError("length_scale must be > 0")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ConfigurationError("jitter must be >= 0")
 
 
 def kernel_matrix(grid: np.ndarray, l: float) -> np.ndarray:
     """RBF kernel matrix of a 1-d grid: entry (i, j) is exp(-|g_i - g_j|^2 / (2 l^2))."""
-    if l <= 0:
+    if not l > 0:
         raise InputError("length scale must be > 0")
     g = np.asarray(grid, dtype=np.float64)
     d = g[:, None] - g[None, :]
@@ -97,7 +97,7 @@ class AdrConfig:
     nt: int = 101
 
     def __post_init__(self):
-        if self.D < 0:
+        if not self.D >= 0:
             raise ConfigurationError("diffusion coefficient must be >= 0")
         if self.nx < 3 or self.nt < 3:
             raise ConfigurationError("nx and nt must be >= 3")

@@ -8,7 +8,7 @@ calls with the same inputs are bit-identical.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def _scale_by_deriv_(delta: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
     delta is overwritten.
     """
     if name == "relu":
-        delta *= a > 0
+        np.multiply(delta, a > 0, out=delta, dtype=np.float64)
     elif name == "tanh":
         delta *= 1.0 - a * a
     elif name == "sigmoid":
@@ -177,7 +177,8 @@ def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None):
     one-net pass, and every stacked slice equals it bit for bit.
 
     Every layer computes into a fresh buffer z, so x is never modified and
-    only the current layer is held when acts is None.
+    only the current layer is held when acts is None. z takes a C-ordered
+    copy of the transposed weights: faster in BLAS than the view, same bits.
     """
     lead = flat.shape[:-1]
     last = spec.depth - 1
@@ -187,7 +188,7 @@ def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None):
             acts.append(a)
         w = flat[..., w_sl].reshape(lead + (n_out, n_in))
         b = flat[..., b_sl]
-        z = a @ w.swapaxes(-1, -2)
+        z = a @ np.ascontiguousarray(w.swapaxes(-1, -2))
         z += b[..., None, :]
         a = _activate_(z, spec.output_activation if i == last else spec.hidden_activation)
     return a
@@ -222,7 +223,7 @@ def value_and_vjp(params: MlpParams, x: np.ndarray):
         for i in range(len(slices) - 1, -1, -1):
             w_sl, b_sl, n_out, n_in = slices[i]
             np.matmul(delta.T, acts[i], out=grad[w_sl].reshape(n_out, n_in))
-            grad[b_sl] = delta.sum(axis=0)
+            np.einsum("ij->j", delta, out=grad[b_sl])
             if i > 0:
                 # acts[i] is the activated output of layer i-1
                 w = params.flat[w_sl].reshape(n_out, n_in)
@@ -278,8 +279,8 @@ class AdamState:
         self.v = np.asarray(self.v, dtype=np.float64)
         if self.m.shape != self.v.shape:
             raise InputError("m and v must have the same shape")
-        if self.t < 0:
-            raise InputError("step counter must be >= 0")
+        if type(self.t) is not int or self.t < 0:
+            raise InputError(f"step counter t must be an int >= 0, got {self.t!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -324,8 +325,4 @@ def adam_step(
     new_flat += state.eps
     np.divide(work, new_flat, out=new_flat)
     np.subtract(params.flat, new_flat, out=new_flat)
-    new_state = AdamState(
-        m=m, v=v, t=t, lr=state.lr, beta1=state.beta1,
-        beta2=state.beta2, eps=state.eps,
-    )
-    return new_state, MlpParams(params.spec, new_flat)
+    return replace(state, m=m, v=v, t=t), MlpParams(params.spec, new_flat)

@@ -47,8 +47,8 @@ class ExperimentPlan:
     batch_size: int = 256
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     adr: AdrConfig = field(default_factory=AdrConfig)
-    grf_length_scale: float = 1e-3
-    grf_jitter: float = 1e-10
+    grf_length_scale: float = GrfConfig.length_scale
+    grf_jitter: float = GrfConfig.jitter
     noise_std: float = 0.0
     points_per_function: int = 100
     hidden_activation: str = "relu"

@@ -122,6 +122,18 @@ class TestGenData:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, message", [
+        ({"grf": {"length_scale": math.nan}}, "length_scale must be > 0"),
+        ({"grf": {"length_scale": 0.05, "jitter": math.nan}}, "jitter must be >= 0"),
+        ({"adr": {"D": math.nan, "nx": 21, "nt": 21}}, "diffusion coefficient must be >= 0"),
+    ])
+    def test_nan_in_grf_or_adr_exits_two(self, tmp_path, capsys, section, message):
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", _gen_data_config(tmp_path, **section),
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pendulum_forcing_scale_is_passed_through(self, tmp_path):
         cfg = _write(tmp_path / "p.json", {
             "kind": "pendulum", "sensor_count": 5, "num_functions": 3,

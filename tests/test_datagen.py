@@ -55,8 +55,9 @@ class TestRbfKernel:
             assert a > 0.0
 
     def test_nonpositive_length_scale_rejected(self):
-        with pytest.raises(InputError):
-            kernel_matrix(np.array([0.0, 1.0]), 0.0)
+        for l in (0.0, math.nan):
+            with pytest.raises(InputError):
+                kernel_matrix(np.array([0.0, 1.0]), l)
 
 
 class TestGrf:
@@ -67,6 +68,13 @@ class TestGrf:
             GrfConfig(grid=np.array([0.0, 2.0]), length_scale=0.1)
         with pytest.raises(ConfigurationError):
             GrfConfig(grid=np.linspace(0, 1, 5), length_scale=-1.0)
+        for grid in ([0.0, math.nan, 1.0], [math.nan]):
+            with pytest.raises(ConfigurationError, match="grid must"):
+                GrfConfig(grid=np.array(grid), length_scale=0.1)
+        with pytest.raises(ConfigurationError, match="length_scale must be > 0"):
+            GrfConfig(grid=np.linspace(0, 1, 5), length_scale=math.nan)
+        with pytest.raises(ConfigurationError, match="jitter must be >= 0"):
+            GrfConfig(grid=np.linspace(0, 1, 5), jitter=math.nan)
 
     def test_deterministic_in_seed(self):
         cfg = GrfConfig(grid=np.linspace(0, 1, 12), length_scale=0.1)
@@ -209,6 +217,11 @@ class TestAdrSolver:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
             solve_adr(np.zeros(7), AdrConfig(nx=21, nt=21))
+
+    @pytest.mark.parametrize("D", [-0.01, math.nan])
+    def test_negative_or_nan_diffusion_rejected(self, D):
+        with pytest.raises(ConfigurationError, match="diffusion coefficient must be >= 0"):
+            AdrConfig(D=D)
 
 
 class TestPendulum:

@@ -585,6 +585,10 @@ class TestCheckpoint:
         (lambda c: c["adam_trunk"].pop("v"), "malformed adam_trunk: .*'v'"),
         (lambda c: c["adam_branch"].update(momentum=0.5), "malformed adam_branch: .*'momentum'"),
         (lambda c: c["adam_branch"].update(m=[1.0]), "malformed adam_branch: m and v must"),
+        (lambda c: c["adam_branch"].update(t=2.5),
+         "malformed adam_branch: step counter t must be an int >= 0, got 2.5"),
+        (lambda c: c["adam_trunk"].update(t=True),
+         "malformed adam_trunk: step counter t must be an int >= 0, got True"),
         (lambda c: c.update(epoch="x"), "epoch must be an int >= 0, got 'x'"),
         (lambda c: c.update(epoch=-1), "epoch must be an int >= 0, got -1"),
         (lambda c: c.update(epoch=2.5), "epoch must be an int >= 0, got 2.5"),

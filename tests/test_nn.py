@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from donlab import gradcheck, nn
 from donlab.errors import ConfigurationError, InputError
+from donlab.scaling import size_architecture
 
 from conftest import random_params
 
@@ -281,6 +282,80 @@ def test_sigmoid_equals_masked_form_bit_for_bit(rng):
         assert np.array_equal(x.view(np.int64), x_before.view(np.int64))
 
 
+def _view_forward(spec, flat, x, acts):
+    """nn._forward with each layer on the transposed view of its weight
+    block: the reference that the C-ordered layout must match bit for bit."""
+    lead = flat.shape[:-1]
+    a = x
+    for i, (w_sl, b_sl, n_out, n_in) in enumerate(nn._layer_slices(spec)):
+        acts.append(a)
+        z = a @ flat[..., w_sl].reshape(lead + (n_out, n_in)).swapaxes(-1, -2)
+        z += flat[..., b_sl][..., None, :]
+        last = i == spec.depth - 1
+        a = nn._activate_(z, spec.output_activation if last else spec.hidden_activation)
+    return a
+
+
+def _view_vjp(params, x, g):
+    """Reverse mode with row sums by ndarray.sum and the relu mask by *=."""
+    spec, acts = params.spec, []
+    out = _view_forward(spec, params.flat, x, acts)
+
+    def scale(delta, a, name):
+        if name == "relu":
+            delta *= a > 0
+        elif name == "tanh":
+            delta *= 1.0 - a * a
+        elif name == "sigmoid":
+            delta *= a * (1.0 - a)
+        return delta
+
+    delta = scale(g.copy(), out, spec.output_activation)
+    grad = np.empty_like(params.flat)
+    slices = nn._layer_slices(spec)
+    for i in range(len(slices) - 1, -1, -1):
+        w_sl, b_sl, n_out, n_in = slices[i]
+        np.matmul(delta.T, acts[i], out=grad[w_sl].reshape(n_out, n_in))
+        grad[b_sl] = delta.sum(axis=0)
+        if i > 0:
+            w = params.flat[w_sl].reshape(n_out, n_in)
+            delta = scale(delta @ w, acts[i], spec.hidden_activation)
+    return out, grad
+
+
+# criterion 11's nets (target 8000 parameters, depth 5) at each of its q
+CRITERION_11_SPECS = [
+    nn.MlpSpec((n_in,) + (size_architecture(8000, q),) * 4 + (q,),
+               hidden_activation="relu", output_activation="tanh")
+    for q in (4, 8, 16) for n_in in (40, 2)
+]
+LAYOUT_CAUSE = ("this BLAS gives different bits for a C-ordered weight copy than for "
+                "the transposed view; nn._forward's layout moves the golden hashes too")
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("spec", CRITERION_11_SPECS, ids=lambda s: str(s.layer_dims))
+@pytest.mark.parametrize("rows", [256, 128, 8092])
+def test_c_ordered_layout_equals_transposed_view_bit_for_bit(rng, spec, rows):
+    # 256 is a training batch, 128 the epoch tail at n = 16000, 8092 a risk pass
+    params = nn.init_mlp(spec, rng.integers(2**31))
+    params.flat[:] += rng.normal(0.0, 0.1, params.flat.size)  # nonzero biases too
+    x = rng.uniform(-1, 1, (rows, spec.in_dim))
+    g = rng.normal(0.0, 1.0, (rows, spec.out_dim))
+    want_out, want_grad = _view_vjp(params, x, g)
+    out, vjp = nn.value_and_vjp(params, x)
+    assert _bits_equal(nn.forward_batch(params, x), want_out), LAYOUT_CAUSE
+    assert _bits_equal(out, want_out), LAYOUT_CAUSE
+    assert _bits_equal(vjp(g), want_grad), LAYOUT_CAUSE
+    for lead in ((3,), (2, 4)):
+        flats = params.flat + rng.normal(0.0, 0.05, lead + params.flat.shape)
+        want = _view_forward(spec, flats, x, [])
+        assert _bits_equal(nn._forward(spec, flats, x, None), want), LAYOUT_CAUSE
+
+
 class TestAdam:
     def test_zero_grads_are_a_fixed_point(self):
         spec = nn.MlpSpec((2, 2))
@@ -322,8 +397,9 @@ class TestAdam:
     def test_state_invariants(self):
         with pytest.raises(InputError):
             nn.AdamState(m=np.zeros(2), v=np.zeros(3))
-        with pytest.raises(InputError):
-            nn.AdamState(m=np.zeros(2), v=np.zeros(2), t=-1)
+        for t in (-1, 2.5, True, np.int64(2), "3"):
+            with pytest.raises(InputError, match="step counter t must be an int >= 0"):
+                nn.AdamState(m=np.zeros(2), v=np.zeros(2), t=t)
 
     def test_length_mismatch_rejected(self):
         params = nn.init_mlp(nn.MlpSpec((2, 2)), 0)
