@@ -6,6 +6,11 @@ effective config into that directory so a run can be reproduced
 bit-exactly from the echo. All but bound take --seed, which overrides the
 config seed; experiment alone takes --threads, its parallel training cells.
 
+A subcommand's config keys are the keyword-only parameters of its _cmd_*
+function, with their defaults (bound and experiment pass theirs on to the
+dataclasses that own them). main calls it as func(args, cfg, **cfg), so an
+unknown or missing key is a TypeError that names the key (exit 2).
+
 Exit codes: 0 success, 1 verification or experiment failure, 2 usage or
 config error.
 """
@@ -51,40 +56,25 @@ def _echo_config(cfg: dict, out_dir: Path, subcommand: str) -> None:
                       json.dumps(cfg, indent=1, sort_keys=True))
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    cfg = dict(cfg)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------
 
-def _cmd_gen_data(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+def _cmd_gen_data(args, cfg, /, *, kind="adr", seed=0, out_name="dataset", sensor_count=40,
+                  num_functions=10, points_per_function=100, noise_std=0.0, adr={},
+                  pendulum={}, grf={}) -> int:
     out_dir = Path(args.out_dir)
-    kind = cfg.get("kind", "adr")
-    seed = int(cfg.get("seed", 0))
-    out_name = cfg.get("out_name", "dataset")
-    grf_kw = cfg.get("grf", {})
-    common = dict(
-        sensor_count=int(cfg.get("sensor_count", 40)),
-        num_functions=int(cfg.get("num_functions", 10)),
-        points_per_function=int(cfg.get("points_per_function", 100)),
-        noise_std=float(cfg.get("noise_std", 0.0)),
-        seed=seed,
-    )
+    common = dict(sensor_count=sensor_count, num_functions=num_functions,
+                  points_per_function=points_per_function, noise_std=noise_std, seed=seed)
     if kind == "adr":
-        adr = datagen.AdrConfig(**cfg.get("adr", {}))
-        grf = datagen.GrfConfig(grid=adr.x_grid, **grf_kw)
-        ds = datagen.build_adr_dataset(grf=grf, adr=adr, **common)
+        solver = datagen.AdrConfig(**adr)
+        field = datagen.GrfConfig(grid=solver.x_grid, **grf)
+        ds = datagen.build_adr_dataset(grf=field, adr=solver, **common)
     elif kind == "pendulum":
-        pend = dict(cfg.get("pendulum", {}))
+        pend = dict(pendulum)
         pend_k, nt = pend.pop("k", 1.0), pend.pop("nt", 101)
-        grf = datagen.GrfConfig(grid=np.linspace(0.0, 1.0, nt), **grf_kw)
-        ds = datagen.build_pendulum_dataset(grf=grf, pend_k=pend_k, **pend, **common)
+        field = datagen.GrfConfig(grid=np.linspace(0.0, 1.0, nt), **grf)
+        ds = datagen.build_pendulum_dataset(grf=field, pend_k=pend_k, **pend, **common)
     else:
         raise InputError(f"unknown dataset kind {kind!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -99,37 +89,27 @@ def _cmd_gen_data(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _cmd_train(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+def _cmd_train(args, cfg, /, *, dataset, seed=0, epochs=1, batch_size=256, lr=0.001,
+               out_name="run", resume_from=None, weight_ball=None, q=8, width=16, depth=3,
+               hidden_activation="relu", output_activation="tanh", init_scheme="he") -> int:
     out_dir = Path(args.out_dir)
-    dataset = datagen.read_dataset_csv(cfg["dataset"])
-    seed = int(cfg.get("seed", 0))
-    epochs = int(cfg.get("epochs", 1))
-    batch_size = int(cfg.get("batch_size", 256))
-    lr = float(cfg.get("lr", 0.001))
-    out_name = cfg.get("out_name", "run")
-
-    resume_from = cfg.get("resume_from")
+    data = datagen.read_dataset_csv(dataset)
     if resume_from:
         model, adam_b, adam_t, start_epoch, _ = load_checkpoint(resume_from)
-        if model.branch.spec.in_dim != dataset.m or model.trunk.spec.in_dim != dataset.d2:
+        if model.branch.spec.in_dim != data.m or model.trunk.spec.in_dim != data.d2:
             raise InputError("checkpoint input dims do not match the dataset")
     else:
         model = init_model(
-            dataset.m, dataset.d2, int(cfg.get("q", 8)), int(cfg.get("width", 16)),
-            int(cfg.get("depth", 3)), seed,
-            hidden_activation=cfg.get("hidden_activation", "relu"),
-            output_activation=cfg.get("output_activation", "tanh"),
-            init_scheme=cfg.get("init_scheme", "he"),
+            data.m, data.d2, q, width, depth, seed, hidden_activation=hidden_activation,
+            output_activation=output_activation, init_scheme=init_scheme,
         )
         adam_b = adam_t = None
         start_epoch = 0
 
-    weight_ball = cfg.get("weight_ball")
     model, adam_b, adam_t, curve = scaling.train_deeponet(
-        model, dataset, epochs, batch_size, seed=seed, lr=lr,
+        model, data, epochs, batch_size, seed=seed, lr=lr,
         adam_branch=adam_b, adam_trunk=adam_t, start_epoch=start_epoch,
-        weight_ball=float(weight_ball) if weight_ball is not None else None,
+        weight_ball=weight_ball,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / f"{out_name}.checkpoint.json"
@@ -155,10 +135,8 @@ def _cmd_train(args) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-def _cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seeds"] = [args.seed]
+def _cmd_experiment(args, cfg, /, **_) -> int:
+    # ExperimentPlan.from_dict checks the keys
     out_dir = Path(args.out_dir)
     plan = scaling.ExperimentPlan.from_dict(cfg)
     cells = scaling.plan_cells(plan)
@@ -197,13 +175,10 @@ def _cmd_experiment(args) -> int:
 # bound
 # ---------------------------------------------------------------------------
 
-def _cmd_bound(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_bound(args, cfg, /, *, variant="general", **rest) -> int:
     out_dir = Path(args.out_dir)
-    variant = cfg.get("variant", "general")
-    rest = {k: v for k, v in cfg.items() if k not in ("variant", "class")}
-    inputs = bounds.BoundInputs(
-        **rest, fclass=bounds.FunctionClassSpec(**cfg.get("class", {})))
+    fclass = bounds.FunctionClassSpec(**rest.pop("class", {}))
+    inputs = bounds.BoundInputs(**rest, fclass=fclass)
     if variant == "general":
         report = bounds.q_lower_bound_general(inputs)
     elif variant == "sigmoid":
@@ -236,14 +211,12 @@ def _toy_model_and_data(seed: int):
     return model, ds
 
 
-def _cmd_verify(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config) if args.config else {}, args)
+def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=200,
+                cover_probes=10000, hoeffding_trials=20000) -> int:
     out_dir = Path(args.out_dir)
-    seed = int(cfg.get("seed", 0))
     checks = []
 
     # 1) exact gradients vs central finite differences
-    gradient_models = int(cfg.get("gradient_models", 5))
     if gradient_models < 1:
         raise InputError(f"gradient_models must be >= 1, got {gradient_models}")
     worst = 0.0
@@ -271,7 +244,7 @@ def _cmd_verify(args) -> int:
     model, ds = _toy_model_and_data(seed)
     rep = bounds.verify_perturbation(
         model, theta=0.05, dataset=ds,
-        trials=int(cfg.get("perturbation_trials", 200)), seed=[seed, 13],
+        trials=perturbation_trials, seed=[seed, 13],
     )
     checks.append({
         "name": "perturbation_bound",
@@ -282,7 +255,7 @@ def _cmd_verify(args) -> int:
 
     # 3) constructive covering of the weight ball
     cover_ok = all(
-        bounds.verify_cover_bruteforce(d, 1.0, theta, int(cfg.get("cover_probes", 10000)),
+        bounds.verify_cover_bruteforce(d, 1.0, theta, cover_probes,
                                        seed=[seed, d, int(theta * 100)])
         for d in (1, 2)
         for theta in (0.25, 0.5)
@@ -296,7 +269,7 @@ def _cmd_verify(args) -> int:
 
     # 4) mean-deviation tail vs its exponential bound
     hrep = bounds.hoeffding_mc_check(
-        0.0, 1.0, 100, 0.2, int(cfg.get("hoeffding_trials", 20000)), seed=[seed, 17]
+        0.0, 1.0, 100, 0.2, hoeffding_trials, seed=[seed, 17]
     )
     checks.append({
         "name": "hoeffding_tail",
@@ -375,7 +348,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.func(args)
+        cfg = _load_config(args.config) if args.config else {}
+        seed = getattr(args, "seed", None)
+        if seed is not None and args.command == "experiment":
+            cfg["seeds"] = [seed]
+        elif seed is not None:
+            cfg["seed"] = seed
+        return args.func(args, cfg, **cfg)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         # covers ConfigurationError / InputError / FormatError plus plain
         # malformed-config failures

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,8 +98,11 @@ class AdrConfig:
     nt: int = 101
 
     def __post_init__(self):
-        if not self.D >= 0:
-            raise ConfigurationError("diffusion coefficient must be >= 0")
+        if not 0 <= self.D < math.inf:
+            raise ConfigurationError(
+                f"diffusion coefficient must be >= 0 and finite, got {self.D}")
+        if not math.isfinite(self.k):
+            raise ConfigurationError(f"ADR reaction rate k must be finite, got {self.k}")
         if self.nx < 3 or self.nt < 3:
             raise ConfigurationError("nx and nt must be >= 3")
 
@@ -254,8 +258,8 @@ def _assemble(grf, grids, solve, sensor_count, num_functions, points_per_functio
     batches: ``solve(fs, fn, *nodes)`` gives every query row r its noise-free
     label, the solution for source fs[fn[r]] at node indices nodes[.][r].
     """
-    if noise_std < 0:
-        raise ConfigurationError("noise_std must be >= 0")
+    if not 0 <= noise_std < math.inf:
+        raise ConfigurationError(f"noise_std must be >= 0 and finite, got {noise_std}")
     if num_functions < 1 or points_per_function < 1:
         raise ConfigurationError("num_functions and points_per_function must be >= 1")
     idx = sensor_indices(grids[0].size, sensor_count)
@@ -327,6 +331,9 @@ def build_pendulum_dataset(
     (scale 0 gives the unforced pendulum); labels come from the RK4
     integration at uniformly sampled grid times.
     """
+    for name, value in (("k", pend_k), ("y0", y0), ("v0", v0), ("forcing_scale", forcing_scale)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"pendulum {name} must be finite, got {value}")
     t_grid = grf.grid
     nt = t_grid.size
     if nt < 2:

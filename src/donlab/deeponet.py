@@ -98,8 +98,8 @@ class Dataset:
             raise InputError("s, p, y row counts disagree")
         if self.sensor_grid.shape[0] != self.s.shape[1]:
             raise InputError("sensor grid length != sensor count m")
-        if self.noise_std < 0:
-            raise InputError("noise_std must be >= 0")
+        if not self.noise_std >= 0:
+            raise InputError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.y.size and np.max(np.abs(self.y)) > self.B:
             raise InputError("label bound B violated: max|y| > B")
 

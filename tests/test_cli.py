@@ -52,6 +52,20 @@ class TestUsageErrors:
                      {"dataset": str(tmp_path / "missing.csv"), "epochs": 1})
         assert main(["train", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("gen-data", {"kinds": "adr"}, "unexpected keyword argument 'kinds'"),
+        ("train", {"dataset": "d.csv", "epoch": 5, "widht": 64},
+         "unexpected keyword argument 'epoch'"),
+        ("verify", {"perturbation_trial": 5}, "unexpected keyword argument 'perturbation_trial'"),
+        ("verify", {"args": 1}, "positional-only arguments passed as keyword arguments: 'args'"),
+    ])
+    def test_misspelled_top_level_key_exits_two(self, tmp_path, capsys, command, cfg, message):
+        out = tmp_path / "out"
+        assert main([command, "--config", _write(tmp_path / "c.json", cfg),
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("bound", "--seed"), ("gen-data", "--threads"), ("train", "--threads"),
         ("bound", "--threads"), ("verify", "--threads"),
@@ -126,6 +140,18 @@ class TestGenData:
         ({"grf": {"length_scale": math.nan}}, "length_scale must be > 0"),
         ({"grf": {"length_scale": 0.05, "jitter": math.nan}}, "jitter must be >= 0"),
         ({"adr": {"D": math.nan, "nx": 21, "nt": 21}}, "diffusion coefficient must be >= 0"),
+        ({"adr": {"D": math.inf, "nx": 21, "nt": 21}}, "diffusion coefficient must be >= 0"),
+        ({"adr": {"k": math.nan, "nx": 21, "nt": 21}}, "ADR reaction rate k must be finite"),
+        ({"noise_std": math.nan}, "noise_std must be >= 0 and finite, got nan"),
+        ({"noise_std": math.inf}, "noise_std must be >= 0 and finite, got inf"),
+        ({"kind": "pendulum", "pendulum": {"k": math.nan, "nt": 21}},
+         "pendulum k must be finite, got nan"),
+        ({"kind": "pendulum", "pendulum": {"y0": math.inf, "nt": 21}},
+         "pendulum y0 must be finite, got inf"),
+        ({"kind": "pendulum", "pendulum": {"v0": -math.inf, "nt": 21}},
+         "pendulum v0 must be finite, got -inf"),
+        ({"kind": "pendulum", "pendulum": {"forcing_scale": math.nan, "nt": 21}},
+         "pendulum forcing_scale must be finite, got nan"),
     ])
     def test_nan_in_grf_or_adr_exits_two(self, tmp_path, capsys, section, message):
         out = tmp_path / "out"
@@ -217,6 +243,7 @@ class TestTrain:
     @pytest.mark.parametrize("key, value, message", [
         ("epochs", -2, "epochs must be >= 0, got -2"),
         ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("epochs", 2.0, "'float' object cannot be interpreted as an integer"),
     ])
     def test_bad_epochs_or_batch_size_exit_two(self, tmp_path, dataset_csv, capsys,
                                                key, value, message):
@@ -335,7 +362,7 @@ class TestExperiment:
             w = size_architecture(700, q, 3, 10, 2)
             cols = line.split()
             assert [int(cols[0]), int(cols[1]), int(cols[2])] == [q, n, w]
-        assert not (tmp_path / "o" / "curves.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_full_run_emits_outputs_and_verdict(self, tmp_path, capsys):
         cfg = self._plan_cfg(tmp_path)

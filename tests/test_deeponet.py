@@ -235,6 +235,13 @@ class TestStackedRisks:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("noise_std", [-0.1, math.nan])
+def test_dataset_rejects_negative_or_nan_noise_std(noise_std):
+    with pytest.raises(InputError, match=f"noise_std must be >= 0, got {noise_std}"):
+        Dataset(s=np.zeros((2, 3)), p=np.zeros((2, 1)), y=np.zeros(2), B=0.0,
+                sensor_grid=np.zeros(3), noise_std=noise_std)
+
+
 def test_stack_size_shrinks_for_large_datasets(rng):
     model = random_model(rng, m=3, width=4)
     assert deeponet._stack_size(model, 8) == deeponet._STACK_VECTORS
