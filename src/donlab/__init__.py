@@ -21,7 +21,6 @@ from .bounds import (
 from .datagen import (
     AdrConfig,
     GrfConfig,
-    PdeSolution,
     build_adr_dataset,
     build_pendulum_dataset,
     read_dataset_csv,

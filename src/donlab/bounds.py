@@ -38,8 +38,7 @@ class FunctionClassSpec:
     """Capacity description of the branch/trunk classes.
 
     d_b, d_t are parameter counts; w_b, w_t the 2-norm weight bounds;
-    c the sup-norm output bound; q the common output dimension. The
-    input-Lipschitz constants l_b, l_t are carried as metadata only.
+    c the sup-norm output bound; q the common output dimension.
     """
 
     d_b: int
@@ -48,8 +47,6 @@ class FunctionClassSpec:
     w_t: float
     q: int = 1
     c: float = 1.0
-    l_b: float | None = None
-    l_t: float | None = None
 
     def __post_init__(self):
         # written so that NaN fails each check

@@ -146,7 +146,7 @@ def _cmd_experiment(args, cfg, /, **_) -> int:
     if args.dry_run:
         return 0
     t0 = time.perf_counter()
-    suite = scaling.run_suite(plan, max_workers=max(1, args.threads))
+    suite = scaling.run_suite(plan, max_workers=args.threads)
     verdict = scaling.check_monotonic(suite)
     curves, summary = scaling.emit_plot_data(suite, out_dir)
     payload = {
@@ -224,9 +224,6 @@ def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=
         model, ds = _toy_model_and_data(seed + rep)
         batch = ds.take(np.arange(8))
         gb, gt, _ = loss_grads(model, batch)
-        if args.inject_gradient_bug:
-            gb = gb.copy()
-            gb[0] += 1e-3
         fb, ft = gradcheck.fd_loss_grads(model, batch)
         worst = max(
             worst,
@@ -335,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the built-in verification checks")
     common(p, config_required=False)
-    p.add_argument("--inject-gradient-bug", action="store_true",
-                   help="test hook: corrupt one gradient component")
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -48,10 +48,11 @@ class GrfConfig:
             raise ConfigurationError("grid must be strictly increasing")
         if not (self.grid[0] >= 0.0 and self.grid[-1] <= 1.0):
             raise ConfigurationError("grid must lie in [0, 1]")
-        if not self.length_scale > 0:
-            raise ConfigurationError("length_scale must be > 0")
-        if not self.jitter >= 0:
-            raise ConfigurationError("jitter must be >= 0")
+        if not 0 < self.length_scale < math.inf:
+            raise ConfigurationError(
+                f"length_scale must be > 0 and finite, got {self.length_scale}")
+        if not 0 <= self.jitter < math.inf:
+            raise ConfigurationError(f"jitter must be >= 0 and finite, got {self.jitter}")
 
 
 def kernel_matrix(grid: np.ndarray, l: float) -> np.ndarray:
@@ -115,18 +116,9 @@ class AdrConfig:
         return np.linspace(0.0, 1.0, self.nt)
 
 
-@dataclass
-class PdeSolution:
-    """Solution array u (nx, nt) with its grids and the source vector f."""
-
-    u: np.ndarray
-    x_grid: np.ndarray
-    t_grid: np.ndarray
-    f: np.ndarray
-
-
-def solve_adr(f: np.ndarray, config: AdrConfig) -> PdeSolution:
-    """Second-order solve with zero initial data and zero Dirichlet walls.
+def solve_adr(f: np.ndarray, config: AdrConfig) -> np.ndarray:
+    """u on the (nx, nt) grid: a second-order solve with zero initial data
+    and zero Dirichlet walls.
 
     Diffusion is treated by Crank-Nicolson, the reaction + source by an
     explicit trapezoidal (Heun) predictor-corrector, with one tridiagonal
@@ -136,8 +128,7 @@ def solve_adr(f: np.ndarray, config: AdrConfig) -> PdeSolution:
     if f.shape != (config.nx,):
         raise InputError(f"f must have shape ({config.nx},), got {f.shape}")
     jx, jt = np.divmod(np.arange(config.nx * config.nt), config.nt)
-    u = _adr_at(config, f[None, :], np.zeros_like(jx), jx, jt).reshape(config.nx, config.nt)
-    return PdeSolution(u=u, x_grid=config.x_grid, t_grid=config.t_grid, f=f)
+    return _adr_at(config, f[None, :], np.zeros_like(jx), jx, jt).reshape(config.nx, config.nt)
 
 
 def _rows_by_step(jt: np.ndarray, nt: int) -> list[np.ndarray]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,16 +117,7 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         """Row subset sharing the metadata (B stays the original bound)."""
-        return Dataset(
-            s=self.s[indices],
-            p=self.p[indices],
-            y=self.y[indices],
-            B=self.B,
-            sensor_grid=self.sensor_grid,
-            noise_std=self.noise_std,
-            seed=self.seed,
-            generator=self.generator,
-        )
+        return replace(self, s=self.s[indices], p=self.p[indices], y=self.y[indices])
 
 
 def don_forward_batch(model: DeepONetModel, s: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -171,9 +162,7 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Every stacked or Monte Carlo pass of donlab verify works on at most
-# _WORKING_SET floats at a time (512 KiB, which fits in L2); a stacked risk
-# pass also takes _STACK_VECTORS parameter vectors at most.
-_STACK_VECTORS = 1024
+# _WORKING_SET floats at a time (512 KiB, which fits in L2).
 _WORKING_SET = 1 << 16
 
 
@@ -188,7 +177,7 @@ def _stack_size(model: DeepONetModel, rows: int) -> int:
     """
     widest = max(model.branch.spec.layer_dims + model.trunk.spec.layer_dims)
     vector = max(model.branch.flat.size, model.trunk.flat.size)
-    return max(1, min(_STACK_VECTORS, _WORKING_SET // (rows * widest + vector)))
+    return max(1, _WORKING_SET // (rows * widest + vector))
 
 
 class _RiskEvaluator:

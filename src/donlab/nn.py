@@ -8,6 +8,7 @@ calls with the same inputs are bit-identical.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -233,16 +234,6 @@ def value_and_vjp(params: MlpParams, x: np.ndarray):
     return out, vjp
 
 
-def backward_batch(
-    params: MlpParams, x: np.ndarray, out_grads: np.ndarray
-) -> np.ndarray:
-    """Gradient of sum_i <out_grads[i], forward_batch(params, x)[i]> w.r.t. flat.
-
-    Exact reverse-mode differentiation; shapes (n, in_dim) and (n, out_dim).
-    """
-    return value_and_vjp(params, x)[1](out_grads)
-
-
 def param_l2_norm(params: MlpParams) -> float:
     """Euclidean norm of the flat parameter vector."""
     return float(np.linalg.norm(params.flat))
@@ -254,8 +245,8 @@ def project_to_ball(params: MlpParams, radius: float) -> MlpParams:
     A no-op (same values) when the vector is already inside the ball; used
     as the optional weight-constraint switch during training.
     """
-    if radius <= 0:
-        raise InputError("projection radius must be > 0")
+    if not radius > 0:
+        raise InputError(f"projection radius must be > 0, got {radius}")
     norm = param_l2_norm(params)
     if norm <= radius:
         return MlpParams(params.spec, params.flat.copy())
@@ -281,6 +272,8 @@ class AdamState:
             raise InputError("m and v must have the same shape")
         if type(self.t) is not int or self.t < 0:
             raise InputError(f"step counter t must be an int >= 0, got {self.t!r}")
+        if not (isinstance(self.lr, (int, float)) and 0 < self.lr < math.inf):
+            raise InputError(f"lr must be a finite number > 0, got {self.lr!r}")
 
     def to_dict(self) -> dict:
         return {

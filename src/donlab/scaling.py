@@ -71,6 +71,8 @@ class ExperimentPlan:
             raise ConfigurationError("bad epochs / batch size")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds must be non-empty and distinct; got {self.seeds}")
+        if not (isinstance(self.lr, (int, float)) and 0 < self.lr < math.inf):
+            raise ConfigurationError(f"lr must be a finite number > 0, got {self.lr!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -229,6 +231,8 @@ def train_deeponet(
         raise InputError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise InputError(f"batch_size must be >= 1, got {batch_size}")
+    if weight_ball is not None and not weight_ball > 0:
+        raise InputError(f"weight_ball must be > 0, got {weight_ball}")
     if adam_branch is None:
         adam_branch = nn.adam_init(model.branch.flat.size, lr=lr)
     if adam_trunk is None:
@@ -309,6 +313,8 @@ def run_cell(cell: PlannedCell, plan: ExperimentPlan, seed: int) -> CellResult:
 
 def run_suite(plan: ExperimentPlan, max_workers: int = 1) -> SuiteResult:
     """All cells x seeds; results are keyed by (q, n, seed), order-independent."""
+    if max_workers < 1:
+        raise InputError(f"max_workers must be >= 1, got {max_workers}")
     cells = plan_cells(plan)
     jobs = [(cell, seed) for cell in cells for seed in plan.seeds]
     if max_workers > 1:

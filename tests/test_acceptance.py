@@ -83,7 +83,7 @@ def test_criterion_01_gradient_correctness():
         x = rng.uniform(-1, 1, dims_b[0])
         og = rng.uniform(-1, 1, q)
         worst = max(worst, gradcheck.relative_error(
-            nn.backward_batch(model.branch, x[None], og[None]),
+            nn.value_and_vjp(model.branch, x[None])[1](og[None]),
             gradcheck.fd_backward(model.branch, x[None], og[None]),
         ))
     wall = time.perf_counter() - t0
@@ -119,7 +119,7 @@ def test_criterion_03_adr_solver():
     cfg = AdrConfig(D=0.0, k=0.0, nx=41, nt=31)
     f = np.sin(np.pi * cfg.x_grid)
     exact_err = float(np.max(np.abs(
-        solve_adr(f, cfg).u - f[:, None] * cfg.t_grid[None, :]
+        solve_adr(f, cfg) - f[:, None] * cfg.t_grid[None, :]
     )))
 
     def run(nx):
@@ -128,8 +128,8 @@ def test_criterion_03_adr_solver():
         return solve_adr(src, c)
 
     coarse, mid, fine = run(51), run(101), run(401)
-    ratio = (np.max(np.abs(coarse.u - fine.u[::8, ::8]))
-             / np.max(np.abs(mid.u[::2, ::2] - fine.u[::8, ::8])))
+    ratio = (np.max(np.abs(coarse - fine[::8, ::8]))
+             / np.max(np.abs(mid[::2, ::2] - fine[::8, ::8])))
     wall = time.perf_counter() - t0
     ok = exact_err < 1e-10 and 3.0 <= ratio <= 5.0 and wall < 30.0
     _report(3, "reaction-diffusion solver", ok,

@@ -75,10 +75,6 @@ class TestFunctionClassSpec:
         with pytest.raises(InputError, match=f"^{name} must be >= 1, got {value}"):
             FunctionClassSpec(**dict(kwargs, **{name: value}))
 
-    def test_lipschitz_metadata_is_optional(self):
-        fc = FunctionClassSpec(d_b=5, d_t=5, w_b=1.0, w_t=1.0, q=2, l_b=3.0)
-        assert fc.l_b == 3.0 and fc.l_t is None
-
 
 class TestLogCoveringNumber:
     def test_scale_equal_to_diameter_needs_one_ball(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from donlab import nn
+from donlab import cli, nn
 from donlab.cli import main
 from donlab.datagen import read_dataset_csv
 from donlab.deeponet import load_checkpoint
@@ -68,7 +68,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command, flag", [
         ("bound", "--seed"), ("gen-data", "--threads"), ("train", "--threads"),
-        ("bound", "--threads"), ("verify", "--threads"),
+        ("bound", "--threads"), ("verify", "--threads"), ("verify", "--inject-gradient-bug"),
     ])
     def test_flag_offered_only_where_it_acts(self, tmp_path, capsys, command, flag):
         cfg = _write(tmp_path / "c.json", {})
@@ -139,6 +139,9 @@ class TestGenData:
     @pytest.mark.parametrize("section, message", [
         ({"grf": {"length_scale": math.nan}}, "length_scale must be > 0"),
         ({"grf": {"length_scale": 0.05, "jitter": math.nan}}, "jitter must be >= 0"),
+        ({"grf": {"length_scale": math.inf}}, "length_scale must be > 0 and finite, got inf"),
+        ({"grf": {"length_scale": 0.05, "jitter": math.inf}},
+         "jitter must be >= 0 and finite, got inf"),
         ({"adr": {"D": math.nan, "nx": 21, "nt": 21}}, "diffusion coefficient must be >= 0"),
         ({"adr": {"D": math.inf, "nx": 21, "nt": 21}}, "diffusion coefficient must be >= 0"),
         ({"adr": {"k": math.nan, "nx": 21, "nt": 21}}, "ADR reaction rate k must be finite"),
@@ -309,6 +312,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"sidecar {meta}" in err and "'labels'" in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lr", -1.0, "lr must be a finite number > 0, got -1.0"),
+        ("lr", 0.0, "lr must be a finite number > 0, got 0.0"),
+        ("lr", math.nan, "lr must be a finite number > 0, got nan"),
+        ("lr", "0.01", "lr must be a finite number > 0, got '0.01'"),
+        ("weight_ball", -1.0, "weight_ball must be > 0, got -1.0"),
+        ("weight_ball", math.nan, "weight_ball must be > 0, got nan"),
+    ])
+    def test_bad_lr_or_weight_ball_exits_two(self, tmp_path, dataset_csv, capsys,
+                                             key, value, message):
+        cfg = _write(tmp_path / "t.json", {"dataset": str(dataset_csv), "epochs": 0,
+                                           key: value})
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_from_echo_is_identical(self, tmp_path, dataset_csv):
         cfg = _write(tmp_path / "t.json", {
             "dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
@@ -407,6 +427,23 @@ class TestExperiment:
                      "--dry-run"]) == 0
         assert capsys.readouterr().out.splitlines() == table
 
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan])
+    def test_bad_lr_exits_two_before_any_cell(self, tmp_path, capsys, lr):
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", self._plan_cfg(tmp_path, lr=lr),
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"lr must be a finite number > 0, got {lr}" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_fewer_than_one_thread_exits_two(self, tmp_path, capsys, threads):
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", self._plan_cfg(tmp_path), "--threads", threads,
+                     "--out-dir", str(out)]) == 2
+        assert f"max_workers must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_cells_exit_one(self, tmp_path):
         cfg = self._plan_cfg(tmp_path, adr={"D": 0.0, "k": 200.0, "nx": 21, "nt": 101})
         out = tmp_path / "o"
@@ -434,6 +471,15 @@ class TestBound:
                      "--out-dir", str(out)]) == 0
         q2 = json.loads(capsys.readouterr().out)["report"]["q_lower"]
         assert q2 == 2.0 * q1
+
+    @pytest.mark.parametrize("key", ["l_b", "l_t"])
+    def test_lipschitz_class_keys_exit_two(self, tmp_path, capsys, key):
+        cfg = self._cfg(tmp_path, 1000, **{"class": {"d_b": 50, "d_t": 40, "w_b": 3.0,
+                                                     "w_t": 2.0, key: 3.0}})
+        out = tmp_path / "o"
+        assert main(["bound", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_echoes_inputs(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -521,10 +567,18 @@ class TestVerify:
         for check in report["checks"]:
             assert "observed" in check and "bound" in check
 
-    def test_injected_gradient_bug_fails_named_check(self, tmp_path, capsys):
+    def test_injected_gradient_bug_fails_named_check(self, tmp_path, capsys, monkeypatch):
+        exact = cli.loss_grads
+
+        def corrupted(model, batch):
+            gb, gt, loss = exact(model, batch)
+            gb = gb.copy()
+            gb[0] += 1e-3
+            return gb, gt, loss
+
+        monkeypatch.setattr(cli, "loss_grads", corrupted)
         out = tmp_path / "o"
-        assert main(["verify", "--out-dir", str(out),
-                     "--inject-gradient-bug"]) == 1
+        assert main(["verify", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "gradient_check" in err
         report = json.loads((out / "verify-report.json").read_text())

@@ -228,9 +228,11 @@ class TestStackedRisks:
 
     def test_fd_loss_grads_in_several_chunks(self, rng, monkeypatch, hidden, output):
         # 7 vectors per pass: 3 coordinates per chunk, the last one partial
-        monkeypatch.setattr(deeponet, "_STACK_VECTORS", 7)
         model = random_model(rng, q=2, width=3, hidden=hidden, output=output)
         batch = random_dataset(rng, n=5)
+        per_vector = 5 * 3 + model.branch.flat.size  # rows * widest + P
+        monkeypatch.setattr(deeponet, "_WORKING_SET", 7 * per_vector)
+        assert deeponet._stack_size(model, batch.n) == 7
         got, want = gradcheck.fd_loss_grads(model, batch), _fd_reference(model, batch)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -244,7 +246,8 @@ def test_dataset_rejects_negative_or_nan_noise_std(noise_std):
 
 def test_stack_size_shrinks_for_large_datasets(rng):
     model = random_model(rng, m=3, width=4)
-    assert deeponet._stack_size(model, 8) == deeponet._STACK_VECTORS
+    per_vector = 8 * 4 + model.branch.flat.size  # rows * widest + P
+    assert deeponet._stack_size(model, 8) == deeponet._WORKING_SET // per_vector
     assert deeponet._stack_size(model, 1 << 18) == 1
     assert deeponet._stack_size(model, 1 << 14) * (1 << 14) * 4 <= deeponet._WORKING_SET
     # many parameters on one row: the stacked vectors bind, not the buffers

@@ -122,14 +122,14 @@ class TestBackward:
     def test_zero_out_grad_gives_zero(self, rng):
         spec = nn.MlpSpec((3, 4, 2))
         params = random_params(spec, rng)
-        g = nn.backward_batch(params, rng.uniform(-1, 1, 3)[None], np.zeros((1, 2)))
+        g = nn.value_and_vjp(params, rng.uniform(-1, 1, 3)[None])[1](np.zeros((1, 2)))
         assert np.all(g == 0.0)
 
     def test_linear_one_by_one_by_hand(self):
         # forward = w*a + b, so d/dw = a, d/db = 1
         spec = nn.MlpSpec((1, 1), output_activation="linear")
         params = nn.MlpParams(spec, np.array([0.7, 0.2]))
-        g = nn.backward_batch(params, np.array([[3.5]]), np.array([[1.0]]))
+        g = nn.value_and_vjp(params, np.array([[3.5]]))[1](np.array([[1.0]]))
         assert np.allclose(g, [3.5, 1.0])
 
     def test_matches_finite_differences(self, rng):
@@ -145,7 +145,7 @@ class TestBackward:
             params = random_params(spec, rng)
             x = rng.uniform(-1, 1, dims[0])[None]
             out_grads = rng.uniform(-1, 1, dims[-1])[None]
-            analytic = nn.backward_batch(params, x, out_grads)
+            analytic = nn.value_and_vjp(params, x)[1](out_grads)
             numeric = gradcheck.fd_backward(params, x, out_grads)
             worst = max(worst, gradcheck.relative_error(analytic, numeric))
         assert worst < 1e-6
@@ -153,7 +153,7 @@ class TestBackward:
     def test_shape_mismatch_rejected(self, rng):
         params = random_params(nn.MlpSpec((3, 2)), rng)
         with pytest.raises(InputError):
-            nn.backward_batch(params, np.ones((1, 3)), np.ones((1, 3)))
+            nn.value_and_vjp(params, np.ones((1, 3)))[1](np.ones((1, 3)))
 
 
 ACTIVATION_PAIRS = [
@@ -205,11 +205,10 @@ class TestValueAndVjp:
         out, _ = nn.value_and_vjp(params, x)
         assert np.array_equal(out, nn.forward_batch(params, x))
 
-    def test_vjp_is_backward_batch_bit_for_bit(self, rng, hidden, output):
+    def test_vjp_is_two_pass_reference_bit_for_bit(self, rng, hidden, output):
         params, x, g = self._setup(rng, hidden, output)
         _, vjp = nn.value_and_vjp(params, x)
         got = vjp(g)
-        assert np.array_equal(got, nn.backward_batch(params, x, g))
         assert np.array_equal(got, _two_pass_backward(params, x, g))
         # the closure can be applied again with the same result
         assert np.array_equal(vjp(g), got)
@@ -230,8 +229,6 @@ class TestValueAndVjp:
         for bad in (g[:-1], g[:, :-1], g.ravel()):
             with pytest.raises(InputError):
                 vjp(bad)
-            with pytest.raises(InputError):
-                nn.backward_batch(params, x, bad)
 
 
 @pytest.mark.parametrize("hidden,output", ACTIVATION_PAIRS)
@@ -400,6 +397,9 @@ class TestAdam:
         for t in (-1, 2.5, True, np.int64(2), "3"):
             with pytest.raises(InputError, match="step counter t must be an int >= 0"):
                 nn.AdamState(m=np.zeros(2), v=np.zeros(2), t=t)
+        for lr in (-1.0, 0.0, math.nan, math.inf, "0.01"):
+            with pytest.raises(InputError, match=f"lr must be a finite number > 0, got {lr!r}"):
+                nn.adam_init(2, lr=lr)
 
     def test_length_mismatch_rejected(self):
         params = nn.init_mlp(nn.MlpSpec((2, 2)), 0)
@@ -430,5 +430,6 @@ class TestNorms:
 
     def test_projection_rejects_bad_radius(self):
         params = nn.MlpParams(nn.MlpSpec((1, 1)), np.array([1.0, 1.0]))
-        with pytest.raises(InputError):
-            nn.project_to_ball(params, 0.0)
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(InputError, match=f"projection radius must be > 0, got {radius}"):
+                nn.project_to_ball(params, radius)

@@ -7,7 +7,7 @@ import pytest
 from donlab import nn, scaling
 from donlab.datagen import AdrConfig
 from donlab.deeponet import Dataset, DeepONetModel
-from donlab.errors import ConfigurationError
+from donlab.errors import ConfigurationError, InputError
 from donlab.scaling import (
     CellResult,
     ExperimentPlan,
@@ -180,7 +180,18 @@ class TestRunCell:
         assert "DivergenceError" in res.error
 
 
+@pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf, "0.01"])
+def test_plan_rejects_bad_lr(lr):
+    with pytest.raises(ConfigurationError, match=f"lr must be a finite number > 0, got {lr!r}"):
+        _tiny_plan(lr=lr)
+
+
 class TestSuite:
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(InputError, match=f"max_workers must be >= 1, got {workers}"):
+            run_suite(_tiny_plan(), max_workers=workers)
+
     def test_runs_all_cells_and_is_deterministic(self):
         plan = _tiny_plan(seeds=[0, 1])
         a = run_suite(plan)
@@ -378,6 +389,15 @@ class TestWeightBallTraining:
         _, _, _, curve_ball = train_deeponet(model, ds, 4, 16, seed=0,
                                              weight_ball=1e9)
         assert curve_free == curve_ball  # huge ball never binds
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_bad_ball_rejected_before_training(self, rng, radius):
+        from conftest import random_dataset, random_model
+        from donlab.scaling import train_deeponet
+
+        with pytest.raises(InputError, match=f"weight_ball must be > 0, got {radius}"):
+            train_deeponet(random_model(rng), random_dataset(rng), 0, 16, seed=0,
+                           weight_ball=radius)
 
 
 class TestTrainResume:
