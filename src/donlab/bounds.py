@@ -14,7 +14,7 @@ doubles the result exactly in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,14 +99,9 @@ class BoundReport:
     j_source: str
 
     def to_dict(self) -> dict:
-        return {
-            "q_lower": self.q_lower,
-            "q_lower_ceil": int(math.ceil(self.q_lower)),
-            "threshold": self.threshold,
-            "log_cover_terms": self.log_cover_terms,
-            "which_theorem": self.which_theorem,
-            "j_source": self.j_source,
-        }
+        # a repeated key keeps its first place, so q_lower_ceil follows q_lower
+        return {"q_lower": self.q_lower, "q_lower_ceil": int(math.ceil(self.q_lower)),
+                **asdict(self)}
 
 
 def log_covering_number_ball(theta: float, W: float, d: int) -> float:

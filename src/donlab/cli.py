@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -94,17 +95,23 @@ def _cmd_train(args, cfg, /, *, dataset, seed=0, epochs=1, batch_size=256, lr=0.
                hidden_activation="relu", output_activation="tanh", init_scheme="he") -> int:
     out_dir = Path(args.out_dir)
     data = datagen.read_dataset_csv(dataset)
+    model = init_model(
+        data.m, data.d2, q, width, depth, seed, hidden_activation=hidden_activation,
+        output_activation=output_activation, init_scheme=init_scheme,
+    )
+    adam_b = adam_t = None
+    start_epoch = 0
     if resume_from:
-        model, adam_b, adam_t, start_epoch, _ = load_checkpoint(resume_from)
-        if model.branch.spec.in_dim != data.m or model.trunk.spec.in_dim != data.d2:
-            raise InputError("checkpoint input dims do not match the dataset")
-    else:
-        model = init_model(
-            data.m, data.d2, q, width, depth, seed, hidden_activation=hidden_activation,
-            output_activation=output_activation, init_scheme=init_scheme,
-        )
-        adam_b = adam_t = None
-        start_epoch = 0
+        # the config describes the run it resumes: a mismatch is an error
+        saved, adam_b, adam_t, start_epoch, _ = load_checkpoint(resume_from)
+        pairs = [("branch spec", saved.branch.spec, model.branch.spec),
+                 ("trunk spec", saved.trunk.spec, model.trunk.spec)]
+        pairs += [("Adam lr", a.lr, lr) for a in (adam_b, adam_t) if a is not None]
+        for name, got, want in pairs:
+            if got != want:
+                raise InputError(f"checkpoint {resume_from}: {name} {got} does not match "
+                                 f"the config's {want}")
+        model = saved
 
     model, adam_b, adam_t, curve = scaling.train_deeponet(
         model, data, epochs, batch_size, seed=seed, lr=lr,
@@ -156,7 +163,7 @@ def _cmd_experiment(args, cfg, /, **_) -> int:
         "cell_wall_times": {
             f"q={c.q},n={c.n},seed={c.seed}": c.wall_time for c in suite.cells
         },
-        "failures": [c.to_dict() for c in suite.failures],
+        "failures": [asdict(c) for c in suite.failures],
     }
     atomic_write_text(out_dir / "suite-summary.json", json.dumps(payload, indent=1))
     _echo_config(cfg, out_dir, "experiment")

@@ -48,9 +48,6 @@ class DeepONetModel:
             return 1.0
         return math.inf
 
-    def copy(self) -> "DeepONetModel":
-        return DeepONetModel(self.branch.copy(), self.trunk.copy())
-
 
 def init_model(m: int, d2: int, q: int, width: int, depth: int, seed,
                hidden_activation: str, output_activation: str,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class MlpParams:
                 f"flat vector has length {self.flat.shape}, "
                 f"expected ({param_count(self.spec)},)"
             )
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.spec, self.flat.copy())
 
 
 def _layer_slices(spec: MlpSpec) -> tuple[tuple[slice, slice, int, int], ...]:
@@ -276,15 +273,7 @@ class AdamState:
             raise InputError(f"lr must be a finite number > 0, got {self.lr!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m.tolist(),
-            "v": self.v.tolist(),
-            "t": self.t,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
+        return asdict(self) | {"m": self.m.tolist(), "v": self.v.tolist()}
 
 
 def adam_init(n_params: int, lr: float = 0.001) -> AdamState:

@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class ExperimentPlan:
     target_params: int
     depth: int = 5
     branch_in: int = 40
-    trunk_in: int = 2
+    trunk_in: ClassVar[int] = 2  # plans build ADR data, queried at (x, t)
     epochs: int = 120
     batch_size: int = 256
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
@@ -57,6 +58,15 @@ class ExperimentPlan:
     param_tolerance: float = 0.05
 
     def __post_init__(self):
+        # values are not converted: 4.5 or "4" is an error, not an int
+        for name in ("anchor_q", "anchor_n", "target_params", "depth", "branch_in",
+                     "epochs", "batch_size", "points_per_function", "q_list", "seeds"):
+            value = getattr(self, name)
+            listed = name in ("q_list", "seeds")
+            items = value if listed else [value]
+            if not (isinstance(items, list) and all(type(v) is int for v in items)):
+                kind = "a list of ints" if listed else "an int"
+                raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
         if not any(math.isclose(self.exponent, e) for e in VALID_EXPONENTS):
             raise ConfigurationError(
                 f"exponent must be one of 1/2, 2/3, 1/6; got {self.exponent}"
@@ -85,8 +95,7 @@ class ExperimentPlan:
             num, _, den = exponent.partition("/")
             exponent = float(num) / float(den) if den else float(num)
         if "anchor" in d:
-            q0, n0 = d.pop("anchor")
-            d["anchor_q"], d["anchor_n"] = int(q0), int(n0)
+            d["anchor_q"], d["anchor_n"] = d.pop("anchor")
         adr = d.pop("adr", {})
         return cls(exponent=float(exponent), adr=AdrConfig(**adr), **d)
 
@@ -179,21 +188,25 @@ def plan_cells(plan: ExperimentPlan) -> list[PlannedCell]:
 
 
 @dataclass
-class CellResult:
-    q: int
-    n: int
-    width: int
-    param_count: int
+class CellResult(PlannedCell):
+    """One trained (or failed) cell; its losses are read off loss_curve."""
+
     seed: int
     loss_curve: list[float]
-    final_loss: float
-    best_loss: float
     wall_time: float
-    failed: bool = False
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
+
+    @property
+    def best_loss(self) -> float:
+        return min(self.loss_curve, default=math.nan)
+
+    @property
+    def final_loss(self) -> float:
+        return self.loss_curve[-1] if self.loss_curve else math.nan
 
 
 @dataclass
@@ -237,7 +250,7 @@ def train_deeponet(
         adam_branch = nn.adam_init(model.branch.flat.size, lr=lr)
     if adam_trunk is None:
         adam_trunk = nn.adam_init(model.trunk.flat.size, lr=lr)
-    model = model.copy()
+    model = DeepONetModel(model.branch, model.trunk)  # steps rebind its nets, not the caller's
     curve = []
     s, p, y = dataset.s, dataset.p, dataset.y
     n = dataset.n
@@ -287,6 +300,7 @@ def build_cell_dataset(plan: ExperimentPlan, n: int, seed) -> Dataset:
 def run_cell(cell: PlannedCell, plan: ExperimentPlan, seed: int) -> CellResult:
     """Train one (q, n, width) cell; failures are captured, not raised."""
     t0 = time.perf_counter()
+    curve, error = [], None
     try:
         dataset = build_cell_dataset(plan, cell.n, seed=[seed, cell.q, cell.n])
         model = init_model(plan.branch_in, plan.trunk_in, cell.q, cell.width,
@@ -296,19 +310,9 @@ def run_cell(cell: PlannedCell, plan: ExperimentPlan, seed: int) -> CellResult:
             model, dataset, plan.epochs, plan.batch_size, seed=seed, lr=plan.lr
         )
     except Exception as exc:  # noqa: BLE001 - failed cells must not abort the suite
-        return CellResult(
-            q=cell.q, n=cell.n, width=cell.width, param_count=cell.param_count,
-            seed=seed, loss_curve=[], final_loss=float("nan"),
-            best_loss=float("nan"), wall_time=time.perf_counter() - t0,
-            failed=True, error=f"{type(exc).__name__}: {exc}",
-        )
-    return CellResult(
-        q=cell.q, n=cell.n, width=cell.width, param_count=cell.param_count,
-        seed=seed, loss_curve=curve,
-        final_loss=curve[-1] if curve else float("nan"),
-        best_loss=min(curve) if curve else float("nan"),
-        wall_time=time.perf_counter() - t0,
-    )
+        error = f"{type(exc).__name__}: {exc}"
+    return CellResult(**asdict(cell), seed=seed, loss_curve=curve,
+                      wall_time=time.perf_counter() - t0, error=error)
 
 
 def run_suite(plan: ExperimentPlan, max_workers: int = 1) -> SuiteResult:

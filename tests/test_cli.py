@@ -227,6 +227,37 @@ class TestTrain:
         assert np.array_equal(m_full.branch.flat, m_res.branch.flat)
         assert np.array_equal(m_full.trunk.flat, m_res.trunk.flat)
 
+    @pytest.mark.parametrize("key, value, got, want", [
+        ("lr", 0.01, "Adam lr 0.001", "0.01"),
+        ("width", 5, "branch spec MlpSpec(layer_dims=(6, 4, 2),",
+         "MlpSpec(layer_dims=(6, 5, 2),"),
+        ("sensor_count", 5, "branch spec MlpSpec(layer_dims=(6, 4, 2),",
+         "MlpSpec(layer_dims=(5, 4, 2),"),
+    ])
+    def test_resume_must_match_the_checkpoint(self, tmp_path, dataset_csv, capsys,
+                                              key, value, got, want):
+        base = {"dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
+                "batch_size": 16, "epochs": 1, "out_name": "run"}
+        first = tmp_path / "first"
+        assert main(["train", "--config", _write(tmp_path / "first.json", base),
+                     "--out-dir", str(first)]) == 0
+        ckpt = first / "run.checkpoint.json"
+        resume = dict(base, resume_from=str(ckpt))
+        if key == "sensor_count":
+            data_cfg = _gen_data_config(tmp_path, sensor_count=value, points_per_function=30)
+            assert main(["gen-data", "--config", data_cfg,
+                         "--out-dir", str(tmp_path / "other")]) == 0
+            resume["dataset"] = str(tmp_path / "other" / "ds.csv")
+        else:
+            resume[key] = value
+        out = tmp_path / "second"
+        assert main(["train", "--config", _write(tmp_path / "second.json", resume),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {ckpt}: {got}" in err
+        assert f"does not match the config's {want}" in err
+        assert not out.exists()
+
     def test_interrupted_loss_csv_keeps_previous_file(self, tmp_path, dataset_csv,
                                                       fail_writes_after, capsys):
         base = {"dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
@@ -362,7 +393,7 @@ class TestExperiment:
     def _plan_cfg(self, tmp_path, **overrides):
         cfg = {
             "exponent": 0.5, "anchor": [2, 200], "q_list": [2, 3],
-            "target_params": 700, "depth": 3, "branch_in": 10, "trunk_in": 2,
+            "target_params": 700, "depth": 3, "branch_in": 10,
             "epochs": 2, "batch_size": 64, "seeds": [0],
             "adr": {"D": 0.01, "k": 0.01, "nx": 21, "nt": 21},
             "grf_length_scale": 0.05, "points_per_function": 50,
@@ -448,8 +479,41 @@ class TestExperiment:
         cfg = self._plan_cfg(tmp_path, adr={"D": 0.0, "k": 200.0, "nx": 21, "nt": 101})
         out = tmp_path / "o"
         assert main(["experiment", "--config", cfg, "--out-dir", str(out)]) == 1
-        summary = json.loads((out / "suite-summary.json").read_text())
+
+        def no_constants(token):  # strict JSON: no NaN or Infinity tokens
+            raise AssertionError(f"suite-summary.json holds {token}")
+
+        summary = json.loads((out / "suite-summary.json").read_text(),
+                             parse_constant=no_constants)
         assert len(summary["failures"]) == 2
+        assert list(summary["failures"][0]) == [
+            "q", "n", "width", "param_count", "seed", "loss_curve", "wall_time", "error"]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("anchor", [2.5, 200], "anchor_q must be an int"),
+        ("anchor", ["2", "200"], "anchor_q must be an int"),
+        ("anchor", [2, 200.0], "anchor_n must be an int"),
+        ("q_list", [2.5, 3], "q_list must be a list of ints"),
+        ("q_list", [2, True], "q_list must be a list of ints"),
+        ("target_params", 700.0, "target_params must be an int"),
+        ("depth", 3.0, "depth must be an int"),
+        ("branch_in", "10", "branch_in must be an int"),
+        ("epochs", 2.0, "epochs must be an int"),
+        ("batch_size", 64.0, "batch_size must be an int"),
+        ("points_per_function", 50.0, "points_per_function must be an int"),
+        ("seeds", [0.5], "seeds must be a list of ints"),
+        ("seeds", [False], "seeds must be a list of ints"),
+        ("trunk_in", 3, "unexpected keyword argument 'trunk_in'"),
+    ])
+    def test_non_int_or_unknown_plan_value_exits_two(self, tmp_path, capsys, key, value,
+                                                     message):
+        # values are not converted, and trunk_in is fixed at 2 for ADR data
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", self._plan_cfg(tmp_path, **{key: value}),
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestBound:

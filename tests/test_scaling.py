@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -44,7 +45,7 @@ REFERENCE_PARAM_COUNTS = {
 def _tiny_plan(**overrides) -> ExperimentPlan:
     kw = dict(
         exponent=0.5, anchor_q=2, anchor_n=300, q_list=[2, 3],
-        target_params=700, depth=3, branch_in=10, trunk_in=2,
+        target_params=700, depth=3, branch_in=10,
         epochs=3, batch_size=64, seeds=[0],
         adr=AdrConfig(0.01, 0.01, 21, 21),
         grf_length_scale=0.05, points_per_function=50,
@@ -108,7 +109,7 @@ def test_plan_to_dict_is_golden():
     got = plan.to_dict()
     assert got == {
         "exponent": 0.5, "anchor_q": 2, "anchor_n": 300, "q_list": [2, 3],
-        "target_params": 700, "depth": 3, "branch_in": 10, "trunk_in": 2,
+        "target_params": 700, "depth": 3, "branch_in": 10,
         "epochs": 3, "batch_size": 64, "seeds": [4, 2],
         "adr": {"D": 0.02, "k": -0.5, "nx": 31, "nt": 41},
         "grf_length_scale": 0.05, "grf_jitter": 1e-10, "noise_std": 0.0,
@@ -117,12 +118,21 @@ def test_plan_to_dict_is_golden():
     }
     assert list(got) == [
         "exponent", "anchor_q", "anchor_n", "q_list", "target_params", "depth",
-        "branch_in", "trunk_in", "epochs", "batch_size", "seeds", "adr",
+        "branch_in", "epochs", "batch_size", "seeds", "adr",
         "grf_length_scale", "grf_jitter", "noise_std", "points_per_function",
         "hidden_activation", "output_activation", "lr", "param_tolerance",
     ]
     assert list(got["adr"]) == ["D", "k", "nx", "nt"]
     assert ExperimentPlan.from_dict(got) == plan
+
+
+def test_trunk_in_is_fixed_not_a_field():
+    # plans build ADR data, whose query points are (x, t)
+    plan = _tiny_plan()
+    assert plan.trunk_in == 2
+    assert "trunk_in" not in {f.name for f in dataclasses.fields(ExperimentPlan)}
+    with pytest.raises(TypeError, match="unexpected keyword argument 'trunk_in'"):
+        ExperimentPlan.from_dict(dict(plan.to_dict(), trunk_in=2))
 
 
 @pytest.mark.parametrize("seeds", [[], [0, 0], [1, 0, 1]])
@@ -144,6 +154,26 @@ class TestPlanCells:
         plan.q_list = [2, 2]
         with pytest.raises(ConfigurationError):
             plan_cells(plan)
+
+
+class TestCellResult:
+    def _cell(self, **kw):
+        return CellResult(q=2, n=200, width=4, param_count=700, seed=0, wall_time=0.0, **kw)
+
+    def test_error_marks_failed_with_nan_losses(self):
+        res = self._cell(loss_curve=[], error="RuntimeError: injected")
+        assert res.failed
+        assert math.isnan(res.best_loss) and math.isnan(res.final_loss)
+
+    def test_losses_are_read_off_the_curve(self):
+        res = self._cell(loss_curve=[3.0, 1.0, 2.0])
+        assert not res.failed
+        assert (res.best_loss, res.final_loss) == (1.0, 2.0)
+
+    def test_derived_values_are_not_fields(self):
+        names = {f.name for f in dataclasses.fields(CellResult)}
+        assert names == {"q", "n", "width", "param_count", "seed", "loss_curve",
+                         "wall_time", "error"}
 
 
 class TestRunCell:
@@ -221,8 +251,7 @@ class TestSuite:
                 return CellResult(
                     q=cell.q, n=cell.n, width=cell.width,
                     param_count=cell.param_count, seed=seed, loss_curve=[],
-                    final_loss=float("nan"), best_loss=float("nan"),
-                    wall_time=0.0, failed=True, error="RuntimeError: injected",
+                    wall_time=0.0, error="RuntimeError: injected",
                 )
             return real_run_cell(cell, plan_, seed)
 
@@ -291,8 +320,7 @@ def _suite_with_losses(rows) -> SuiteResult:
     plan.q_list = sorted({q for q, _, _ in rows})
     cells = [
         CellResult(q=q, n=100 * q, width=4, param_count=700, seed=seed,
-                   loss_curve=[loss + 0.1, loss], final_loss=loss,
-                   best_loss=loss, wall_time=0.0)
+                   loss_curve=[loss + 0.1, loss], wall_time=0.0)
         for q, seed, loss in rows
     ]
     return SuiteResult(plan=plan, cells=cells)
