@@ -234,21 +234,70 @@ def loss_grads(
 def loss_grads_arrays(
     model: DeepONetModel, s: np.ndarray, p: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`loss_grads` on row-aligned arrays s (n, m), p (n, d2), y (n,).
+    """:func:`loss_grads` on row-aligned arrays s (n, m), p (n, d2), y (n,)."""
+    step = _TwoTowers(model, y.shape[0])
+    s, p = nn._check_input(model.branch.spec, s), nn._check_input(model.trunk.spec, p)
+    grad, loss = step(step.join(model.branch.flat, model.trunk.flat), s, p, y)
+    return *step.split(grad), loss
 
-    One forward pass per net. Per sample, the residual r_i = h_i - y_i feeds
-    (2/n) r_i * Trunk(p_i) into the branch output and (2/n) r_i * Branch(s_i)
-    into the trunk output.
+
+class _TwoTowers:
+    """The training step of one model shape, on joint vectors.
+
+    When the towers agree past their input layer (dims and activations, as
+    init_model's nets do), each tower's input layer writes into one half of a
+    (2, rows, width) buffer and every later layer runs as one stacked pass;
+    otherwise each tower runs whole and the stacked tail is empty. A joint
+    vector is [branch head | trunk head | (2, P_tail) tail], and every value
+    equals the per-net pass bit for bit.
     """
-    b_out, branch_vjp = nn.value_and_vjp(model.branch, s)
-    t_out, trunk_vjp = nn.value_and_vjp(model.trunk, p)
-    h = np.einsum("ij,ij->i", b_out, t_out)
-    r = h - y
-    loss = float(np.mean(r * r))
-    scale = 2.0 / y.shape[0]
-    branch_grads = branch_vjp((scale * r)[:, None] * t_out)
-    trunk_grads = trunk_vjp((scale * r)[:, None] * b_out)
-    return branch_grads, trunk_grads, loss
+
+    def __init__(self, model: DeepONetModel, rows: int):
+        b, t = self.specs = model.branch.spec, model.trunk.spec
+        stack = ((b.layer_dims[1:], b.hidden_activation, b.output_activation)
+                 == (t.layer_dims[1:], t.hidden_activation, t.output_activation))
+        self.heads = (1, 1) if stack else (b.depth, t.depth)  # each tower's unstacked layers
+        self.cuts = tuple(nn._layer_slices(spec, 0, k)[-1][1].stop
+                          for spec, k in zip(self.specs, self.heads))
+        self.sizes = (model.branch.flat.size, model.trunk.flat.size)
+        self.zeros = np.zeros(2 * rows * max(b.layer_dims[1:] + t.layer_dims[1:]))  # for relu
+
+    def join(self, branch: np.ndarray, trunk: np.ndarray) -> np.ndarray:
+        """The joint vector of a branch and a trunk vector laid out as their flats."""
+        if (branch.size, trunk.size) != self.sizes:
+            raise InputError("gradient / state length does not match parameter vector")
+        hb, ht = self.cuts
+        return np.concatenate((branch[:hb], trunk[:ht], branch[hb:], trunk[ht:]))
+
+    def split(self, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (branch, trunk) vectors of a joint vector, as fresh arrays."""
+        (hb, ht), tail = self.cuts, joint[sum(self.cuts):].reshape(2, -1)
+        return np.concatenate((joint[:hb], tail[0])), np.concatenate((joint[hb:hb + ht], tail[1]))
+
+    def __call__(self, joint: np.ndarray, s, p, y) -> tuple[np.ndarray, float]:
+        """(joint gradient, risk) on (s, p, y), which have at most rows rows.
+
+        The residual r_i = h_i - y_i feeds (2/n) r_i Trunk(p_i) into the
+        branch output and (2/n) r_i Branch(s_i) into the trunk's.
+        """
+        b, kb, (hb, ht) = self.specs[0], self.heads[0], self.cuts
+        grad = np.empty_like(joint)
+        flats, grads = (joint[:hb], joint[hb:hb + ht]), (grad[:hb], grad[hb:hb + ht])
+        tail, tail_grad = (v[hb + ht:].reshape(2, -1) for v in (joint, grad))
+        mid = np.empty((2, y.shape[0], b.layer_dims[kb]))
+        acts = [], [], []
+        for j, (spec, x) in enumerate(zip(self.specs, (s, p))):
+            nn._forward(spec, flats[j], x, acts[j], stop=self.heads[j], out=mid[j],
+                        zeros=self.zeros)
+        out = nn._forward(b, tail, mid, acts[2], start=kb, zeros=self.zeros)
+        r = np.einsum("ij,ij->i", out[0], out[1]) - y
+        delta = (2.0 / y.shape[0] * r)[:, None] * out[::-1]
+        for j, spec in enumerate(self.specs):
+            nn._scale_by_deriv_(delta[j], out[j], spec.output_activation)
+        delta = nn._backward(b, tail, acts[2], delta, tail_grad, kb)
+        for j, spec in enumerate(self.specs):
+            nn._backward(spec, flats[j], acts[j], delta[j], grads[j])
+        return grad, float(np.mean(r * r))
 
 
 def _uniform_in_ball(normals: np.random.Generator, radii: np.random.Generator,

@@ -34,11 +34,11 @@ class MlpSpec:
     init_scheme: str = "he"
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
+        object.__setattr__(self, "layer_dims", tuple(self.layer_dims))  # "40" stays a str
         if len(self.layer_dims) < 2:
             raise ConfigurationError("layer_dims needs at least input and output dims")
-        if any(d < 1 for d in self.layer_dims):
-            raise ConfigurationError(f"all layer dims must be >= 1, got {self.layer_dims}")
+        if not all(type(d) is int and d >= 1 for d in self.layer_dims):
+            raise ConfigurationError(f"all layer dims must be ints >= 1, got {self.layer_dims}")
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ConfigurationError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
@@ -82,13 +82,12 @@ class MlpParams:
             )
 
 
-def _layer_slices(spec: MlpSpec) -> tuple[tuple[slice, slice, int, int], ...]:
-    """(weight_slice, bias_slice, out_dim, in_dim) per layer, in order."""
-    return _slices_of_dims(spec.layer_dims)
-
-
 @functools.lru_cache(maxsize=None)
-def _slices_of_dims(dims: tuple[int, ...]) -> tuple[tuple[slice, slice, int, int], ...]:
+def _layer_slices(spec: MlpSpec, start: int = 0,
+                  stop: int | None = None) -> tuple[tuple[slice, slice, int, int], ...]:
+    """(weight_slice, bias_slice, out_dim, in_dim) of layers start..stop-1
+    (default: all), with the slices counted from layer start's first weight."""
+    dims = spec.layer_dims[start:None if stop is None else stop + 1]
     out = []
     off = 0
     for n_in, n_out in zip(dims, dims[1:]):
@@ -119,23 +118,23 @@ def init_mlp(spec: MlpSpec, seed) -> MlpParams:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # piecewise form avoids overflow warnings for large |z|: with e = exp(-|z|),
     # 1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; minimum(z, -z) is -|z|
-    # but keeps a NaN's sign
+    # but keeps a NaN's sign. Writes into z, which is not read after the where.
     e = np.negative(z)
     np.exp(np.minimum(z, e, out=e), out=e)
-    out = np.where(z < 0, e, 1.0)
+    num = np.where(z < 0, e, 1.0)
     e += 1.0
-    out /= e
-    return out
+    return np.divide(num, e, out=z)
 
 
-def _activate_(z: np.ndarray, name: str) -> np.ndarray:
-    """Apply the activation to z, overwriting z where the op allows it.
+def _activate_(z: np.ndarray, name: str, zeros: np.ndarray | None) -> np.ndarray:
+    """Apply the activation to z in place and return z, a buffer the caller owns.
 
-    z must be a buffer the caller owns; relu and tanh reuse it, sigmoid
-    returns a fresh array and linear returns z itself.
+    relu compares against zeros[:z.size], a zeros buffer at least as large
+    as z: numpy takes a vector loop against an array where it takes a scalar
+    loop against the constant 0.0, with the same bits (-0.0 and NaN included).
     """
     if name == "relu":
-        return np.maximum(z, 0.0, out=z)
+        return np.maximum(z, zeros[:z.size].reshape(z.shape), out=z)
     if name == "tanh":
         return np.tanh(z, out=z)
     if name == "sigmoid":
@@ -167,29 +166,55 @@ def _check_input(spec: MlpSpec, x) -> np.ndarray:
     return x
 
 
-def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None):
+def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None,
+             start: int = 0, stop: int | None = None, out: np.ndarray | None = None,
+             zeros: np.ndarray | None = None):
     """The forward loop. Appends each layer's input to acts unless it is None.
 
-    flat has shape lead + (P,): one net of this spec per index of lead, each
-    applied to the same x, giving lead + (n, out_dim). lead == () is the
-    one-net pass, and every stacked slice equals it bit for bit.
-
-    Every layer computes into a fresh buffer z, so x is never modified and
-    only the current layer is held when acts is None. z takes a C-ordered
-    copy of the transposed weights: faster in BLAS than the view, same bits.
+    Runs layers start..stop-1 (default: all), whose parameters flat holds
+    from its first entry on, with shape lead + (P,): one net per index of
+    lead, on x of shape (n, d) or lead + (n, d). lead == () is the one-net
+    pass, and every stacked slice equals it bit for bit. The last layer
+    writes into out if given, the others into fresh buffers, never into x.
+    Weights enter as C-ordered copies of their transposes (faster in BLAS,
+    same bits). zeros goes to the relu (see _activate_); a relu pass without
+    one large enough allocates its own.
     """
     lead = flat.shape[:-1]
-    last = spec.depth - 1
+    layers = _layer_slices(spec, start, stop)
     a = x
-    for i, (w_sl, b_sl, n_out, n_in) in enumerate(_layer_slices(spec)):
+    for i, (w_sl, b_sl, n_out, n_in) in enumerate(layers, start):
         if acts is not None:
             acts.append(a)
         w = flat[..., w_sl].reshape(lead + (n_out, n_in))
-        b = flat[..., b_sl]
-        z = a @ np.ascontiguousarray(w.swapaxes(-1, -2))
-        z += b[..., None, :]
-        a = _activate_(z, spec.output_activation if i == last else spec.hidden_activation)
+        z = np.matmul(a, np.ascontiguousarray(w.swapaxes(-1, -2)),
+                      out=out if i == start + len(layers) - 1 else None)
+        z += flat[..., b_sl][..., None, :]
+        name = spec.output_activation if i == spec.depth - 1 else spec.hidden_activation
+        if name == "relu" and (zeros is None or zeros.size < z.size):
+            zeros = np.zeros(z.size)  # once per pass unless a later layer is wider
+        a = _activate_(z, name, zeros)
     return a
+
+
+def _backward(spec: MlpSpec, flat: np.ndarray, acts: list, delta: np.ndarray,
+              grad: np.ndarray, start: int = 0) -> np.ndarray:
+    """The backward loop from delta, the gradient w.r.t. the last layer's
+    pre-activation, over the layers from start whose inputs acts holds, stacked
+    as _forward. Writes into grad, laid out as flat; returns the delta below start.
+    """
+    lead = flat.shape[:-1]
+    layers = _layer_slices(spec, start, start + len(acts))
+    for i in range(len(layers) - 1, -1, -1):
+        w_sl, b_sl, n_out, n_in = layers[i]
+        np.matmul(delta.swapaxes(-1, -2), acts[i],
+                  out=grad[..., w_sl].reshape(lead + (n_out, n_in)))
+        np.einsum("...ij->...j", delta, out=grad[..., b_sl])
+        if start + i > 0:
+            # acts[i] is the activated output of the layer below
+            w = flat[..., w_sl].reshape(lead + (n_out, n_in))
+            delta = _scale_by_deriv_(delta @ w, acts[i], spec.hidden_activation)
+    return delta
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -215,17 +240,9 @@ def value_and_vjp(params: MlpParams, x: np.ndarray):
             raise InputError(
                 f"expected out_grads shape {out.shape}, got {delta.shape}"
             )
-        delta = _scale_by_deriv_(delta, out, spec.output_activation)
         grad = np.empty_like(params.flat)  # every weight and bias slice is written
-        slices = _layer_slices(spec)
-        for i in range(len(slices) - 1, -1, -1):
-            w_sl, b_sl, n_out, n_in = slices[i]
-            np.matmul(delta.T, acts[i], out=grad[w_sl].reshape(n_out, n_in))
-            np.einsum("ij->j", delta, out=grad[b_sl])
-            if i > 0:
-                # acts[i] is the activated output of layer i-1
-                w = params.flat[w_sl].reshape(n_out, n_in)
-                delta = _scale_by_deriv_(delta @ w, acts[i], spec.hidden_activation)
+        _backward(spec, params.flat, acts,
+                  _scale_by_deriv_(delta, out, spec.output_activation), grad)
         return grad
 
     return out, vjp
@@ -269,8 +286,12 @@ class AdamState:
             raise InputError("m and v must have the same shape")
         if type(self.t) is not int or self.t < 0:
             raise InputError(f"step counter t must be an int >= 0, got {self.t!r}")
-        if not (isinstance(self.lr, (int, float)) and 0 < self.lr < math.inf):
-            raise InputError(f"lr must be a finite number > 0, got {self.lr!r}")
+        for name in ("lr", "beta1", "beta2", "eps"):
+            x, beta = getattr(self, name), name.startswith("beta")
+            if isinstance(x, bool) or not (isinstance(x, (int, float))
+                                           and (0 <= x < 1 if beta else 0 < x < math.inf)):
+                rule = "a number in [0, 1)" if beta else "a finite number > 0"
+                raise InputError(f"{name} must be {rule}, got {x!r}")
 
     def to_dict(self) -> dict:
         return asdict(self) | {"m": self.m.tolist(), "v": self.v.tolist()}
@@ -288,6 +309,12 @@ def adam_step(
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.flat.shape or state.m.shape != params.flat.shape:
         raise InputError("gradient / state length does not match parameter vector")
+    state, new_flat = _adam_update(state, params.flat, grads)
+    return state, MlpParams(params.spec, new_flat)
+
+
+def _adam_update(state: AdamState, flat: np.ndarray, grads: np.ndarray):
+    """adam_step on a bare vector: elementwise, so one call can serve two nets."""
     t = state.t + 1
     # Two work buffers, with the operations in the order of the textbook form
     #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
@@ -306,5 +333,5 @@ def adam_step(
     np.sqrt(new_flat, out=new_flat)
     new_flat += state.eps
     np.divide(work, new_flat, out=new_flat)
-    np.subtract(params.flat, new_flat, out=new_flat)
-    return replace(state, m=m, v=v, t=t), MlpParams(params.spec, new_flat)
+    np.subtract(flat, new_flat, out=new_flat)
+    return replace(state, m=m, v=v, t=t), new_flat

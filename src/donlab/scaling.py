@@ -11,7 +11,7 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -24,8 +24,8 @@ from .deeponet import (
     Dataset,
     DeepONetModel,
     _RiskEvaluator,
+    _TwoTowers,
     init_model,
-    loss_grads_arrays,
 )
 from .errors import ConfigurationError, InputError, NumericalError
 
@@ -81,8 +81,18 @@ class ExperimentPlan:
             raise ConfigurationError("bad epochs / batch size")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds must be non-empty and distinct; got {self.seeds}")
-        if not (isinstance(self.lr, (int, float)) and 0 < self.lr < math.inf):
-            raise ConfigurationError(f"lr must be a finite number > 0, got {self.lr!r}")
+        for name in ("lr", "noise_std", "param_tolerance"):  # lr > 0, the others >= 0
+            x, op = getattr(self, name), ">" if name == "lr" else ">="
+            if isinstance(x, bool) or not (isinstance(x, (int, float))
+                                           and (0 < x if op == ">" else 0 <= x) and x < math.inf):
+                raise ConfigurationError(f"{name} must be a finite number {op} 0, got {x!r}")
+        # what run_cell hands on is checked here by its owners' rules, before any work
+        nn.MlpSpec((1, 1), hidden_activation=self.hidden_activation,
+                   output_activation=self.output_activation)
+        try:
+            GrfConfig(self.adr.x_grid, self.grf_length_scale, self.grf_jitter)
+        except ConfigurationError as exc:  # GrfConfig names its field, the plan adds grf_
+            raise ConfigurationError(f"grf_{exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -250,7 +260,14 @@ def train_deeponet(
         adam_branch = nn.adam_init(model.branch.flat.size, lr=lr)
     if adam_trunk is None:
         adam_trunk = nn.adam_init(model.trunk.flat.size, lr=lr)
-    model = DeepONetModel(model.branch, model.trunk)  # steps rebind its nets, not the caller's
+    shared = [(a.t, a.lr, a.beta1, a.beta2, a.eps) for a in (adam_branch, adam_trunk)]
+    if shared[0] != shared[1]:  # one Adam update serves both nets
+        raise InputError(f"adam_branch and adam_trunk must share (t, lr, beta1, beta2, eps), "
+                         f"got {shared[0]} and {shared[1]}")
+    step = _TwoTowers(model, min(batch_size, dataset.n))
+    joint = step.join(model.branch.flat, model.trunk.flat)
+    adam = replace(adam_branch, m=step.join(adam_branch.m, adam_trunk.m),
+                   v=step.join(adam_branch.v, adam_trunk.v))
     curve = []
     s, p, y = dataset.s, dataset.p, dataset.y
     n = dataset.n
@@ -259,17 +276,19 @@ def train_deeponet(
         perm = np.random.default_rng([seed, epoch]).permutation(n)
         for lo in range(0, n, batch_size):
             idx = perm[lo : lo + batch_size]
-            gb, gt, _ = loss_grads_arrays(model, s[idx], p[idx], y[idx])
-            adam_branch, model.branch = nn.adam_step(adam_branch, model.branch, gb)
-            adam_trunk, model.trunk = nn.adam_step(adam_trunk, model.trunk, gt)
+            grad, _ = step(joint, s.take(idx, 0), p.take(idx, 0), y.take(idx))
+            adam, joint = nn._adam_update(adam, joint, grad)
             if weight_ball is not None:
-                model.branch = nn.project_to_ball(model.branch, weight_ball)
-                model.trunk = nn.project_to_ball(model.trunk, weight_ball)
-        loss = float(risks(model.branch.flat, model.trunk.flat))
+                joint = step.join(*(
+                    nn.project_to_ball(nn.MlpParams(spec, flat), weight_ball).flat
+                    for spec, flat in zip(step.specs, step.split(joint))))
+        loss = float(risks(*step.split(joint)))
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite training loss at epoch {epoch}")
         curve.append(loss)
-    return model, adam_branch, adam_trunk, curve
+    (branch, trunk), (mb, mt), (vb, vt) = map(step.split, (joint, adam.m, adam.v))
+    model = DeepONetModel(nn.MlpParams(step.specs[0], branch), nn.MlpParams(step.specs[1], trunk))
+    return model, replace(adam, m=mb, v=vb), replace(adam, m=mt, v=vt), curve
 
 
 def build_cell_dataset(plan: ExperimentPlan, n: int, seed) -> Dataset:

@@ -77,3 +77,19 @@ def random_dataset(rng, n=8, m=3, d2=2) -> Dataset:
         B=float(np.max(np.abs(y))) if n else 0.0,
         sensor_grid=np.linspace(0.0, 1.0, m),
     )
+
+
+def per_net_loss_grads(model: DeepONetModel, s, p, y):
+    """loss_grads_arrays as one value_and_vjp pass per net: the reference that
+    the two-tower training step must equal bit for bit."""
+    b_out, branch_vjp = nn.value_and_vjp(model.branch, s)
+    t_out, trunk_vjp = nn.value_and_vjp(model.trunk, p)
+    r = np.einsum("ij,ij->i", b_out, t_out) - y
+    scale = 2.0 / y.shape[0]
+    return (branch_vjp((scale * r)[:, None] * t_out), trunk_vjp((scale * r)[:, None] * b_out),
+            float(np.mean(r * r)))
+
+
+def bits_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from donlab import cli, nn
+from donlab import cli, nn, scaling
 from donlab.cli import main
 from donlab.datagen import read_dataset_csv
 from donlab.deeponet import load_checkpoint
@@ -322,6 +322,35 @@ class TestTrain:
         assert re.match(f"error: checkpoint {re.escape(str(resume))}: {message}", err)
         assert not (out / "run.checkpoint.json").exists()
 
+    @pytest.mark.parametrize("part, key, value, message", [
+        ("branch", "layer_dims", ["6", 4, 2],
+         "malformed branch: all layer dims must be ints >= 1, got ('6', 4, 2)"),
+        ("trunk", "layer_dims", [2.0, 4, 2], "malformed trunk: all layer dims must be ints"),
+        ("adam_branch", "beta1", 2.0, "malformed adam_branch: beta1 must be a number in [0, 1)"),
+        ("adam_trunk", "beta2", "0.999", "malformed adam_trunk: beta2 must be a number in"),
+        ("adam_trunk", "eps", -1.0, "malformed adam_trunk: eps must be a finite number > 0"),
+        ("adam_branch", "lr", True, "malformed adam_branch: lr must be a finite number > 0"),
+        ("adam_trunk", "t", 7, "adam_branch and adam_trunk must share (t, lr, beta1, beta2, "
+                               "eps), got (2, 0.001, 0.9, 0.999, 1e-08) and (7, 0.001,"),
+    ])
+    def test_resume_from_hand_edited_checkpoint_exits_two(self, tmp_path, dataset_csv,
+                                                          capsys, part, key, value, message):
+        base = {"dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
+                "batch_size": 32, "epochs": 1, "out_name": "run"}
+        first = tmp_path / "first"
+        assert main(["train", "--config", _write(tmp_path / "first.json", base),
+                     "--out-dir", str(first)]) == 0
+        ckpt = first / "run.checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        (payload[part]["spec"] if key == "layer_dims" else payload[part])[key] = value
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "second"
+        assert main(["train", "--config", _write(tmp_path / "second.json",
+                                                 dict(base, resume_from=str(ckpt))),
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sidecar", ["[1]", "{not json"])
     def test_bad_dataset_sidecar_exits_two(self, tmp_path, dataset_csv, capsys, sidecar):
         meta = dataset_csv.parent / (dataset_csv.name + ".meta.json")
@@ -514,6 +543,30 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden_activation", "gelu", "unknown hidden activation 'gelu'"),
+        ("output_activation", "relu", "unknown output activation 'relu'"),
+        ("noise_std", -1.0, "noise_std must be a finite number >= 0, got -1.0"),
+        ("noise_std", math.inf, "noise_std must be a finite number >= 0, got inf"),
+        ("noise_std", True, "noise_std must be a finite number >= 0, got True"),
+        ("grf_length_scale", -1.0, "grf_length_scale must be > 0 and finite, got -1.0"),
+        ("grf_jitter", math.nan, "grf_jitter must be >= 0 and finite, got nan"),
+        ("param_tolerance", -1.0, "param_tolerance must be a finite number >= 0, got -1.0"),
+        ("lr", True, "lr must be a finite number > 0, got True"),
+    ])
+    def test_value_a_cell_would_reject_exits_two_before_any_data(self, tmp_path, capsys,
+                                                                 monkeypatch, key, value,
+                                                                 message):
+        # each of these used to build every cell's data and then fail the cell
+        built = []
+        monkeypatch.setattr(scaling, "build_adr_dataset", lambda *a, **k: built.append(a))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", self._plan_cfg(tmp_path, **{key: value}),
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "" and not out.exists() and built == []
 
 
 class TestBound:

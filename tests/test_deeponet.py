@@ -23,7 +23,8 @@ from donlab.deeponet import (
 )
 from donlab.errors import InputError
 
-from conftest import random_dataset, random_model, random_params
+from conftest import (bits_equal, per_net_loss_grads, random_dataset, random_model,
+                      random_params)
 
 
 def _const_output_net(in_dim, out_values, activation="linear"):
@@ -179,6 +180,63 @@ class TestLossGrads:
         model = random_model(rng)
         with pytest.raises(InputError):
             loss_grads(model, random_dataset(rng, n=0))
+
+
+
+class TestTwoTowerStep:
+    """loss_grads runs both nets as one two-tower pass; it must equal one
+    value_and_vjp pass per net bit for bit, however the towers split."""
+
+    @pytest.mark.parametrize("hidden", nn.HIDDEN_ACTIVATIONS)
+    @pytest.mark.parametrize("output", nn.OUTPUT_ACTIVATIONS)
+    @pytest.mark.parametrize("rows", [256, 128])
+    def test_criterion_11_shapes(self, rng, hidden, output, rows):
+        # the q=8 cell: 40 sensors and (x, t) into four hidden layers of 31;
+        # 256 is a training batch and 128 the epoch tail at n = 16000
+        model = init_model(40, 2, 8, 31, 5, int(rng.integers(2**31)), hidden, output, "he")
+        for net in (model.branch, model.trunk):
+            net.flat += rng.normal(0.0, 0.1, net.flat.size)  # nonzero biases too
+        s, p = rng.uniform(-1, 1, (rows, 40)), rng.uniform(0, 1, (rows, 2))
+        y = rng.uniform(-1, 1, rows)
+        assert deeponet._TwoTowers(model, rows).heads == (1, 1)  # all but the input layer stack
+        got = deeponet.loss_grads_arrays(model, s, p, y)
+        want = per_net_loss_grads(model, s, p, y)
+        assert all(bits_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("bdims, tdims, trunk_acts, heads", [
+        ((5, 6, 6, 3), (2, 6, 6, 3), ("relu", "tanh"), (1, 1)),  # all but the input layer stack
+        ((5, 4), (2, 4), ("relu", "tanh"), (1, 1)),  # depth 1: nothing to stack
+        ((5, 6, 4), (2, 7, 4), ("relu", "tanh"), (2, 2)),  # differ past the input layer
+        ((5, 9, 6, 6, 3), (2, 4, 6, 6, 3), ("relu", "tanh"), (4, 4)),  # a common tail stays apart
+        ((5, 6, 6, 3), (2, 6, 3), ("relu", "tanh"), (3, 2)),  # depths differ
+        ((5, 6, 3), (2, 6, 3), ("tanh", "sigmoid"), (2, 2)),  # activations differ
+        ((5, 6, 3), (2, 6, 3), ("relu", "linear"), (2, 2)),
+    ])
+    def test_towers_stack_when_they_agree_past_the_input_layer(self, rng, bdims, tdims,
+                                                                trunk_acts, heads):
+        bspec = nn.MlpSpec(bdims, hidden_activation="relu", output_activation="tanh")
+        tspec = nn.MlpSpec(tdims, hidden_activation=trunk_acts[0],
+                           output_activation=trunk_acts[1])
+        model = DeepONetModel(random_params(bspec, rng), random_params(tspec, rng))
+        step = deeponet._TwoTowers(model, 9)
+        assert step.heads == heads
+        joint = step.join(model.branch.flat, model.trunk.flat)
+        assert all(bits_equal(g, w) for g, w in zip(
+            step.split(joint), (model.branch.flat, model.trunk.flat)))
+        joint_before = joint.copy()
+        for rows in (9, 4):
+            s, p = rng.uniform(-1, 1, (rows, bdims[0])), rng.uniform(0, 1, (rows, tdims[0]))
+            y = rng.uniform(-1, 1, rows)
+            grad, loss = step(joint, s, p, y)
+            gb, gt, want_loss = per_net_loss_grads(model, s, p, y)
+            assert bits_equal(grad, step.join(gb, gt)) and loss == want_loss
+            assert bits_equal(joint, joint_before)
+
+    def test_join_checks_the_vector_sizes(self, rng):
+        model = random_model(rng)
+        step = deeponet._TwoTowers(model, 4)
+        with pytest.raises(InputError, match="state length does not match"):
+            step.join(model.branch.flat, model.trunk.flat[:-1])
 
 
 ACTIVATION_PAIRS = [

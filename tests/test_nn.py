@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ class TestSpecAndCounting:
     def test_bad_dims_rejected(self, dims):
         with pytest.raises(ConfigurationError):
             nn.MlpSpec(dims)
+
+    @pytest.mark.parametrize("dims", [("40", 31, 8), (40.7, 31, 8), (True, 3, 1),
+                                      (40, 31.0, 8), (np.int64(4), 3)])
+    def test_non_int_dims_rejected_not_converted(self, dims):
+        with pytest.raises(ConfigurationError, match="all layer dims must be ints >= 1"):
+            nn.MlpSpec(dims)
+
+    def test_dims_list_becomes_tuple(self):
+        assert nn.MlpSpec([3, 2]) == nn.MlpSpec((3, 2))
 
     def test_bad_enums_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -173,7 +183,7 @@ def _two_pass_backward(params, x, out_grads):
         name = params.spec.output_activation if last else params.spec.hidden_activation
         zs.append(z)
         acts.append({"relu": lambda v: np.maximum(v, 0.0), "tanh": np.tanh,
-                     "sigmoid": nn._sigmoid, "linear": lambda v: v}[name](z))
+                     "sigmoid": lambda v: nn._sigmoid(v.copy()), "linear": lambda v: v}[name](z))
 
     def deriv(z, a, name):
         return {"relu": lambda: (z > 0).astype(np.float64), "tanh": lambda: 1.0 - a * a,
@@ -245,6 +255,38 @@ def test_stacked_forward_equals_per_vector_forward_batch(rng, hidden, output, k)
     assert np.array_equal(x, x_before)
 
 
+@pytest.mark.parametrize("hidden,output", ACTIVATION_PAIRS)
+def test_stacked_backward_slices_equal_value_and_vjp(rng, hidden, output):
+    # the loops behind value_and_vjp on lead-stacked flats and inputs, split
+    # at layer 1 as the two-tower step splits them
+    spec = nn.MlpSpec((5, 7, 6, 3), hidden_activation=hidden, output_activation=output)
+    flats = rng.uniform(-1.5, 1.5, (3, nn.param_count(spec)))
+    x, g = rng.uniform(-2, 2, (3, 11, 5)), rng.uniform(-1, 1, (3, 11, 3))
+    cut = nn._layer_slices(spec, 0, 1)[-1][1].stop
+    head_acts, tail_acts = [], []
+    mid = nn._forward(spec, flats[:, :cut], x, head_acts, stop=1)
+    out = nn._forward(spec, flats[:, cut:], mid, tail_acts, start=1)
+    grad = np.empty_like(flats)
+    delta = nn._scale_by_deriv_(g.copy(), out, output)
+    delta = nn._backward(spec, flats[:, cut:], tail_acts, delta, grad[:, cut:], start=1)
+    nn._backward(spec, flats[:, :cut], head_acts, delta, grad[:, :cut])
+    for j in range(3):
+        want_out, vjp = nn.value_and_vjp(nn.MlpParams(spec, flats[j]), x[j])
+        assert _bits_equal(out[j], want_out) and _bits_equal(grad[j], vjp(g[j]))
+
+
+def test_relu_against_zeros_equals_scalar_form_bit_for_bit(rng):
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                        np.finfo(np.float64).tiny, -1e308])
+    z = np.concatenate([special, rng.standard_normal(256 * 31 - special.size)])
+    z[-3:] = np.frombuffer(np.array([0x7FF0000000000123, 0xFFF8000000000456, 0x8000000000000000],
+                                    dtype=np.uint64).tobytes())  # NaN payloads, -0.0
+    zeros = np.zeros(2 * z.size)
+    for x in (z.reshape(256, 31), rng.permutation(z).reshape(2, 124, 32), z[:7]):
+        got = nn._activate_(x.copy(), "relu", zeros)
+        assert _bits_equal(got, np.maximum(x, 0.0))
+
+
 def test_single_layer_linear_forward_is_not_a_view():
     # one linear layer applies no activation, the case most likely to alias
     spec = nn.MlpSpec((2, 2), output_activation="linear")
@@ -272,11 +314,10 @@ def test_sigmoid_equals_masked_form_bit_for_bit(rng):
     z = np.concatenate([special, rng.standard_normal(3975) * 40.0,
                         rng.standard_normal(500) * 1e-310])
     for x in (z, rng.permutation(z).reshape(3, 25, 60), -z):
-        x_before = x.copy()
-        got, want = nn._sigmoid(x), _masked_sigmoid(x)
-        assert got.shape == x.shape
+        buf = x.copy()
+        got, want = nn._sigmoid(buf), _masked_sigmoid(x)
+        assert got is buf  # written in place
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.array_equal(x.view(np.int64), x_before.view(np.int64))
 
 
 def _view_forward(spec, flat, x, acts):
@@ -288,8 +329,8 @@ def _view_forward(spec, flat, x, acts):
         acts.append(a)
         z = a @ flat[..., w_sl].reshape(lead + (n_out, n_in)).swapaxes(-1, -2)
         z += flat[..., b_sl][..., None, :]
-        last = i == spec.depth - 1
-        a = nn._activate_(z, spec.output_activation if last else spec.hidden_activation)
+        name = spec.output_activation if i == spec.depth - 1 else spec.hidden_activation
+        a = np.maximum(z, 0.0) if name == "relu" else nn._activate_(z, name, None)
     return a
 
 
@@ -397,9 +438,24 @@ class TestAdam:
         for t in (-1, 2.5, True, np.int64(2), "3"):
             with pytest.raises(InputError, match="step counter t must be an int >= 0"):
                 nn.AdamState(m=np.zeros(2), v=np.zeros(2), t=t)
-        for lr in (-1.0, 0.0, math.nan, math.inf, "0.01"):
+        for lr in (-1.0, 0.0, math.nan, math.inf, "0.01", True):
             with pytest.raises(InputError, match=f"lr must be a finite number > 0, got {lr!r}"):
                 nn.adam_init(2, lr=lr)
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("beta1", 2.0, "a number in [0, 1)"), ("beta1", "0.9", "a number in [0, 1)"),
+        ("beta1", 1.0, "a number in [0, 1)"), ("beta1", False, "a number in [0, 1)"),
+        ("beta2", math.nan, "a number in [0, 1)"), ("beta2", -0.1, "a number in [0, 1)"),
+        ("eps", -1.0, "a finite number > 0"), ("eps", 0.0, "a finite number > 0"),
+        ("eps", math.inf, "a finite number > 0"), ("eps", None, "a finite number > 0"),
+    ])
+    def test_hyperparameters_checked(self, name, value, rule):
+        with pytest.raises(InputError, match=re.escape(f"{name} must be {rule}, got {value!r}")):
+            nn.AdamState(m=np.zeros(2), v=np.zeros(2), **{name: value})
+
+    def test_hyperparameter_edges_accepted(self):
+        state = nn.AdamState(m=np.zeros(2), v=np.zeros(2), lr=1, beta1=0, beta2=0.0, eps=5e-324)
+        assert (state.lr, state.beta1, state.beta2, state.eps) == (1, 0, 0.0, 5e-324)
 
     def test_length_mismatch_rejected(self):
         params = nn.init_mlp(nn.MlpSpec((2, 2)), 0)

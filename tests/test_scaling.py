@@ -7,7 +7,7 @@ import pytest
 
 from donlab import nn, scaling
 from donlab.datagen import AdrConfig
-from donlab.deeponet import Dataset, DeepONetModel
+from donlab.deeponet import Dataset, DeepONetModel, empirical_risk, init_model
 from donlab.errors import ConfigurationError, InputError
 from donlab.scaling import (
     CellResult,
@@ -443,3 +443,64 @@ class TestTrainResume:
         assert curve_a + curve_b == curve_full
         assert np.array_equal(m_resumed.branch.flat, m_full.branch.flat)
         assert np.array_equal(m_resumed.trunk.flat, m_full.trunk.flat)
+
+
+def _per_net_training(model, ds, epochs, batch_size, seed, lr, weight_ball):
+    """train_deeponet as one pass and one adam_step chain per net, with the
+    projection and the epoch-end risk per net: the joint step's reference."""
+    from conftest import per_net_loss_grads
+
+    branch, trunk = model.branch, model.trunk
+    ab, at = nn.adam_init(branch.flat.size, lr=lr), nn.adam_init(trunk.flat.size, lr=lr)
+    curve = []
+    for epoch in range(epochs):
+        perm = np.random.default_rng([seed, epoch]).permutation(ds.n)
+        for lo in range(0, ds.n, batch_size):
+            idx = perm[lo:lo + batch_size]
+            gb, gt, _ = per_net_loss_grads(DeepONetModel(branch, trunk),
+                                           ds.s[idx], ds.p[idx], ds.y[idx])
+            ab, branch = nn.adam_step(ab, branch, gb)
+            at, trunk = nn.adam_step(at, trunk, gt)
+            if weight_ball is not None:
+                branch = nn.project_to_ball(branch, weight_ball)
+                trunk = nn.project_to_ball(trunk, weight_ball)
+        curve.append(empirical_risk(DeepONetModel(branch, trunk), ds))
+    return DeepONetModel(branch, trunk), ab, at, curve
+
+
+class TestJointTraining:
+    @pytest.mark.parametrize("hidden,output", [("relu", "tanh"), ("tanh", "sigmoid")])
+    @pytest.mark.parametrize("weight_ball", [None, 2.5])
+    def test_equals_per_net_loop_bit_for_bit(self, rng, hidden, output, weight_ball):
+        from conftest import bits_equal, random_dataset
+
+        model = init_model(6, 2, 3, 7, 3, 4, hidden, output, "he")
+        ds = random_dataset(rng, n=150, m=6)  # 150 = 4 batches of 32 and a tail of 22
+        if weight_ball is not None:  # the ball binds from the first step
+            assert min(nn.param_l2_norm(model.branch), nn.param_l2_norm(model.trunk)) > 2.5
+        got = train_deeponet(model, ds, 3, 32, seed=2, lr=0.01, weight_ball=weight_ball)
+        want = _per_net_training(model, ds, 3, 32, 2, 0.01, weight_ball)
+        assert got[3] == want[3]
+        for net in ("branch", "trunk"):
+            g, w = getattr(got[0], net), getattr(want[0], net)
+            assert g.spec == w.spec and bits_equal(g.flat, w.flat)
+        for g, w in zip(got[1:3], want[1:3]):  # the returned Adam states
+            assert bits_equal(g.m, w.m) and bits_equal(g.v, w.v)
+            assert (g.t, g.lr, g.beta1, g.beta2, g.eps) == (w.t, w.lr, w.beta1, w.beta2, w.eps)
+
+    @pytest.mark.parametrize("trunk_state, message", [
+        (dict(lr=0.01), r"must share \(t, lr, beta1, beta2, eps\), "
+                        r"got \(0, 0.001, 0.9, 0.999, 1e-08\) and \(0, 0.01, 0.9,"),
+        (dict(t=3), r"got \(0, 0.001, 0.9, 0.999, 1e-08\) and \(3, 0.001,"),
+        (dict(eps=1e-6), r"and \(0, 0.001, 0.9, 0.999, 1e-06\)"),
+        (dict(m=np.zeros(5), v=np.zeros(5)), "state length does not match"),
+    ])
+    def test_adam_states_must_fit_one_joint_update(self, rng, trunk_state, message):
+        from conftest import random_dataset, random_model
+
+        model = random_model(rng, q=2, width=4)
+        ab = nn.adam_init(model.branch.flat.size)
+        at = dataclasses.replace(nn.adam_init(model.trunk.flat.size), **trunk_state)
+        with pytest.raises(InputError, match=message):
+            train_deeponet(model, random_dataset(rng, n=20), 1, 8, seed=0,
+                           adam_branch=ab, adam_trunk=at)
