@@ -52,7 +52,6 @@ from .nn import (
     MlpParams,
     MlpSpec,
     adam_init,
-    adam_step,
     init_mlp,
     param_count,
     param_l2_norm,

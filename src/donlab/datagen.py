@@ -28,6 +28,19 @@ from .errors import (
 BLOWUP_LIMIT = 1e10
 
 
+def _check_types(config, kind, *names) -> None:
+    """Each named field is an int (kind int) or a real number (kind float).
+
+    Values are not converted, and a bool is neither.
+    """
+    for name in names:
+        x = getattr(config, name)
+        if isinstance(x, bool) or not (type(x) is int if kind is int
+                                       else isinstance(x, (int, float))):
+            rule = "an int" if kind is int else "a real number"
+            raise ConfigurationError(f"{name} must be {rule}, got {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # Gaussian random fields
 # ---------------------------------------------------------------------------
@@ -48,6 +61,7 @@ class GrfConfig:
             raise ConfigurationError("grid must be strictly increasing")
         if not (self.grid[0] >= 0.0 and self.grid[-1] <= 1.0):
             raise ConfigurationError("grid must lie in [0, 1]")
+        _check_types(self, float, "length_scale", "jitter")
         if not 0 < self.length_scale < math.inf:
             raise ConfigurationError(
                 f"length_scale must be > 0 and finite, got {self.length_scale}")
@@ -77,14 +91,6 @@ def grf_cholesky(config: GrfConfig) -> np.ndarray:
         ) from exc
 
 
-def sample_grf_batch(config: GrfConfig, count: int, seed) -> np.ndarray:
-    """count independent draws as rows of a (count, len(grid)) array."""
-    chol = grf_cholesky(config)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((config.grid.size, count))
-    return (chol @ z).T
-
-
 # ---------------------------------------------------------------------------
 # Reaction-diffusion solver: u_t = D u_xx + k u^2 + f(x) on [0,1]^2
 # ---------------------------------------------------------------------------
@@ -99,6 +105,8 @@ class AdrConfig:
     nt: int = 101
 
     def __post_init__(self):
+        _check_types(self, float, "D", "k")
+        _check_types(self, int, "nx", "nt")
         if not 0 <= self.D < math.inf:
             raise ConfigurationError(
                 f"diffusion coefficient must be >= 0 and finite, got {self.D}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_write_text
-from .errors import InputError
+from .errors import ConfigurationError, InputError
 
 BOUNDED_OUTPUTS = ("sigmoid", "tanh")
 
@@ -58,6 +58,8 @@ def init_model(m: int, d2: int, q: int, width: int, depth: int, seed,
     then q outputs. The branch is drawn with seed [seed, 1] and the trunk
     with [seed, 2].
     """
+    if type(depth) is not int or depth < 1:
+        raise ConfigurationError(f"depth must be an int >= 1, got {depth!r}")
     common = dict(hidden_activation=hidden_activation,
                   output_activation=output_activation, init_scheme=init_scheme)
     hidden = [width] * (depth - 1)
@@ -228,16 +230,9 @@ def loss_grads(
     """Exact gradient of the batch empirical risk w.r.t. both flat vectors."""
     if batch.n == 0:
         raise InputError("cannot take gradients on an empty batch")
-    return loss_grads_arrays(model, batch.s, batch.p, batch.y)
-
-
-def loss_grads_arrays(
-    model: DeepONetModel, s: np.ndarray, p: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`loss_grads` on row-aligned arrays s (n, m), p (n, d2), y (n,)."""
-    step = _TwoTowers(model, y.shape[0])
-    s, p = nn._check_input(model.branch.spec, s), nn._check_input(model.trunk.spec, p)
-    grad, loss = step(step.join(model.branch.flat, model.trunk.flat), s, p, y)
+    step = _TwoTowers(model, batch.n)
+    s, p = nn._check_input(model.branch.spec, batch.s), nn._check_input(model.trunk.spec, batch.p)
+    grad, loss = step(step.join(model.branch.flat, model.trunk.flat), s, p, batch.y)
     return *step.split(grad), loss
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import nn
 from .deeponet import Dataset, DeepONetModel, _RiskEvaluator, _stack_size
 
 DEFAULT_STEP = 1e-6
@@ -33,17 +32,6 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     numeric = np.asarray(numeric)
     scale = max(float(np.max(np.abs(numeric))), 1e-12)
     return float(np.max(np.abs(analytic - numeric))) / scale
-
-
-def fd_backward(params: nn.MlpParams, x: np.ndarray, out_grads: np.ndarray,
-                step: float = DEFAULT_STEP) -> np.ndarray:
-    """FD gradient of sum_i <out_grads[i], forward_batch(params, x)[i]> w.r.t.
-    the flat vector; x has shape (n, in_dim) and out_grads (n, out_dim)."""
-
-    def fun(flat):
-        return float(np.vdot(out_grads, nn.forward_batch(nn.MlpParams(params.spec, flat), x)))
-
-    return fd_gradient(fun, params.flat, step)
 
 
 def fd_loss_grads(model: DeepONetModel, batch: Dataset,

@@ -222,32 +222,6 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return _forward(params.spec, params.flat, _check_input(params.spec, x), None)
 
 
-def value_and_vjp(params: MlpParams, x: np.ndarray):
-    """Forward pass plus its vector-Jacobian product with respect to flat.
-
-    Returns (out, vjp): out equals forward_batch(params, x), and vjp(g) is
-    the gradient of sum_i <g[i], out[i]> w.r.t. the flat vector, computed
-    by exact reverse mode from the activations cached by this one pass.
-    """
-    spec = params.spec
-    x = _check_input(spec, x)
-    acts: list[np.ndarray] = []
-    out = _forward(spec, params.flat, x, acts)
-
-    def vjp(out_grads: np.ndarray) -> np.ndarray:
-        delta = np.array(out_grads, dtype=np.float64)  # a copy: scaled in place
-        if delta.shape != out.shape:
-            raise InputError(
-                f"expected out_grads shape {out.shape}, got {delta.shape}"
-            )
-        grad = np.empty_like(params.flat)  # every weight and bias slice is written
-        _backward(spec, params.flat, acts,
-                  _scale_by_deriv_(delta, out, spec.output_activation), grad)
-        return grad
-
-    return out, vjp
-
-
 def param_l2_norm(params: MlpParams) -> float:
     """Euclidean norm of the flat parameter vector."""
     return float(np.linalg.norm(params.flat))
@@ -302,19 +276,9 @@ def adam_init(n_params: int, lr: float = 0.001) -> AdamState:
     return AdamState(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
 
 
-def adam_step(
-    state: AdamState, params: MlpParams, grads: np.ndarray
-) -> tuple[AdamState, MlpParams]:
-    """One bias-corrected Adam update; returns fresh (state, params)."""
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.shape != params.flat.shape or state.m.shape != params.flat.shape:
-        raise InputError("gradient / state length does not match parameter vector")
-    state, new_flat = _adam_update(state, params.flat, grads)
-    return state, MlpParams(params.spec, new_flat)
-
-
 def _adam_update(state: AdamState, flat: np.ndarray, grads: np.ndarray):
-    """adam_step on a bare vector: elementwise, so one call can serve two nets."""
+    """One bias-corrected Adam update of the vector flat by grads; returns fresh
+    (state, flat). Elementwise, so one call can serve two nets."""
     t = state.t + 1
     # Two work buffers, with the operations in the order of the textbook form
     #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,

@@ -103,7 +103,11 @@ class ExperimentPlan:
         exponent = d.pop("exponent")
         if isinstance(exponent, str):
             num, _, den = exponent.partition("/")
-            exponent = float(num) / float(den) if den else float(num)
+            try:
+                exponent = float(num) / float(den) if den else float(num)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigurationError(
+                    f"exponent must be a number or a fraction a/b, got {exponent!r}") from exc
         if "anchor" in d:
             d["anchor_q"], d["anchor_n"] = d.pop("anchor")
         adr = d.pop("adr", {})

@@ -79,15 +79,57 @@ def random_dataset(rng, n=8, m=3, d2=2) -> Dataset:
     )
 
 
+def view_forward(spec: nn.MlpSpec, flat, x, acts: list):
+    """nn._forward with each layer on the transposed view of its weight
+    block: the reference that the C-ordered layout must match bit for bit."""
+    lead = flat.shape[:-1]
+    a = x
+    for i, (w_sl, b_sl, n_out, n_in) in enumerate(nn._layer_slices(spec)):
+        acts.append(a)
+        z = a @ flat[..., w_sl].reshape(lead + (n_out, n_in)).swapaxes(-1, -2)
+        z += flat[..., b_sl][..., None, :]
+        name = spec.output_activation if i == spec.depth - 1 else spec.hidden_activation
+        a = np.maximum(z, 0.0) if name == "relu" else nn._activate_(z, name, None)
+    return a
+
+
+def view_vjp(params: nn.MlpParams, x, g):
+    """(out, grad): view_forward, then reverse mode from the output gradient g
+    with row sums by ndarray.sum and the relu mask by *=."""
+    spec, acts = params.spec, []
+    out = view_forward(spec, params.flat, x, acts)
+
+    def scale(delta, a, name):
+        if name == "relu":
+            delta *= a > 0
+        elif name == "tanh":
+            delta *= 1.0 - a * a
+        elif name == "sigmoid":
+            delta *= a * (1.0 - a)
+        return delta
+
+    delta = scale(g.copy(), out, spec.output_activation)
+    grad = np.empty_like(params.flat)
+    slices = nn._layer_slices(spec)
+    for i in range(len(slices) - 1, -1, -1):
+        w_sl, b_sl, n_out, n_in = slices[i]
+        np.matmul(delta.T, acts[i], out=grad[w_sl].reshape(n_out, n_in))
+        grad[b_sl] = delta.sum(axis=0)
+        if i > 0:
+            w = params.flat[w_sl].reshape(n_out, n_in)
+            delta = scale(delta @ w, acts[i], spec.hidden_activation)
+    return out, grad
+
+
 def per_net_loss_grads(model: DeepONetModel, s, p, y):
-    """loss_grads_arrays as one value_and_vjp pass per net: the reference that
-    the two-tower training step must equal bit for bit."""
-    b_out, branch_vjp = nn.value_and_vjp(model.branch, s)
-    t_out, trunk_vjp = nn.value_and_vjp(model.trunk, p)
+    """loss_grads as one view_vjp pass per net: the reference that the
+    two-tower training step must equal bit for bit."""
+    b_out = view_forward(model.branch.spec, model.branch.flat, s, [])
+    t_out = view_forward(model.trunk.spec, model.trunk.flat, p, [])
     r = np.einsum("ij,ij->i", b_out, t_out) - y
-    scale = 2.0 / y.shape[0]
-    return (branch_vjp((scale * r)[:, None] * t_out), trunk_vjp((scale * r)[:, None] * b_out),
-            float(np.mean(r * r)))
+    scale = (2.0 / y.shape[0] * r)[:, None]
+    return (view_vjp(model.branch, s, scale * t_out)[1],
+            view_vjp(model.trunk, p, scale * b_out)[1], float(np.mean(r * r)))
 
 
 def bits_equal(a, b) -> bool:

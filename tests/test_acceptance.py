@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from donlab import gradcheck, nn
+from donlab import deeponet, gradcheck, nn
 from donlab.bounds import (
     BoundInputs,
     FunctionClassSpec,
@@ -25,12 +25,12 @@ from donlab.bounds import (
 from donlab.datagen import (
     AdrConfig,
     GrfConfig,
+    build_pendulum_dataset,
     kernel_matrix,
-    sample_grf_batch,
     solve_adr,
     solve_pendulum,
 )
-from donlab.deeponet import Dataset, DeepONetModel, loss_grads
+from donlab.deeponet import Dataset, DeepONetModel, init_model, loss_grads
 from donlab.scaling import (
     ExperimentPlan,
     architecture_params,
@@ -51,44 +51,47 @@ def _report(criterion: int, name: str, ok: bool, detail: str):
 # -- 1 ----------------------------------------------------------------------
 
 def test_criterion_01_gradient_correctness():
+    # loss_grads is the training step: even draws come from init_model, whose
+    # towers stack past their input layer; odd draws give the towers different
+    # hidden widths, so each runs whole
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
-    for _ in range(50):
-        q = int(rng.integers(1, 5))
-        dims_b = (int(rng.integers(2, 9)), int(rng.integers(2, 9)), q)
-        dims_t = (int(rng.integers(1, 9)), int(rng.integers(2, 9)), q)
-        common = dict(
-            hidden_activation=str(rng.choice(["relu", "tanh"])),
-            output_activation=str(rng.choice(["sigmoid", "tanh", "linear"])),
-        )
-        model = DeepONetModel(
-            nn.MlpParams(s := nn.MlpSpec(dims_b, **common),
-                         rng.uniform(-1, 1, nn.param_count(s))),
-            nn.MlpParams(s := nn.MlpSpec(dims_t, **common),
-                         rng.uniform(-1, 1, nn.param_count(s))),
-        )
+    layouts = []
+    for k in range(50):
+        q, m, d2 = int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(1, 9))
+        hidden = str(rng.choice(["relu", "tanh"]))
+        output = str(rng.choice(["sigmoid", "tanh", "linear"]))
+        width_b = int(rng.integers(2, 9))
+        if k % 2 == 0:
+            model = init_model(m, d2, q, width_b, 2, k, hidden, output, "he")
+        else:
+            width_t = int(rng.integers(2, 8))
+            width_t += width_t >= width_b  # any width in [2, 8] but width_b
+            specs = (nn.MlpSpec(dims, hidden_activation=hidden, output_activation=output)
+                     for dims in ((m, width_b, q), (d2, width_t, q)))
+            model = DeepONetModel(*(nn.init_mlp(spec, k) for spec in specs))
+        for net in (model.branch, model.trunk):
+            net.flat[:] = rng.uniform(-1, 1, net.flat.size)
         n = 4
+        layouts.append(deeponet._TwoTowers(model, n).heads)
         y = rng.uniform(-1, 1, n)
         ds = Dataset(
-            s=rng.uniform(-1, 1, (n, dims_b[0])),
-            p=rng.uniform(-1, 1, (n, dims_t[0])),
+            s=rng.uniform(-1, 1, (n, m)),
+            p=rng.uniform(-1, 1, (n, d2)),
             y=y, B=float(np.max(np.abs(y))),
-            sensor_grid=np.linspace(0, 1, dims_b[0]),
+            sensor_grid=np.linspace(0, 1, m),
         )
         gb, gt, _ = loss_grads(model, ds)
         fb, ft = gradcheck.fd_loss_grads(model, ds)
         worst = max(worst, gradcheck.relative_error(gb, fb),
                     gradcheck.relative_error(gt, ft))
-        x = rng.uniform(-1, 1, dims_b[0])
-        og = rng.uniform(-1, 1, q)
-        worst = max(worst, gradcheck.relative_error(
-            nn.value_and_vjp(model.branch, x[None])[1](og[None]),
-            gradcheck.fd_backward(model.branch, x[None], og[None]),
-        ))
     wall = time.perf_counter() - t0
-    _report(1, "gradient correctness", worst < 1e-6 and wall < 10.0,
-            f"max rel error {worst:.3g} over 50 models in {wall:.1f}s")
+    stacked, whole = layouts.count((1, 1)), layouts.count((2, 2))
+    _report(1, "gradient correctness",
+            worst < 1e-6 and wall < 10.0 and (stacked, whole) == (25, 25),
+            f"max rel error {worst:.3g} over 50 models ({stacked} stacked, {whole} whole "
+            f"towers) in {wall:.1f}s")
 
 
 # -- 2 ----------------------------------------------------------------------
@@ -103,12 +106,11 @@ def test_criterion_02_adam_reference_trajectory():
         theta -= lr * (m / (1 - b1**2)) / (math.sqrt(v / (1 - b2**2)) + eps)
         return theta
 
-    p = nn.MlpParams(nn.MlpSpec((1, 1)), np.array([0.25, -0.75]))
     st = nn.adam_init(2)
-    st, p = nn.adam_step(st, p, np.array([0.8, -1.3]))
-    st, p = nn.adam_step(st, p, np.array([-0.4, 2.2]))
-    err = max(abs(p.flat[0] - hand(0.25, 0.8, -0.4)),
-              abs(p.flat[1] - hand(-0.75, -1.3, 2.2)))
+    st, flat = nn._adam_update(st, np.array([0.25, -0.75]), np.array([0.8, -1.3]))
+    st, flat = nn._adam_update(st, flat, np.array([-0.4, 2.2]))
+    err = max(abs(flat[0] - hand(0.25, 0.8, -0.4)),
+              abs(flat[1] - hand(-0.75, -1.3, 2.2)))
     _report(2, "Adam two-step reference", err <= 1e-12, f"max deviation {err:.2e}")
 
 
@@ -158,15 +160,20 @@ def test_criterion_04_pendulum_solver():
 # -- 5 ----------------------------------------------------------------------
 
 def test_criterion_05_grf():
+    # the draws are the s rows of a dataset with one sensor at every node and
+    # one point per function, so they come from the program's dataset assembler
+    def draws(cfg, count, seed):
+        return build_pendulum_dataset(cfg, 0.0, cfg.grid.size, count, 1, 0.0, seed).s
+
     cfg = GrfConfig(grid=np.linspace(0, 1, 40), length_scale=1e-3)
-    var = float(sample_grf_batch(cfg, 10_000, seed=42).var())
+    var = float(draws(cfg, 10_000, seed=42).var())
 
     l = 0.2
     cfg2 = GrfConfig(grid=np.linspace(0, 1, 21), length_scale=l)
-    draws = sample_grf_batch(cfg2, 10_000, seed=7)
+    rows = draws(cfg2, 10_000, seed=7)
     kmat = kernel_matrix(cfg2.grid, l)
     cov_err = max(
-        abs(float(np.mean(draws[:, i] * draws[:, j])) - kmat[i, j])
+        abs(float(np.mean(rows[:, i] * rows[:, j])) - kmat[i, j])
         for i, j in [(3, 11), (0, 20), (5, 6), (10, 10)]
     )
     ok = abs(var - 1.0) <= 0.05 and cov_err <= 0.05

@@ -155,6 +155,13 @@ class TestGenData:
          "pendulum v0 must be finite, got -inf"),
         ({"kind": "pendulum", "pendulum": {"forcing_scale": math.nan, "nt": 21}},
          "pendulum forcing_scale must be finite, got nan"),
+        ({"grf": {"length_scale": "0.1"}}, "length_scale must be a real number, got '0.1'"),
+        ({"grf": {"length_scale": True}}, "length_scale must be a real number, got True"),
+        ({"grf": {"length_scale": 0.05, "jitter": None}}, "jitter must be a real number, got None"),
+        ({"adr": {"D": "0.01", "nx": 21, "nt": 21}}, "D must be a real number, got '0.01'"),
+        ({"adr": {"k": False, "nx": 21, "nt": 21}}, "k must be a real number, got False"),
+        ({"adr": {"nx": 11.0, "nt": 21}}, "nx must be an int, got 11.0"),
+        ({"adr": {"nx": 21, "nt": True}}, "nt must be an int, got True"),
     ])
     def test_nan_in_grf_or_adr_exits_two(self, tmp_path, capsys, section, message):
         out = tmp_path / "out"
@@ -278,9 +285,12 @@ class TestTrain:
         ("epochs", -2, "epochs must be >= 0, got -2"),
         ("batch_size", 0, "batch_size must be >= 1, got 0"),
         ("epochs", 2.0, "'float' object cannot be interpreted as an integer"),
+        ("depth", 0, "depth must be an int >= 1, got 0"),
+        ("depth", -2, "depth must be an int >= 1, got -2"),
+        ("depth", 2.0, "depth must be an int >= 1, got 2.0"),
     ])
-    def test_bad_epochs_or_batch_size_exit_two(self, tmp_path, dataset_csv, capsys,
-                                               key, value, message):
+    def test_bad_epochs_batch_size_or_depth_exit_two(self, tmp_path, dataset_csv, capsys,
+                                                     key, value, message):
         cfg = _write(tmp_path / "t.json", {
             "dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
             "epochs": 1, "batch_size": 16, key: value, "out_name": "run",
@@ -288,7 +298,7 @@ class TestTrain:
         out = tmp_path / "trained"
         assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert not (out / "run.checkpoint.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("checkpoint", [[1, 2], {"format": "donlab-checkpoint-v1"}])
     def test_resume_from_non_checkpoint_exits_two(self, tmp_path, dataset_csv, capsys,
@@ -533,6 +543,9 @@ class TestExperiment:
         ("seeds", [0.5], "seeds must be a list of ints"),
         ("seeds", [False], "seeds must be a list of ints"),
         ("trunk_in", 3, "unexpected keyword argument 'trunk_in'"),
+        ("adr", {"nx": 21.0, "nt": 21}, "nx must be an int, got 21.0"),
+        ("exponent", "1/0", "exponent must be a number or a fraction a/b, got '1/0'"),
+        ("exponent", "half", "exponent must be a number or a fraction a/b, got 'half'"),
     ])
     def test_non_int_or_unknown_plan_value_exits_two(self, tmp_path, capsys, key, value,
                                                      message):
@@ -552,6 +565,9 @@ class TestExperiment:
         ("noise_std", True, "noise_std must be a finite number >= 0, got True"),
         ("grf_length_scale", -1.0, "grf_length_scale must be > 0 and finite, got -1.0"),
         ("grf_jitter", math.nan, "grf_jitter must be >= 0 and finite, got nan"),
+        ("grf_jitter", None, "grf_jitter must be a real number, got None"),
+        ("grf_length_scale", "0.1", "grf_length_scale must be a real number, got '0.1'"),
+        ("grf_length_scale", True, "grf_length_scale must be a real number, got True"),
         ("param_tolerance", -1.0, "param_tolerance must be a finite number >= 0, got -1.0"),
         ("lr", True, "lr must be a finite number > 0, got True"),
     ])

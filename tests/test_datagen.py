@@ -19,7 +19,6 @@ from donlab.datagen import (
     grf_cholesky,
     kernel_matrix,
     read_dataset_csv,
-    sample_grf_batch,
     sensor_indices,
     solve_adr,
     solve_pendulum,
@@ -60,6 +59,12 @@ class TestRbfKernel:
                 kernel_matrix(np.array([0.0, 1.0]), l)
 
 
+def _grf_draws(cfg, count, seed):
+    """count GRF draws as rows, taken the way the program takes them: the s
+    rows of a dataset with one sensor at every node and one point per function."""
+    return build_pendulum_dataset(cfg, 0.0, cfg.grid.size, count, 1, 0.0, seed).s
+
+
 class TestGrf:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -82,25 +87,25 @@ class TestGrf:
 
     def test_deterministic_in_seed(self):
         cfg = GrfConfig(grid=np.linspace(0, 1, 12), length_scale=0.1)
-        assert np.array_equal(sample_grf_batch(cfg, 1, 4), sample_grf_batch(cfg, 1, 4))
-        assert not np.array_equal(sample_grf_batch(cfg, 1, 4), sample_grf_batch(cfg, 1, 5))
+        assert np.array_equal(_grf_draws(cfg, 1, 4), _grf_draws(cfg, 1, 4))
+        assert not np.array_equal(_grf_draws(cfg, 1, 4), _grf_draws(cfg, 1, 5))
 
     def test_tiny_length_scale_gives_near_iid(self):
         # paper-scale config: 40 sensors, length scale far below the spacing
         cfg = GrfConfig(grid=np.linspace(0, 1, 40), length_scale=1e-3)
-        draws = sample_grf_batch(cfg, 10_000, seed=42)
+        draws = _grf_draws(cfg, 10_000, seed=42)
         assert abs(draws.var() - 1.0) <= 0.05
 
     def test_huge_length_scale_gives_common_value(self):
         cfg = GrfConfig(grid=np.linspace(0, 1, 10), length_scale=50.0)
-        draws = sample_grf_batch(cfg, 2_000, seed=1)
+        draws = _grf_draws(cfg, 2_000, seed=1)
         corr = np.corrcoef(draws[:, 0], draws[:, -1])[0, 1]
         assert corr > 0.99
 
     def test_monte_carlo_covariance_matches_kernel(self):
         l = 0.2
         cfg = GrfConfig(grid=np.linspace(0, 1, 21), length_scale=l)
-        draws = sample_grf_batch(cfg, 10_000, seed=7)
+        draws = _grf_draws(cfg, 10_000, seed=7)
         k = kernel_matrix(cfg.grid, l)
         for i, j in [(3, 11), (0, 20), (5, 6)]:
             emp = float(np.mean(draws[:, i] * draws[:, j]))
@@ -123,7 +128,7 @@ class TestGrf:
     def test_non_pd_without_jitter_raises_with_advice(self):
         cfg = GrfConfig(grid=np.linspace(0, 1, 40), length_scale=100.0, jitter=0.0)
         with pytest.raises(NumericalError, match="jitter"):
-            sample_grf_batch(cfg, 1, 0)
+            grf_cholesky(cfg)
 
 
 def _reference_adr(f, cfg):

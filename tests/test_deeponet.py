@@ -184,8 +184,8 @@ class TestLossGrads:
 
 
 class TestTwoTowerStep:
-    """loss_grads runs both nets as one two-tower pass; it must equal one
-    value_and_vjp pass per net bit for bit, however the towers split."""
+    """loss_grads runs both nets as one two-tower pass; it must equal the
+    per-net reference bit for bit, however the towers split."""
 
     @pytest.mark.parametrize("hidden", nn.HIDDEN_ACTIVATIONS)
     @pytest.mark.parametrize("output", nn.OUTPUT_ACTIVATIONS)
@@ -196,11 +196,10 @@ class TestTwoTowerStep:
         model = init_model(40, 2, 8, 31, 5, int(rng.integers(2**31)), hidden, output, "he")
         for net in (model.branch, model.trunk):
             net.flat += rng.normal(0.0, 0.1, net.flat.size)  # nonzero biases too
-        s, p = rng.uniform(-1, 1, (rows, 40)), rng.uniform(0, 1, (rows, 2))
-        y = rng.uniform(-1, 1, rows)
+        batch = random_dataset(rng, n=rows, m=40)
         assert deeponet._TwoTowers(model, rows).heads == (1, 1)  # all but the input layer stack
-        got = deeponet.loss_grads_arrays(model, s, p, y)
-        want = per_net_loss_grads(model, s, p, y)
+        got = loss_grads(model, batch)
+        want = per_net_loss_grads(model, batch.s, batch.p, batch.y)
         assert all(bits_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("bdims, tdims, trunk_acts, heads", [
@@ -586,7 +585,7 @@ class TestCheckpoint:
     def test_round_trip_exact(self, rng, tmp_path):
         model = random_model(rng, q=3)
         ab = nn.adam_init(model.branch.flat.size)
-        ab, _ = nn.adam_step(ab, model.branch, rng.uniform(-1, 1, model.branch.flat.size))
+        ab, _ = nn._adam_update(ab, model.branch.flat, rng.uniform(-1, 1, model.branch.flat.size))
         path = tmp_path / "model.checkpoint.json"
         save_checkpoint(model, path, seeds={"train": 5}, adam_branch=ab, epoch=7)
         loaded, ab2, at2, epoch, seeds = load_checkpoint(path)

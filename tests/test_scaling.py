@@ -305,7 +305,7 @@ def _golden_run(hidden: str, output: str) -> str:
     return h.hexdigest()
 
 
-# Recorded with the two-pass forward/backward that value_and_vjp replaced:
+# Recorded with the two-pass forward/backward that one-pass reverse mode replaced:
 # a change to the floating-point operations of training shows up here.
 @pytest.mark.parametrize("hidden,output,digest", [
     ("relu", "tanh", "d52ca34f9d544160e3b34fc545b465745679d646c504d3a5da0ef0f3cde00316"),
@@ -446,8 +446,8 @@ class TestTrainResume:
 
 
 def _per_net_training(model, ds, epochs, batch_size, seed, lr, weight_ball):
-    """train_deeponet as one pass and one adam_step chain per net, with the
-    projection and the epoch-end risk per net: the joint step's reference."""
+    """train_deeponet as one pass and one chain of Adam updates per net, with
+    the projection and the epoch-end risk per net: the joint step's reference."""
     from conftest import per_net_loss_grads
 
     branch, trunk = model.branch, model.trunk
@@ -459,8 +459,9 @@ def _per_net_training(model, ds, epochs, batch_size, seed, lr, weight_ball):
             idx = perm[lo:lo + batch_size]
             gb, gt, _ = per_net_loss_grads(DeepONetModel(branch, trunk),
                                            ds.s[idx], ds.p[idx], ds.y[idx])
-            ab, branch = nn.adam_step(ab, branch, gb)
-            at, trunk = nn.adam_step(at, trunk, gt)
+            ab, flat_b = nn._adam_update(ab, branch.flat, gb)
+            at, flat_t = nn._adam_update(at, trunk.flat, gt)
+            branch, trunk = nn.MlpParams(branch.spec, flat_b), nn.MlpParams(trunk.spec, flat_t)
             if weight_ball is not None:
                 branch = nn.project_to_ball(branch, weight_ball)
                 trunk = nn.project_to_ball(trunk, weight_ball)
