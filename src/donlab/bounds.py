@@ -28,7 +28,7 @@ from .deeponet import (
     _uniform_in_ball,
     j_upper_bound,
 )
-from .errors import InputError
+from .errors import InputError, check_number
 
 LOG2 = math.log(2.0)
 
@@ -49,11 +49,10 @@ class FunctionClassSpec:
     c: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        for name in ("d_b", "d_t", "w_b", "w_t", "c"):
-            if not getattr(self, name) >= 1:
-                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 1 <= self.q <= min(self.d_b, self.d_t):
+        for name in ("d_b", "d_t", "w_b", "w_t", "c", "q"):
+            check_number(name, getattr(self, name), InputError,
+                         count=name in ("d_b", "d_t", "q"), at_least=1)
+        if not self.q <= min(self.d_b, self.d_t):
             raise InputError("q must satisfy 1 <= q <= min(d_b, d_t)")
 
 
@@ -72,18 +71,12 @@ class BoundInputs:
     j_source: str = "analytic"  # "estimated" | "analytic"
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not self.n >= 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
+        check_number("n", self.n, InputError, count=True, at_least=1)
         for name in ("epsilon", "label_bound", "j"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 < self.delta < 1.0:
-            raise InputError("delta must lie strictly in (0, 1)")
-        if not self.sigma2 >= 0:
-            raise InputError(f"sigma2 must be >= 0, got {self.sigma2}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError("alpha must lie strictly in (0, 1)")
+            check_number(name, getattr(self, name), InputError, above=0)
+        check_number("delta", self.delta, InputError, above=0, below=1)
+        check_number("sigma2", self.sigma2, InputError, at_least=0)
+        check_number("alpha", self.alpha, InputError, above=0, below=1)
         if self.j_source not in ("estimated", "analytic"):
             raise InputError("j_source must be 'estimated' or 'analytic'")
 
@@ -106,8 +99,7 @@ class BoundReport:
 
 def log_covering_number_ball(theta: float, W: float, d: int) -> float:
     """Log of the covering-number bound (2 W sqrt(d) / theta)^d, floored at 0."""
-    if not theta > 0:
-        raise InputError(f"covering scale theta must be > 0, got {theta}")
+    check_number("covering scale theta", theta, InputError, above=0)
     if not (W > 0 and d >= 1):
         raise InputError("need W > 0 and d >= 1")
     val = d * (LOG2 + math.log(W) + 0.5 * math.log(d) - math.log(theta))
@@ -181,8 +173,7 @@ def q_lower_bound_general(inputs: BoundInputs) -> BoundReport:
 
 def alpha_prime(alpha: float) -> float:
     """(alpha/2) ln(1/alpha) + ((1-alpha)/2) ln(1/(1-alpha))."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie strictly in (0, 1)")
+    check_number("alpha", alpha, InputError, above=0, below=1)
     return -0.5 * (alpha * math.log(alpha) + (1.0 - alpha) * math.log1p(-alpha))
 
 
@@ -217,8 +208,7 @@ def perturbation_bound(q: int, c: float, j: float, theta: float, b: float) -> fl
     """Risk increment bound q c J theta (B + 2 q c^2) under a theta-cover move."""
     if not (q >= 1 and c > 0 and j > 0 and b > 0):
         raise InputError("q, c, J, B must be positive")
-    if not theta >= 0:
-        raise InputError(f"theta must be >= 0, got {theta}")
+    check_number("theta", theta, InputError, at_least=0)
     return q * c * j * theta * (b + 2.0 * q * c * c)
 
 
@@ -270,10 +260,8 @@ def verify_perturbation(
     seed, each read row after row so the chunk size never changes the draws,
     and evaluated in one stacked pass; a NaN increment is skipped.
     """
-    if not theta >= 0:
-        raise InputError(f"theta must be >= 0, got {theta}")
-    if not trials >= 1:
-        raise InputError("need at least one trial")
+    check_number("theta", theta, InputError, at_least=0)
+    check_number("trials", trials, InputError, count=True, at_least=1)
     c = model.c_bound
     if not math.isfinite(c):
         raise InputError("perturbation check needs bounded output activations")
@@ -314,8 +302,9 @@ def verify_cover_bruteforce(d: int, w: float, theta: float, probes: int, seed) -
     """
     if not 1 <= d <= 3:
         raise InputError("brute-force cover check supports d in {1, 2, 3}")
-    if not (w > 0 and theta > 0 and probes >= 1):
-        raise InputError("need w > 0, theta > 0, probes >= 1")
+    if not (w > 0 and theta > 0):
+        raise InputError("need w > 0, theta > 0")
+    check_number("probes", probes, InputError, count=True, at_least=1)
     per_axis = max(1, math.ceil(w * math.sqrt(d) / theta))
     allowed = math.ceil((2.0 * w * math.sqrt(d) / theta) ** d)
     if per_axis**d > max(allowed, 1):
@@ -354,10 +343,9 @@ def hoeffding_mc_check(
     """
     if not a < b:
         raise InputError("need a < b")
-    if not (n >= 1 and trials >= 1):
-        raise InputError("n and trials must be >= 1")
-    if not t >= 0:
-        raise InputError(f"t must be >= 0, got {t}")
+    check_number("n", n, InputError, count=True, at_least=1)
+    check_number("trials", trials, InputError, count=True, at_least=1)
+    check_number("t", t, InputError, at_least=0)
     bound = math.exp(-2.0 * n * t * t / ((b - a) ** 2))
     mean = 0.5 * (a + b)
     rng = np.random.default_rng(seed)

@@ -35,7 +35,7 @@ from .deeponet import (
     loss_grads,
     save_checkpoint,
 )
-from .errors import DonlabError, FormatError, InputError
+from .errors import ConfigurationError, DonlabError, FormatError, InputError, check_number
 
 
 def _load_config(path: str) -> dict:
@@ -74,6 +74,7 @@ def _cmd_gen_data(args, cfg, /, *, kind="adr", seed=0, out_name="dataset", senso
     elif kind == "pendulum":
         pend = dict(pendulum)
         pend_k, nt = pend.pop("k", 1.0), pend.pop("nt", 101)
+        check_number("nt", nt, ConfigurationError, count=True, at_least=2)
         field = datagen.GrfConfig(grid=np.linspace(0.0, 1.0, nt), **grf)
         ds = datagen.build_pendulum_dataset(grf=field, pend_k=pend_k, **pend, **common)
     else:
@@ -220,12 +221,14 @@ def _toy_model_and_data(seed: int):
 
 def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=200,
                 cover_probes=10000, hoeffding_trials=20000) -> int:
+    for key, value in (("gradient_models", gradient_models),
+                       ("perturbation_trials", perturbation_trials),
+                       ("cover_probes", cover_probes), ("hoeffding_trials", hoeffding_trials)):
+        check_number(key, value, InputError, count=True, at_least=1)  # before any work
     out_dir = Path(args.out_dir)
     checks = []
 
     # 1) exact gradients vs central finite differences
-    if gradient_models < 1:
-        raise InputError(f"gradient_models must be >= 1, got {gradient_models}")
     worst = 0.0
     for rep in range(gradient_models):
         model, ds = _toy_model_and_data(seed + rep)

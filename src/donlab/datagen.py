@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,22 +22,10 @@ from .errors import (
     FormatError,
     InputError,
     NumericalError,
+    check_number,
 )
 
 BLOWUP_LIMIT = 1e10
-
-
-def _check_types(config, kind, *names) -> None:
-    """Each named field is an int (kind int) or a real number (kind float).
-
-    Values are not converted, and a bool is neither.
-    """
-    for name in names:
-        x = getattr(config, name)
-        if isinstance(x, bool) or not (type(x) is int if kind is int
-                                       else isinstance(x, (int, float))):
-            rule = "an int" if kind is int else "a real number"
-            raise ConfigurationError(f"{name} must be {rule}, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +48,8 @@ class GrfConfig:
             raise ConfigurationError("grid must be strictly increasing")
         if not (self.grid[0] >= 0.0 and self.grid[-1] <= 1.0):
             raise ConfigurationError("grid must lie in [0, 1]")
-        _check_types(self, float, "length_scale", "jitter")
-        if not 0 < self.length_scale < math.inf:
-            raise ConfigurationError(
-                f"length_scale must be > 0 and finite, got {self.length_scale}")
-        if not 0 <= self.jitter < math.inf:
-            raise ConfigurationError(f"jitter must be >= 0 and finite, got {self.jitter}")
+        check_number("length_scale", self.length_scale, ConfigurationError, finite=True, above=0)
+        check_number("jitter", self.jitter, ConfigurationError, finite=True, at_least=0)
 
 
 def kernel_matrix(grid: np.ndarray, l: float) -> np.ndarray:
@@ -105,15 +88,10 @@ class AdrConfig:
     nt: int = 101
 
     def __post_init__(self):
-        _check_types(self, float, "D", "k")
-        _check_types(self, int, "nx", "nt")
-        if not 0 <= self.D < math.inf:
-            raise ConfigurationError(
-                f"diffusion coefficient must be >= 0 and finite, got {self.D}")
-        if not math.isfinite(self.k):
-            raise ConfigurationError(f"ADR reaction rate k must be finite, got {self.k}")
-        if self.nx < 3 or self.nt < 3:
-            raise ConfigurationError("nx and nt must be >= 3")
+        check_number("D", self.D, ConfigurationError, finite=True, at_least=0)
+        check_number("k", self.k, ConfigurationError, finite=True)
+        check_number("nx", self.nx, ConfigurationError, count=True, at_least=3)
+        check_number("nt", self.nt, ConfigurationError, count=True, at_least=3)
 
     @property
     def x_grid(self) -> np.ndarray:
@@ -236,15 +214,14 @@ def _pendulum_at(k, y0, v0, t_end, fs, fn, jt) -> np.ndarray:
 # Dataset assembly
 # ---------------------------------------------------------------------------
 
-def sensor_indices(n_grid: int, m: int) -> np.ndarray:
-    """m distinct, evenly spread indices into a grid of n_grid nodes."""
-    if m > n_grid:
-        raise ConfigurationError(f"cannot place {m} sensors on {n_grid} grid nodes")
-    if m < 1:
-        raise ConfigurationError("need at least one sensor")
-    if m == 1:
+def sensor_indices(n_grid: int, sensor_count: int) -> np.ndarray:
+    """sensor_count distinct, evenly spread indices into a grid of n_grid nodes."""
+    check_number("sensor_count", sensor_count, ConfigurationError, count=True, at_least=1)
+    if sensor_count > n_grid:
+        raise ConfigurationError(f"cannot place {sensor_count} sensors on {n_grid} grid nodes")
+    if sensor_count == 1:
         return np.array([0])
-    return np.floor(np.linspace(0.0, n_grid - 1, m) + 0.5).astype(int)
+    return np.floor(np.linspace(0.0, n_grid - 1, sensor_count) + 0.5).astype(int)
 
 
 def _assemble(grf, grids, solve, sensor_count, num_functions, points_per_function,
@@ -257,10 +234,10 @@ def _assemble(grf, grids, solve, sensor_count, num_functions, points_per_functio
     batches: ``solve(fs, fn, *nodes)`` gives every query row r its noise-free
     label, the solution for source fs[fn[r]] at node indices nodes[.][r].
     """
-    if not 0 <= noise_std < math.inf:
-        raise ConfigurationError(f"noise_std must be >= 0 and finite, got {noise_std}")
-    if num_functions < 1 or points_per_function < 1:
-        raise ConfigurationError("num_functions and points_per_function must be >= 1")
+    check_number("noise_std", noise_std, ConfigurationError, finite=True, at_least=0)
+    check_number("num_functions", num_functions, ConfigurationError, count=True, at_least=1)
+    check_number("points_per_function", points_per_function, ConfigurationError, count=True,
+                 at_least=1)
     idx = sensor_indices(grids[0].size, sensor_count)
     chol = grf_cholesky(grf)
     rng = np.random.default_rng(seed)
@@ -331,8 +308,7 @@ def build_pendulum_dataset(
     integration at uniformly sampled grid times.
     """
     for name, value in (("k", pend_k), ("y0", y0), ("v0", v0), ("forcing_scale", forcing_scale)):
-        if not math.isfinite(value):
-            raise ConfigurationError(f"pendulum {name} must be finite, got {value}")
+        check_number(f"pendulum {name}", value, ConfigurationError, finite=True)
     t_grid = grf.grid
     nt = t_grid.size
     if nt < 2:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_write_text
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, check_number
 
 BOUNDED_OUTPUTS = ("sigmoid", "tanh")
 
@@ -58,8 +58,7 @@ def init_model(m: int, d2: int, q: int, width: int, depth: int, seed,
     then q outputs. The branch is drawn with seed [seed, 1] and the trunk
     with [seed, 2].
     """
-    if type(depth) is not int or depth < 1:
-        raise ConfigurationError(f"depth must be an int >= 1, got {depth!r}")
+    check_number("depth", depth, ConfigurationError, count=True, at_least=1)
     common = dict(hidden_activation=hidden_activation,
                   output_activation=output_activation, init_scheme=init_scheme)
     hidden = [width] * (depth - 1)
@@ -97,8 +96,7 @@ class Dataset:
             raise InputError("s, p, y row counts disagree")
         if self.sensor_grid.shape[0] != self.s.shape[1]:
             raise InputError("sensor grid length != sensor count m")
-        if not self.noise_std >= 0:
-            raise InputError(f"noise_std must be >= 0, got {self.noise_std}")
+        check_number("noise_std", self.noise_std, InputError, finite=True, at_least=0)
         if self.y.size and np.max(np.abs(self.y)) > self.B:
             raise InputError("label bound B violated: max|y| > B")
 
@@ -325,12 +323,9 @@ def estimate_J(
     returns the max of ||f_w1(x) - f_w2(x)||_inf / ||w1 - w2||. This is a
     lower bound on the true constant.
     """
-    if pairs < 1:
-        raise InputError("need at least one weight pair")
-    if inputs_per_pair < 1:
-        raise InputError(f"inputs_per_pair must be >= 1, got {inputs_per_pair}")
-    if not 0.0 <= weight_bound < math.inf:
-        raise InputError(f"weight_bound must be >= 0 and finite, got {weight_bound}")
+    check_number("pairs", pairs, InputError, count=True, at_least=1)
+    check_number("inputs_per_pair", inputs_per_pair, InputError, count=True, at_least=1)
+    check_number("weight_bound", weight_bound, InputError, finite=True, at_least=0)
     lo = np.asarray(input_domain[0], dtype=np.float64)
     hi = np.asarray(input_domain[1], dtype=np.float64)
     if lo.shape != (spec.in_dim,) or hi.shape != (spec.in_dim,):
@@ -434,6 +429,5 @@ def load_checkpoint(path):
     ab, at = (_checkpoint_part(payload, key, path) if payload.get(key) else None
               for key in ("adam_branch", "adam_trunk"))
     epoch = payload.get("epoch", 0)
-    if type(epoch) is not int or epoch < 0:
-        raise InputError(f"checkpoint {path}: epoch must be an int >= 0, got {epoch!r}")
+    check_number(f"checkpoint {path}: epoch", epoch, InputError, count=True, at_least=0)
     return model, ab, at, epoch, payload.get("seeds", {})

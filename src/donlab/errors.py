@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by all donlab modules."""
+"""Exception taxonomy shared by all donlab modules, and the check of config numbers."""
+
+import math
 
 
 class DonlabError(Exception):
@@ -23,3 +25,25 @@ class NumericalError(DonlabError, RuntimeError):
 
 class DivergenceError(NumericalError):
     """A time-stepping solve blew up."""
+
+
+def check_number(name: str, value, error: type[DonlabError], *, count: bool = False,
+                 finite: bool = False, at_least=None, above=None, below=None) -> None:
+    """Raise error("{name} must be {rule}, got {value!r}") unless value obeys the rule.
+
+    A count must be an int, any other number an int or a float; a bool is
+    neither, and nothing is converted. finite excludes +-inf; at_least, above
+    and below (given with one of the other two) bound the value; NaN fails.
+    """
+    if (isinstance(value, bool) or not isinstance(value, int if count else (int, float))
+            or value != value or (finite and not -math.inf < value < math.inf)
+            or (at_least is not None and not value >= at_least)
+            or (above is not None and not value > above)
+            or (below is not None and not value < below)):
+        rule = "an int" if count else "a finite number" if finite else "a number"
+        low = at_least if above is None else above
+        if below is not None:
+            rule += f" in {'[' if above is None else '('}{low}, {below})"
+        elif low is not None:
+            rule += f" {'>=' if above is None else '>'} {low}"
+        raise error(f"{name} must be {rule}, got {value!r}")

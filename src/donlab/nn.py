@@ -8,12 +8,11 @@ calls with the same inputs are bit-identical.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, check_number
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("sigmoid", "tanh", "linear")
@@ -37,8 +36,8 @@ class MlpSpec:
         object.__setattr__(self, "layer_dims", tuple(self.layer_dims))  # "40" stays a str
         if len(self.layer_dims) < 2:
             raise ConfigurationError("layer_dims needs at least input and output dims")
-        if not all(type(d) is int and d >= 1 for d in self.layer_dims):
-            raise ConfigurationError(f"all layer dims must be ints >= 1, got {self.layer_dims}")
+        for i, d in enumerate(self.layer_dims):
+            check_number(f"layer_dims[{i}]", d, ConfigurationError, count=True, at_least=1)
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ConfigurationError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
@@ -233,8 +232,7 @@ def project_to_ball(params: MlpParams, radius: float) -> MlpParams:
     A no-op (same values) when the vector is already inside the ball; used
     as the optional weight-constraint switch during training.
     """
-    if not radius > 0:
-        raise InputError(f"projection radius must be > 0, got {radius}")
+    check_number("projection radius", radius, InputError, above=0)
     norm = param_l2_norm(params)
     if norm <= radius:
         return MlpParams(params.spec, params.flat.copy())
@@ -258,14 +256,11 @@ class AdamState:
         self.v = np.asarray(self.v, dtype=np.float64)
         if self.m.shape != self.v.shape:
             raise InputError("m and v must have the same shape")
-        if type(self.t) is not int or self.t < 0:
-            raise InputError(f"step counter t must be an int >= 0, got {self.t!r}")
-        for name in ("lr", "beta1", "beta2", "eps"):
-            x, beta = getattr(self, name), name.startswith("beta")
-            if isinstance(x, bool) or not (isinstance(x, (int, float))
-                                           and (0 <= x < 1 if beta else 0 < x < math.inf)):
-                rule = "a number in [0, 1)" if beta else "a finite number > 0"
-                raise InputError(f"{name} must be {rule}, got {x!r}")
+        check_number("step counter t", self.t, InputError, count=True, at_least=0)
+        check_number("lr", self.lr, InputError, finite=True, above=0)
+        check_number("beta1", self.beta1, InputError, at_least=0, below=1)
+        check_number("beta2", self.beta2, InputError, at_least=0, below=1)
+        check_number("eps", self.eps, InputError, finite=True, above=0)
 
     def to_dict(self) -> dict:
         return asdict(self) | {"m": self.m.tolist(), "v": self.v.tolist()}

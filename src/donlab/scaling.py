@@ -27,7 +27,7 @@ from .deeponet import (
     _TwoTowers,
     init_model,
 )
-from .errors import ConfigurationError, InputError, NumericalError
+from .errors import ConfigurationError, InputError, NumericalError, check_number
 
 VALID_EXPONENTS = (0.5, 2.0 / 3.0, 1.0 / 6.0)
 
@@ -58,34 +58,29 @@ class ExperimentPlan:
     param_tolerance: float = 0.05
 
     def __post_init__(self):
-        # values are not converted: 4.5 or "4" is an error, not an int
-        for name in ("anchor_q", "anchor_n", "target_params", "depth", "branch_in",
-                     "epochs", "batch_size", "points_per_function", "q_list", "seeds"):
-            value = getattr(self, name)
-            listed = name in ("q_list", "seeds")
-            items = value if listed else [value]
-            if not (isinstance(items, list) and all(type(v) is int for v in items)):
-                kind = "a list of ints" if listed else "an int"
-                raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+        for name, at_least in (("anchor_q", 1), ("anchor_n", 1), ("target_params", None),
+                               ("depth", 2), ("branch_in", None), ("epochs", 0),
+                               ("batch_size", 1), ("points_per_function", None)):
+            check_number(name, getattr(self, name), ConfigurationError, count=True,
+                         at_least=at_least)
+        for name in ("q_list", "seeds"):
+            items = getattr(self, name)
+            if not isinstance(items, list):
+                raise ConfigurationError(f"{name} must be a list of ints, got {items!r}")
+            for i, v in enumerate(items):
+                check_number(f"{name}[{i}]", v, ConfigurationError, count=True)
         if not any(math.isclose(self.exponent, e) for e in VALID_EXPONENTS):
             raise ConfigurationError(
                 f"exponent must be one of 1/2, 2/3, 1/6; got {self.exponent}"
             )
-        if self.anchor_n < 1 or self.anchor_q < 1:
-            raise ConfigurationError("anchor (q0, n0) must be positive")
         if not self.q_list or sorted(self.q_list) != list(self.q_list):
             raise ConfigurationError("q_list must be non-empty and increasing")
-        if self.depth < 2:
-            raise ConfigurationError("depth must be >= 2 weight layers")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigurationError("bad epochs / batch size")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds must be non-empty and distinct; got {self.seeds}")
-        for name in ("lr", "noise_std", "param_tolerance"):  # lr > 0, the others >= 0
-            x, op = getattr(self, name), ">" if name == "lr" else ">="
-            if isinstance(x, bool) or not (isinstance(x, (int, float))
-                                           and (0 < x if op == ">" else 0 <= x) and x < math.inf):
-                raise ConfigurationError(f"{name} must be a finite number {op} 0, got {x!r}")
+        check_number("lr", self.lr, ConfigurationError, finite=True, above=0)
+        check_number("noise_std", self.noise_std, ConfigurationError, finite=True, at_least=0)
+        check_number("param_tolerance", self.param_tolerance, ConfigurationError, finite=True,
+                     at_least=0)
         # what run_cell hands on is checked here by its owners' rules, before any work
         nn.MlpSpec((1, 1), hidden_activation=self.hidden_activation,
                    output_activation=self.output_activation)
@@ -109,7 +104,12 @@ class ExperimentPlan:
                 raise ConfigurationError(
                     f"exponent must be a number or a fraction a/b, got {exponent!r}") from exc
         if "anchor" in d:
-            d["anchor_q"], d["anchor_n"] = d.pop("anchor")
+            anchor = d.pop("anchor")
+            if "anchor_q" in d or "anchor_n" in d:
+                raise ConfigurationError("anchor cannot be given with anchor_q or anchor_n")
+            if not (isinstance(anchor, (list, tuple)) and len(anchor) == 2):
+                raise ConfigurationError(f"anchor must be a list [q0, n0], got {anchor!r}")
+            d["anchor_q"], d["anchor_n"] = anchor
         adr = d.pop("adr", {})
         return cls(exponent=float(exponent), adr=AdrConfig(**adr), **d)
 
@@ -152,13 +152,15 @@ def size_architecture(target_params: int, q: int, depth: int = 5,
         raise InputError("depth must be >= 2")
     if q < 1 or target_params < 1:
         raise InputError("q and target_params must be positive")
-    if architecture_params(1, q, depth, branch_in, trunk_in) > target_params:
+    # the count is a quadratic a w^2 + b w + f0 in the width w
+    f0, f1, f2 = (architecture_params(w, q, depth, branch_in, trunk_in) for w in (0, 1, 2))
+    if f1 > target_params:
         raise ConfigurationError(
             f"target {target_params} below the smallest model at q={q}"
         )
-    a = 2 * (depth - 2)
-    b = branch_in + trunk_in + 2 * (depth - 2) + 2 + 2 * q
-    c = 2 * q - target_params
+    a = (f2 - 2 * f1 + f0) // 2
+    b = f1 - f0 - a
+    c = f0 - target_params
     if a == 0:
         w_star = -c / b
     else:
@@ -254,12 +256,10 @@ def train_deeponet(
     (bound-faithful mode); by default the norms are unconstrained and just
     reported by the callers.
     """
-    if epochs < 0:
-        raise InputError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise InputError(f"batch_size must be >= 1, got {batch_size}")
-    if weight_ball is not None and not weight_ball > 0:
-        raise InputError(f"weight_ball must be > 0, got {weight_ball}")
+    check_number("epochs", epochs, InputError, count=True, at_least=0)
+    check_number("batch_size", batch_size, InputError, count=True, at_least=1)
+    if weight_ball is not None:
+        check_number("weight_ball", weight_ball, InputError, finite=True, above=0)
     if adam_branch is None:
         adam_branch = nn.adam_init(model.branch.flat.size, lr=lr)
     if adam_trunk is None:
@@ -340,8 +340,7 @@ def run_cell(cell: PlannedCell, plan: ExperimentPlan, seed: int) -> CellResult:
 
 def run_suite(plan: ExperimentPlan, max_workers: int = 1) -> SuiteResult:
     """All cells x seeds; results are keyed by (q, n, seed), order-independent."""
-    if max_workers < 1:
-        raise InputError(f"max_workers must be >= 1, got {max_workers}")
+    check_number("max_workers", max_workers, InputError, count=True, at_least=1)
     cells = plan_cells(plan)
     jobs = [(cell, seed) for cell in cells for seed in plan.seeds]
     if max_workers > 1:

@@ -1,11 +1,13 @@
 """The benchmark's use of the package, read from its source without running it.
 
-A workload that names a function the package no longer has fails only when
-the benchmark runs; this test reads bench/ and fails at once instead.
+A workload that names a function the package no longer has, or passes it an
+argument it no longer takes, fails only when the benchmark runs; this test
+reads bench/ and fails at once instead.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -37,8 +39,37 @@ def _missing_names(path: Path) -> list[str]:
     return missing
 
 
+def _unbound_calls(path: Path) -> list[str]:
+    """Each `module.attr(...)` call, with module one of MODULES, whose positional
+    count and keyword names do not bind to the callee's signature. A `*` or `**`
+    argument is skipped, and the rest is then bound as a partial call."""
+    unbound = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in MODULES):
+            continue
+        name = f"donlab.{node.func.value.id}.{node.func.attr}"
+        target = getattr(importlib.import_module(f"donlab.{node.func.value.id}"),
+                         node.func.attr, None)
+        if target is None:  # reported by _missing_names
+            continue
+        args = [a for a in node.args if not isinstance(a, ast.Starred)]
+        keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+        partial = len(args) < len(node.args) or len(keywords) < len(node.keywords)
+        sig = inspect.signature(target)
+        try:
+            (sig.bind_partial if partial else sig.bind)(*args, **keywords)
+        except TypeError as exc:
+            unbound.append(f"{name}: {exc}")
+    return unbound
+
+
 def test_workloads_name_only_what_the_package_has():
     assert _missing_names(BENCH / "workloads.py") == []
+
+
+def test_workloads_call_with_arguments_the_package_takes():
+    assert _unbound_calls(BENCH / "workloads.py") == []
 
 
 def test_missing_name_is_reported(tmp_path):
@@ -46,3 +77,22 @@ def test_missing_name_is_reported(tmp_path):
     path.write_text("from donlab import nn\nfrom donlab.datagen import solve_adr, gone\n"
                     "nn.forward_batch(p, x)\nnn.removed(p, x)\n")
     assert _missing_names(path) == ["donlab.datagen.gone", "donlab.nn.removed"]
+
+
+def test_unbound_call_is_reported(tmp_path):
+    path = tmp_path / "workload.py"
+    path.write_text("from donlab import nn, scaling\n"
+                    "scaling.run_suite(plan, max_workers=2)\n"
+                    "scaling.run_suite(plan, workers=2)\n"
+                    "scaling.train_deeponet(model, data, 1, 8, seed=0, adam_trunk=a)\n"
+                    "scaling.train_deeponet(model, data, 1, seed=0)\n"
+                    "nn.MlpSpec((1, 1), **common)\n"
+                    "nn.MlpSpec((1, 1), *dims, resolution=2)\n"
+                    "nn.param_count(spec, 2)\n"
+                    "nn.removed(spec)\n")
+    assert _unbound_calls(path) == [
+        "donlab.scaling.run_suite: got an unexpected keyword argument 'workers'",
+        "donlab.scaling.train_deeponet: missing a required argument: 'batch_size'",
+        "donlab.nn.MlpSpec: got an unexpected keyword argument 'resolution'",
+        "donlab.nn.param_count: too many positional arguments",
+    ]

@@ -66,13 +66,13 @@ class TestFunctionClassSpec:
         with pytest.raises(InputError):
             FunctionClassSpec(d_b=5, d_t=8, w_b=1.0, w_t=1.0, q=6)
 
-    @pytest.mark.parametrize("name, value", [
-        ("w_b", 0.5), ("w_b", math.nan), ("w_t", math.nan), ("d_b", math.nan),
-        ("c", 0.5), ("c", math.nan),
+    @pytest.mark.parametrize("name, value, rule", [
+        ("w_b", 0.5, "a number"), ("w_b", math.nan, "a number"), ("w_t", math.nan, "a number"),
+        ("d_b", math.nan, "an int"), ("c", 0.5, "a number"), ("c", math.nan, "a number"),
     ])
-    def test_range_checks_reject_nan(self, name, value):
+    def test_range_checks_reject_nan(self, name, value, rule):
         kwargs = dict(d_b=5, d_t=5, w_b=1.0, w_t=1.0, q=1)
-        with pytest.raises(InputError, match=f"^{name} must be >= 1, got {value}"):
+        with pytest.raises(InputError, match=f"^{name} must be {rule} >= 1, got {value}"):
             FunctionClassSpec(**dict(kwargs, **{name: value}))
 
 
@@ -227,15 +227,15 @@ class TestQLowerBoundGeneral:
             _inputs(delta=math.nan)
 
     @pytest.mark.parametrize("name, value, message", [
-        ("n", 0, "n must be >= 1, got 0"),
-        ("n", math.nan, "n must be >= 1, got nan"),
-        ("epsilon", math.nan, "epsilon must be > 0, got nan"),
-        ("label_bound", 0.0, "label_bound must be > 0, got 0.0"),
-        ("label_bound", math.nan, "label_bound must be > 0, got nan"),
-        ("j", math.nan, "j must be > 0, got nan"),
-        ("sigma2", -1.0, "sigma2 must be >= 0, got -1.0"),
-        ("sigma2", math.nan, "sigma2 must be >= 0, got nan"),
-        ("alpha", math.nan, "alpha must lie strictly in (0, 1)"),
+        ("n", 0, "n must be an int >= 1, got 0"),
+        ("n", math.nan, "n must be an int >= 1, got nan"),
+        ("epsilon", math.nan, "epsilon must be a number > 0, got nan"),
+        ("label_bound", 0.0, "label_bound must be a number > 0, got 0.0"),
+        ("label_bound", math.nan, "label_bound must be a number > 0, got nan"),
+        ("j", math.nan, "j must be a number > 0, got nan"),
+        ("sigma2", -1.0, "sigma2 must be a number >= 0, got -1.0"),
+        ("sigma2", math.nan, "sigma2 must be a number >= 0, got nan"),
+        ("alpha", math.nan, "alpha must be a number in (0, 1), got nan"),
     ])
     def test_range_checks_reject_nan(self, name, value, message):
         with pytest.raises(InputError) as info:
@@ -439,7 +439,7 @@ class TestVerifyPerturbation:
     def test_bad_theta_rejected(self, rng, theta):
         model = random_model(rng, output="sigmoid")
         ds = random_dataset(rng, n=5)
-        with pytest.raises(InputError, match=f"theta must be >= 0, got {theta}"):
+        with pytest.raises(InputError, match=f"theta must be a number >= 0, got {theta}"):
             verify_perturbation(model, theta, ds, trials=2, seed=0)
 
 
@@ -546,5 +546,5 @@ class TestHoeffdingMc:
 
     @pytest.mark.parametrize("t", [-0.1, math.nan])
     def test_bad_deviation_rejected(self, t):
-        with pytest.raises(InputError, match=f"t must be >= 0, got {t}"):
+        with pytest.raises(InputError, match=f"t must be a number >= 0, got {t}"):
             hoeffding_mc_check(0.0, 1.0, 5, t, trials=10, seed=0)

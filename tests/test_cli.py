@@ -120,7 +120,9 @@ class TestGenData:
     @pytest.mark.parametrize("section, extra, message", [
         ("grf", {"length": 0.1}, "'length'"),
         ("pendulum", {"damping": 0.1}, "'damping'"),
-        ("pendulum", {"nt": 31.0}, "'float' object cannot be interpreted as an integer"),
+        ("pendulum", {"nt": 31.0}, "nt must be an int >= 2, got 31.0"),
+        ("pendulum", {"nt": "31"}, "nt must be an int >= 2, got '31'"),
+        ("pendulum", {"k": "1"}, "pendulum k must be a finite number, got '1'"),
     ])
     def test_bad_key_or_value_in_a_section_exits_two(self, tmp_path, capsys, section, extra,
                                                       message):
@@ -137,31 +139,36 @@ class TestGenData:
         assert not out.exists()
 
     @pytest.mark.parametrize("section, message", [
-        ({"grf": {"length_scale": math.nan}}, "length_scale must be > 0"),
-        ({"grf": {"length_scale": 0.05, "jitter": math.nan}}, "jitter must be >= 0"),
-        ({"grf": {"length_scale": math.inf}}, "length_scale must be > 0 and finite, got inf"),
+        ({"grf": {"length_scale": math.nan}}, "length_scale must be a finite number > 0, got nan"),
+        ({"grf": {"length_scale": 0.05, "jitter": math.nan}},
+         "jitter must be a finite number >= 0, got nan"),
+        ({"grf": {"length_scale": math.inf}}, "length_scale must be a finite number > 0, got inf"),
         ({"grf": {"length_scale": 0.05, "jitter": math.inf}},
-         "jitter must be >= 0 and finite, got inf"),
-        ({"adr": {"D": math.nan, "nx": 21, "nt": 21}}, "diffusion coefficient must be >= 0"),
-        ({"adr": {"D": math.inf, "nx": 21, "nt": 21}}, "diffusion coefficient must be >= 0"),
-        ({"adr": {"k": math.nan, "nx": 21, "nt": 21}}, "ADR reaction rate k must be finite"),
-        ({"noise_std": math.nan}, "noise_std must be >= 0 and finite, got nan"),
-        ({"noise_std": math.inf}, "noise_std must be >= 0 and finite, got inf"),
+         "jitter must be a finite number >= 0, got inf"),
+        ({"adr": {"D": math.nan, "nx": 21, "nt": 21}}, "D must be a finite number >= 0, got nan"),
+        ({"adr": {"D": math.inf, "nx": 21, "nt": 21}}, "D must be a finite number >= 0, got inf"),
+        ({"adr": {"k": math.nan, "nx": 21, "nt": 21}}, "k must be a finite number, got nan"),
+        ({"noise_std": math.nan}, "noise_std must be a finite number >= 0, got nan"),
+        ({"noise_std": math.inf}, "noise_std must be a finite number >= 0, got inf"),
         ({"kind": "pendulum", "pendulum": {"k": math.nan, "nt": 21}},
-         "pendulum k must be finite, got nan"),
+         "pendulum k must be a finite number, got nan"),
         ({"kind": "pendulum", "pendulum": {"y0": math.inf, "nt": 21}},
-         "pendulum y0 must be finite, got inf"),
+         "pendulum y0 must be a finite number, got inf"),
         ({"kind": "pendulum", "pendulum": {"v0": -math.inf, "nt": 21}},
-         "pendulum v0 must be finite, got -inf"),
+         "pendulum v0 must be a finite number, got -inf"),
         ({"kind": "pendulum", "pendulum": {"forcing_scale": math.nan, "nt": 21}},
-         "pendulum forcing_scale must be finite, got nan"),
-        ({"grf": {"length_scale": "0.1"}}, "length_scale must be a real number, got '0.1'"),
-        ({"grf": {"length_scale": True}}, "length_scale must be a real number, got True"),
-        ({"grf": {"length_scale": 0.05, "jitter": None}}, "jitter must be a real number, got None"),
-        ({"adr": {"D": "0.01", "nx": 21, "nt": 21}}, "D must be a real number, got '0.01'"),
-        ({"adr": {"k": False, "nx": 21, "nt": 21}}, "k must be a real number, got False"),
-        ({"adr": {"nx": 11.0, "nt": 21}}, "nx must be an int, got 11.0"),
-        ({"adr": {"nx": 21, "nt": True}}, "nt must be an int, got True"),
+         "pendulum forcing_scale must be a finite number, got nan"),
+        ({"grf": {"length_scale": "0.1"}}, "length_scale must be a finite number > 0, got '0.1'"),
+        ({"grf": {"length_scale": True}}, "length_scale must be a finite number > 0, got True"),
+        ({"grf": {"length_scale": 0.05, "jitter": None}},
+         "jitter must be a finite number >= 0, got None"),
+        ({"adr": {"D": "0.01", "nx": 21, "nt": 21}}, "D must be a finite number >= 0, got '0.01'"),
+        ({"adr": {"k": False, "nx": 21, "nt": 21}}, "k must be a finite number, got False"),
+        ({"adr": {"nx": 11.0, "nt": 21}}, "nx must be an int >= 3, got 11.0"),
+        ({"adr": {"nx": 21, "nt": True}}, "nt must be an int >= 3, got True"),
+        ({"sensor_count": 6.0}, "sensor_count must be an int >= 1, got 6.0"),
+        ({"num_functions": 2.0}, "num_functions must be an int >= 1, got 2.0"),
+        ({"points_per_function": True}, "points_per_function must be an int >= 1, got True"),
     ])
     def test_nan_in_grf_or_adr_exits_two(self, tmp_path, capsys, section, message):
         out = tmp_path / "out"
@@ -282,9 +289,12 @@ class TestTrain:
         assert not [f for f in out.iterdir() if f.name.endswith(".tmp")]
 
     @pytest.mark.parametrize("key, value, message", [
-        ("epochs", -2, "epochs must be >= 0, got -2"),
-        ("batch_size", 0, "batch_size must be >= 1, got 0"),
-        ("epochs", 2.0, "'float' object cannot be interpreted as an integer"),
+        ("epochs", -2, "epochs must be an int >= 0, got -2"),
+        ("batch_size", 0, "batch_size must be an int >= 1, got 0"),
+        ("epochs", 2.0, "epochs must be an int >= 0, got 2.0"),
+        ("epochs", True, "epochs must be an int >= 0, got True"),
+        ("batch_size", True, "batch_size must be an int >= 1, got True"),
+        ("batch_size", 16.0, "batch_size must be an int >= 1, got 16.0"),
         ("depth", 0, "depth must be an int >= 1, got 0"),
         ("depth", -2, "depth must be an int >= 1, got -2"),
         ("depth", 2.0, "depth must be an int >= 1, got 2.0"),
@@ -334,8 +344,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("part, key, value, message", [
         ("branch", "layer_dims", ["6", 4, 2],
-         "malformed branch: all layer dims must be ints >= 1, got ('6', 4, 2)"),
-        ("trunk", "layer_dims", [2.0, 4, 2], "malformed trunk: all layer dims must be ints"),
+         "malformed branch: layer_dims[0] must be an int >= 1, got '6'"),
+        ("trunk", "layer_dims", [2.0, 4, 2],
+         "malformed trunk: layer_dims[0] must be an int >= 1, got 2.0"),
         ("adam_branch", "beta1", 2.0, "malformed adam_branch: beta1 must be a number in [0, 1)"),
         ("adam_trunk", "beta2", "0.999", "malformed adam_trunk: beta2 must be a number in"),
         ("adam_trunk", "eps", -1.0, "malformed adam_trunk: eps must be a finite number > 0"),
@@ -387,8 +398,9 @@ class TestTrain:
         ("lr", 0.0, "lr must be a finite number > 0, got 0.0"),
         ("lr", math.nan, "lr must be a finite number > 0, got nan"),
         ("lr", "0.01", "lr must be a finite number > 0, got '0.01'"),
-        ("weight_ball", -1.0, "weight_ball must be > 0, got -1.0"),
-        ("weight_ball", math.nan, "weight_ball must be > 0, got nan"),
+        ("weight_ball", -1.0, "weight_ball must be a finite number > 0, got -1.0"),
+        ("weight_ball", math.nan, "weight_ball must be a finite number > 0, got nan"),
+        ("weight_ball", True, "weight_ball must be a finite number > 0, got True"),
     ])
     def test_bad_lr_or_weight_ball_exits_two(self, tmp_path, dataset_csv, capsys,
                                              key, value, message):
@@ -511,7 +523,7 @@ class TestExperiment:
         out = tmp_path / "o"
         assert main(["experiment", "--config", self._plan_cfg(tmp_path), "--threads", threads,
                      "--out-dir", str(out)]) == 2
-        assert f"max_workers must be >= 1, got {threads}" in capsys.readouterr().err
+        assert f"max_workers must be an int >= 1, got {threads}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failed_cells_exit_one(self, tmp_path):
@@ -532,18 +544,23 @@ class TestExperiment:
         ("anchor", [2.5, 200], "anchor_q must be an int"),
         ("anchor", ["2", "200"], "anchor_q must be an int"),
         ("anchor", [2, 200.0], "anchor_n must be an int"),
-        ("q_list", [2.5, 3], "q_list must be a list of ints"),
-        ("q_list", [2, True], "q_list must be a list of ints"),
+        ("anchor", [2], "anchor must be a list [q0, n0], got [2]"),
+        ("anchor", 2, "anchor must be a list [q0, n0], got 2"),
+        ("anchor_q", 3, "anchor cannot be given with anchor_q or anchor_n"),
+        ("anchor_n", 300, "anchor cannot be given with anchor_q or anchor_n"),
+        ("q_list", [2.5, 3], "q_list[0] must be an int, got 2.5"),
+        ("q_list", [2, True], "q_list[1] must be an int, got True"),
+        ("q_list", 2, "q_list must be a list of ints, got 2"),
         ("target_params", 700.0, "target_params must be an int"),
         ("depth", 3.0, "depth must be an int"),
         ("branch_in", "10", "branch_in must be an int"),
         ("epochs", 2.0, "epochs must be an int"),
         ("batch_size", 64.0, "batch_size must be an int"),
         ("points_per_function", 50.0, "points_per_function must be an int"),
-        ("seeds", [0.5], "seeds must be a list of ints"),
-        ("seeds", [False], "seeds must be a list of ints"),
+        ("seeds", [0.5], "seeds[0] must be an int, got 0.5"),
+        ("seeds", [False], "seeds[0] must be an int, got False"),
         ("trunk_in", 3, "unexpected keyword argument 'trunk_in'"),
-        ("adr", {"nx": 21.0, "nt": 21}, "nx must be an int, got 21.0"),
+        ("adr", {"nx": 21.0, "nt": 21}, "nx must be an int >= 3, got 21.0"),
         ("exponent", "1/0", "exponent must be a number or a fraction a/b, got '1/0'"),
         ("exponent", "half", "exponent must be a number or a fraction a/b, got 'half'"),
     ])
@@ -563,11 +580,11 @@ class TestExperiment:
         ("noise_std", -1.0, "noise_std must be a finite number >= 0, got -1.0"),
         ("noise_std", math.inf, "noise_std must be a finite number >= 0, got inf"),
         ("noise_std", True, "noise_std must be a finite number >= 0, got True"),
-        ("grf_length_scale", -1.0, "grf_length_scale must be > 0 and finite, got -1.0"),
-        ("grf_jitter", math.nan, "grf_jitter must be >= 0 and finite, got nan"),
-        ("grf_jitter", None, "grf_jitter must be a real number, got None"),
-        ("grf_length_scale", "0.1", "grf_length_scale must be a real number, got '0.1'"),
-        ("grf_length_scale", True, "grf_length_scale must be a real number, got True"),
+        ("grf_length_scale", -1.0, "grf_length_scale must be a finite number > 0, got -1.0"),
+        ("grf_jitter", math.nan, "grf_jitter must be a finite number >= 0, got nan"),
+        ("grf_jitter", None, "grf_jitter must be a finite number >= 0, got None"),
+        ("grf_length_scale", "0.1", "grf_length_scale must be a finite number > 0, got '0.1'"),
+        ("grf_length_scale", True, "grf_length_scale must be a finite number > 0, got True"),
         ("param_tolerance", -1.0, "param_tolerance must be a finite number >= 0, got -1.0"),
         ("lr", True, "lr must be a finite number > 0, got True"),
     ])
@@ -653,9 +670,11 @@ class TestBound:
     @pytest.mark.parametrize("top, cls, message", [
         ({"samples": 10}, {}, "'samples'"),
         ({}, {"width": 3}, "'width'"),
-        ({"epsilon": math.nan}, {}, "epsilon must be > 0, got nan"),
-        ({}, {"w_b": math.nan}, "w_b must be >= 1, got nan"),
-        ({"n": "1000"}, {}, "'>=' not supported"),
+        ({"epsilon": math.nan}, {}, "epsilon must be a number > 0, got nan"),
+        ({}, {"w_b": math.nan}, "w_b must be a number >= 1, got nan"),
+        ({"n": "1000"}, {}, "n must be an int >= 1, got '1000'"),
+        ({"n": True}, {}, "n must be an int >= 1, got True"),
+        ({"epsilon": True}, {}, "epsilon must be a number > 0, got True"),
     ])
     def test_bad_key_or_value_exits_two(self, tmp_path, capsys, top, cls, message):
         cfg = json.loads(Path(self._cfg(tmp_path, 1000)).read_text())
@@ -717,13 +736,16 @@ class TestVerify:
         report = json.loads((out / "verify-report.json").read_text())
         assert report["failed"] == ["gradient_check"]
 
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_no_gradient_models_exit_two(self, tmp_path, capsys, count):
-        cfg = _write(tmp_path / "v.json", {"gradient_models": count})
+    @pytest.mark.parametrize("key, count", [
+        ("gradient_models", 0), ("gradient_models", -3), ("gradient_models", True),
+        ("perturbation_trials", 2.5), ("cover_probes", True), ("hoeffding_trials", 100.0),
+    ])
+    def test_bad_count_exits_two(self, tmp_path, capsys, key, count):
+        cfg = _write(tmp_path / "v.json", {key: count})
         out = tmp_path / "o"
         assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 2
-        assert f"gradient_models must be >= 1, got {count}" in capsys.readouterr().err
-        assert not (out / "verify-report.json").exists()
+        assert f"{key} must be an int >= 1, got {count!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_from_echo_is_identical(self, tmp_path, capsys):
         cfg = _write(tmp_path / "v.json", {"gradient_models": 1, "perturbation_trials": 50,

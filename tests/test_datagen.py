@@ -76,13 +76,15 @@ class TestGrf:
         for grid in ([0.0, math.nan, 1.0], [math.nan]):
             with pytest.raises(ConfigurationError, match="grid must"):
                 GrfConfig(grid=np.array(grid), length_scale=0.1)
-        with pytest.raises(ConfigurationError, match="length_scale must be > 0"):
+        with pytest.raises(ConfigurationError, match="length_scale must be a finite number > 0"):
             GrfConfig(grid=np.linspace(0, 1, 5), length_scale=math.nan)
-        with pytest.raises(ConfigurationError, match="jitter must be >= 0"):
+        with pytest.raises(ConfigurationError, match="jitter must be a finite number >= 0"):
             GrfConfig(grid=np.linspace(0, 1, 5), jitter=math.nan)
-        with pytest.raises(ConfigurationError, match="length_scale must be > 0 and finite"):
+        with pytest.raises(ConfigurationError,
+                           match="length_scale must be a finite number > 0, got inf"):
             GrfConfig(grid=np.linspace(0, 1, 5), length_scale=math.inf)
-        with pytest.raises(ConfigurationError, match="jitter must be >= 0 and finite"):
+        with pytest.raises(ConfigurationError,
+                           match="jitter must be a finite number >= 0, got inf"):
             GrfConfig(grid=np.linspace(0, 1, 5), jitter=math.inf)
 
     def test_deterministic_in_seed(self):
@@ -229,7 +231,7 @@ class TestAdrSolver:
 
     @pytest.mark.parametrize("D", [-0.01, math.nan])
     def test_negative_or_nan_diffusion_rejected(self, D):
-        with pytest.raises(ConfigurationError, match="diffusion coefficient must be >= 0"):
+        with pytest.raises(ConfigurationError, match="D must be a finite number >= 0"):
             AdrConfig(D=D)
 
 

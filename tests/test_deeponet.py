@@ -296,7 +296,8 @@ class TestStackedRisks:
 
 @pytest.mark.parametrize("noise_std", [-0.1, math.nan])
 def test_dataset_rejects_negative_or_nan_noise_std(noise_std):
-    with pytest.raises(InputError, match=f"noise_std must be >= 0, got {noise_std}"):
+    message = f"noise_std must be a finite number >= 0, got {noise_std}"
+    with pytest.raises(InputError, match=message):
         Dataset(s=np.zeros((2, 3)), p=np.zeros((2, 1)), y=np.zeros(2), B=0.0,
                 sensor_grid=np.zeros(3), noise_std=noise_std)
 
@@ -546,17 +547,17 @@ class TestWeightLipschitz:
         with pytest.raises(InputError):
             estimate_J(spec, 1.0, (np.zeros(2), np.ones(2)), pairs=0, seed=0)
 
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"inputs_per_pair": 0}, "inputs_per_pair"),
-        ({"inputs_per_pair": -2}, "inputs_per_pair"),
-        ({"weight_bound": -1.0}, "weight_bound"),
-        ({"weight_bound": math.nan}, "weight_bound"),
-        ({"weight_bound": math.inf}, "weight_bound"),
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"inputs_per_pair": 0}, "inputs_per_pair must be an int >= 1"),
+        ({"inputs_per_pair": -2}, "inputs_per_pair must be an int >= 1"),
+        ({"weight_bound": -1.0}, "weight_bound must be a finite number >= 0"),
+        ({"weight_bound": math.nan}, "weight_bound must be a finite number >= 0"),
+        ({"weight_bound": math.inf}, "weight_bound must be a finite number >= 0"),
     ])
-    def test_estimate_rejects_bad_arguments(self, kwargs, name):
+    def test_estimate_rejects_bad_arguments(self, kwargs, message):
         args = {"spec": nn.MlpSpec((2, 3, 1)), "weight_bound": 1.0,
                 "input_domain": (np.zeros(2), np.ones(2)), "pairs": 5, "seed": 0, **kwargs}
-        with pytest.raises(InputError, match=f"^{name} must be >= "):
+        with pytest.raises(InputError, match=f"^{message}, got "):
             estimate_J(**args)
 
 

@@ -42,10 +42,12 @@ class TestSpecAndCounting:
         with pytest.raises(ConfigurationError):
             nn.MlpSpec(dims)
 
-    @pytest.mark.parametrize("dims", [("40", 31, 8), (40.7, 31, 8), (True, 3, 1),
-                                      (40, 31.0, 8), (np.int64(4), 3)])
-    def test_non_int_dims_rejected_not_converted(self, dims):
-        with pytest.raises(ConfigurationError, match="all layer dims must be ints >= 1"):
+    @pytest.mark.parametrize("dims, index", [(("40", 31, 8), 0), ((40.7, 31, 8), 0),
+                                             ((True, 3, 1), 0), ((40, 31.0, 8), 1),
+                                             ((np.int64(4), 3), 0)])
+    def test_non_int_dims_rejected_not_converted(self, dims, index):
+        message = f"layer_dims[{index}] must be an int >= 1, got {dims[index]!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             nn.MlpSpec(dims)
 
     def test_dims_list_becomes_tuple(self):
@@ -427,5 +429,6 @@ class TestNorms:
     def test_projection_rejects_bad_radius(self):
         params = nn.MlpParams(nn.MlpSpec((1, 1)), np.array([1.0, 1.0]))
         for radius in (0.0, -1.0, math.nan):
-            with pytest.raises(InputError, match=f"projection radius must be > 0, got {radius}"):
+            message = f"projection radius must be a number > 0, got {radius}"
+            with pytest.raises(InputError, match=message):
                 nn.project_to_ball(params, radius)

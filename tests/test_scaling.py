@@ -219,7 +219,7 @@ def test_plan_rejects_bad_lr(lr):
 class TestSuite:
     @pytest.mark.parametrize("workers", [0, -2])
     def test_rejects_fewer_than_one_worker(self, workers):
-        with pytest.raises(InputError, match=f"max_workers must be >= 1, got {workers}"):
+        with pytest.raises(InputError, match=f"max_workers must be an int >= 1, got {workers}"):
             run_suite(_tiny_plan(), max_workers=workers)
 
     def test_runs_all_cells_and_is_deterministic(self):
@@ -423,7 +423,8 @@ class TestWeightBallTraining:
         from conftest import random_dataset, random_model
         from donlab.scaling import train_deeponet
 
-        with pytest.raises(InputError, match=f"weight_ball must be > 0, got {radius}"):
+        message = f"weight_ball must be a finite number > 0, got {radius}"
+        with pytest.raises(InputError, match=message):
             train_deeponet(random_model(rng), random_dataset(rng), 0, 16, seed=0,
                            weight_ball=radius)
 
