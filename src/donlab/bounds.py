@@ -100,8 +100,8 @@ class BoundReport:
 def log_covering_number_ball(theta: float, W: float, d: int) -> float:
     """Log of the covering-number bound (2 W sqrt(d) / theta)^d, floored at 0."""
     check_number("covering scale theta", theta, InputError, above=0)
-    if not (W > 0 and d >= 1):
-        raise InputError("need W > 0 and d >= 1")
+    check_number("W", W, InputError, above=0)
+    check_number("d", d, InputError, count=True, at_least=1)
     val = d * (LOG2 + math.log(W) + 0.5 * math.log(d) - math.log(theta))
     return max(val, 0.0)
 
@@ -206,8 +206,9 @@ def q_lower_bound_sigmoid(inputs: BoundInputs) -> BoundReport:
 
 def perturbation_bound(q: int, c: float, j: float, theta: float, b: float) -> float:
     """Risk increment bound q c J theta (B + 2 q c^2) under a theta-cover move."""
-    if not (q >= 1 and c > 0 and j > 0 and b > 0):
-        raise InputError("q, c, J, B must be positive")
+    check_number("q", q, InputError, count=True, at_least=1)
+    for name, value in (("c", c), ("J", j), ("B", b)):
+        check_number(name, value, InputError, above=0)
     check_number("theta", theta, InputError, at_least=0)
     return q * c * j * theta * (b + 2.0 * q * c * c)
 
@@ -300,10 +301,9 @@ def verify_cover_bruteforce(d: int, w: float, theta: float, probes: int, seed) -
     that uniform random probes all lie within theta of some grid point. The
     probes are drawn and checked a chunk at a time, stopping at the first miss.
     """
-    if not 1 <= d <= 3:
-        raise InputError("brute-force cover check supports d in {1, 2, 3}")
-    if not (w > 0 and theta > 0):
-        raise InputError("need w > 0, theta > 0")
+    check_number("d", d, InputError, count=True, at_least=1, below=4)
+    check_number("w", w, InputError, above=0)
+    check_number("theta", theta, InputError, above=0)
     check_number("probes", probes, InputError, count=True, at_least=1)
     per_axis = max(1, math.ceil(w * math.sqrt(d) / theta))
     allowed = math.ceil((2.0 * w * math.sqrt(d) / theta) ** d)

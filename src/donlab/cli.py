@@ -35,20 +35,8 @@ from .deeponet import (
     loss_grads,
     save_checkpoint,
 )
-from .errors import ConfigurationError, DonlabError, FormatError, InputError, check_number
-
-
-def _load_config(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise FormatError(f"config file {path} must hold a JSON object")
-    return cfg
+from .errors import (ConfigurationError, DonlabError, InputError, check_number,
+                     read_json_object)
 
 
 def _echo_config(cfg: dict, out_dir: Path, subcommand: str) -> None:
@@ -353,12 +341,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        cfg = _load_config(args.config) if args.config else {}
+        cfg = read_json_object(args.config, "config file") if args.config else {}
         seed = getattr(args, "seed", None)
         if seed is not None and args.command == "experiment":
             cfg["seeds"] = [seed]
         elif seed is not None:
             cfg["seed"] = seed
+        if args.command in ("gen-data", "train", "verify") and "seed" in cfg:
+            check_number("seed", cfg["seed"], InputError, count=True, at_least=0)
         return args.func(args, cfg, **cfg)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         # covers ConfigurationError / InputError / FormatError plus plain

@@ -16,14 +16,8 @@ import numpy as np
 
 from .atomic import atomic_path, atomic_write_text
 from .deeponet import Dataset, _distinct_rows
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    FormatError,
-    InputError,
-    NumericalError,
-    check_number,
-)
+from .errors import (ConfigurationError, DivergenceError, FormatError, InputError,
+                     NumericalError, check_number, read_json_object)
 
 BLOWUP_LIMIT = 1e10
 
@@ -412,17 +406,12 @@ def read_dataset_csv(path) -> Dataset:
 
     sidecar = _sidecar_path(path)
     if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise FormatError(f"sidecar {sidecar} must hold a JSON object")
+        meta = read_json_object(sidecar, "sidecar")
         if meta.pop("m", None) != m or meta.pop("d2", None) != d2:
             raise FormatError(f"sidecar {sidecar} disagrees with the CSV header")
         try:
             return Dataset(s=s, p=p, y=y, **meta)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # a missing or unknown key, or a bad value
             raise FormatError(f"sidecar {sidecar} does not describe a dataset: {exc}") from exc
     b = float(np.max(np.abs(y))) if y.size else 0.0
     return Dataset(s=s, p=p, y=y, B=b, sensor_grid=np.full(m, np.nan))

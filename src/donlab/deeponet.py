@@ -10,13 +10,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import nn
 from .atomic import atomic_write_text
-from .errors import ConfigurationError, InputError, check_number
+from .errors import ConfigurationError, InputError, check_number, read_json_object
 
 BOUNDED_OUTPUTS = ("sigmoid", "tanh")
 
@@ -351,10 +350,10 @@ def j_upper_bound(W: float, p: int, Q: int, depth: int, R: float) -> float:
 
     Evaluated in log space; returns +inf when the value overflows float64.
     """
-    if not W >= 1.0:
-        raise InputError(f"the analytic bound requires W >= 1, got {W}")
-    if not (p >= 1 and Q >= 1 and depth >= 1 and R > 0):
-        raise InputError("p, Q, depth must be >= 1 and R > 0")
+    check_number("W", W, InputError, at_least=1)
+    for name, value in (("p", p), ("Q", Q), ("depth", depth)):
+        check_number(name, value, InputError, count=True, at_least=1)
+    check_number("R", R, InputError, above=0)
     log_val = (
         2.0 * depth * (math.log(W) + 0.5 * math.log(p * Q))
         + math.log(Q)
@@ -417,11 +416,8 @@ def _checkpoint_part(payload: dict, key: str, path):
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, adam_branch, adam_trunk, epoch, seeds)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if (not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT
+    payload = read_json_object(path, "checkpoint")
+    if (payload.get("format") != CHECKPOINT_FORMAT
             or "branch" not in payload or "trunk" not in payload):
         raise InputError(f"{path} is not a donlab checkpoint")
     model = DeepONetModel(_checkpoint_part(payload, "branch", path),

@@ -1,6 +1,8 @@
-"""Exception taxonomy shared by all donlab modules, and the check of config numbers."""
+"""Exception taxonomy shared by all donlab modules, and the checks of outside input."""
 
+import json
 import math
+from pathlib import Path
 
 
 class DonlabError(Exception):
@@ -47,3 +49,22 @@ def check_number(name: str, value, error: type[DonlabError], *, count: bool = Fa
         elif low is not None:
             rule += f" {'>=' if above is None else '>'} {low}"
         raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object held by the file at path; what names the file in errors.
+
+    A missing file raises InputError, invalid JSON or a value that is not an
+    object FormatError.
+    """
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError as exc:
+        raise InputError(f"{what} not found: {path}") from exc
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} {path} must hold a JSON object")
+    return value

@@ -117,10 +117,9 @@ class ExperimentPlan:
 def make_plan(anchor: tuple[int, int], q_list, exponent: float) -> list[tuple[int, int]]:
     """(q, n) pairs with n_i = round(n0 * (q_i / q0)^(1/e))."""
     q0, n0 = anchor
-    if q0 < 1 or n0 < 1:
-        raise InputError("anchor (q0, n0) must be positive")
-    if exponent <= 0:
-        raise InputError("exponent must be positive")
+    check_number("anchor q0", q0, InputError, count=True, at_least=1)
+    check_number("anchor n0", n0, InputError, count=True, at_least=1)
+    check_number("exponent", exponent, InputError, above=0)
     out = []
     for q in q_list:
         n = int(math.floor(n0 * (q / q0) ** (1.0 / exponent) + 0.5))
@@ -148,10 +147,9 @@ def architecture_params(width: int, q: int, depth: int = 5,
 def size_architecture(target_params: int, q: int, depth: int = 5,
                       branch_in: int = 40, trunk_in: int = 2) -> int:
     """Integer hidden width minimizing |params - target_params|."""
-    if depth < 2:
-        raise InputError("depth must be >= 2")
-    if q < 1 or target_params < 1:
-        raise InputError("q and target_params must be positive")
+    check_number("depth", depth, InputError, count=True, at_least=2)
+    check_number("q", q, InputError, count=True, at_least=1)
+    check_number("target_params", target_params, InputError, count=True, at_least=1)
     # the count is a quadratic a w^2 + b w + f0 in the width w
     f0, f1, f2 = (architecture_params(w, q, depth, branch_in, trunk_in) for w in (0, 1, 2))
     if f1 > target_params:

@@ -86,10 +86,16 @@ class TestLogCoveringNumber:
     def test_clamped_below_at_zero(self):
         assert log_covering_number_ball(1e9, 1.0, 3) == 0.0
 
-    @pytest.mark.parametrize("theta, w", [(0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)])
+    @pytest.mark.parametrize("theta, w", [(0.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                                          (True, 1.0), (1.0, True), (1.0, 0.0)])
     def test_nonpositive_scale_rejected(self, theta, w):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^(covering scale theta|W) must be a number > 0"):
             log_covering_number_ball(theta, w, 2)
+
+    @pytest.mark.parametrize("d", [0, True, 2.0, math.nan])
+    def test_bad_dimension_rejected(self, d):
+        with pytest.raises(InputError, match=f"^d must be an int >= 1, got {d}$"):
+            log_covering_number_ball(1.0, 1.0, d)
 
     @given(st.floats(0.01, 10), st.floats(0.5, 20), st.integers(1, 50))
     @settings(max_examples=60, deadline=None)
@@ -342,9 +348,12 @@ class TestPerturbationBound:
         (1, 1.0, 1.0, -0.1, 1.0), (1, 1.0, 1.0, math.nan, 1.0),
         (1, math.nan, 1.0, 1.0, 1.0), (1, 1.0, math.nan, 1.0, 1.0),
         (1, 1.0, 1.0, 1.0, math.nan),
+        (True, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 1.0), (0, 1.0, 1.0, 1.0, 1.0),
+        (math.nan, 1.0, 1.0, 1.0, 1.0), (1, True, 1.0, 1.0, 1.0), (1, 1.0, True, 1.0, 1.0),
+        (1, 1.0, 1.0, True, 1.0), (1, 1.0, 1.0, 1.0, True), (1, 0.0, 1.0, 1.0, 1.0),
     ])
     def test_bad_range_rejected(self, args):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^(q|c|J|theta|B) must be an? (int|number) "):
             perturbation_bound(*args)
 
 
@@ -488,14 +497,15 @@ class TestVerifyCoverBruteforce:
     def test_scale_beyond_diameter(self):
         assert verify_cover_bruteforce(3, 1.0, 2.0 * 1.0 * math.sqrt(3) + 1, probes=500, seed=2)
 
-    def test_dimension_limited(self):
-        with pytest.raises(InputError):
-            verify_cover_bruteforce(4, 1.0, 0.5, probes=10, seed=0)
+    @pytest.mark.parametrize("d", [4, 0, True, 2.0, math.nan])
+    def test_dimension_limited(self, d):
+        with pytest.raises(InputError, match=fr"^d must be an int in \[1, 4\), got {d}$"):
+            verify_cover_bruteforce(d, 1.0, 0.5, probes=10, seed=0)
 
     @pytest.mark.parametrize("w, theta", [(0.0, 0.5), (1.0, 0.0), (math.nan, 0.5),
-                                          (1.0, math.nan)])
+                                          (1.0, math.nan), (True, 0.5), (1.0, True)])
     def test_bad_range_rejected(self, w, theta):
-        with pytest.raises(InputError, match="need w > 0, theta > 0"):
+        with pytest.raises(InputError, match="^(w|theta) must be a number > 0, got "):
             verify_cover_bruteforce(2, w, theta, probes=10, seed=0)
 
 

@@ -66,6 +66,20 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("gen-data", {}), ("train", {"dataset": "d.csv"}), ("verify", {}),
+    ])
+    @pytest.mark.parametrize("seed", [True, 2.5, -1, "3", [1], None])
+    def test_bad_seed_exits_two_before_any_work(self, tmp_path, capsys, command, cfg, seed):
+        # None stands for "--seed -1" on the command line
+        flags = ["--seed", "-1"] if seed is None else []
+        cfg = _write(tmp_path / "c.json", cfg if seed is None else dict(cfg, seed=seed))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, *flags, "--out-dir", str(out)]) == 2
+        got = -1 if seed is None else seed
+        assert f"error: seed must be an int >= 0, got {got!r}\n" == capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("bound", "--seed"), ("gen-data", "--threads"), ("train", "--threads"),
         ("bound", "--threads"), ("verify", "--threads"), ("verify", "--inject-gradient-bug"),
@@ -310,18 +324,24 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("checkpoint", [[1, 2], {"format": "donlab-checkpoint-v1"}])
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "checkpoint {} must hold a JSON object"),
+        ('{"format": "donlab-checkpoint-v1"}', "{} is not a donlab checkpoint"),
+        ("{not json", "checkpoint {} is not valid JSON: "),
+        (None, "checkpoint not found: {}"),  # no file at resume_from
+    ])
     def test_resume_from_non_checkpoint_exits_two(self, tmp_path, dataset_csv, capsys,
-                                                 checkpoint):
+                                                 text, message):
         resume = tmp_path / "resume.json"
-        resume.write_text(json.dumps(checkpoint))
+        if text is not None:
+            resume.write_text(text)
         cfg = _write(tmp_path / "t.json", {
             "dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
             "epochs": 1, "resume_from": str(resume), "out_name": "run",
         })
         out = tmp_path / "trained"
         assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
-        assert f"{resume} is not a donlab checkpoint" in capsys.readouterr().err
+        assert message.format(resume) in capsys.readouterr().err
         assert not (out / "run.checkpoint.json").exists()
 
     @pytest.mark.parametrize("net, message", [

@@ -610,9 +610,13 @@ class TestCsvRoundTrip:
             read_dataset_csv(p)
 
     @pytest.mark.parametrize("edit, key", [
-        (lambda meta: meta.update(labels="y"), "labels"),
-        (lambda meta: meta.pop("B"), "B"),
-        (lambda meta: meta.update(s=[[1.0]]), "s"),
+        (lambda meta: meta.update(labels="y"), "'labels'"),
+        (lambda meta: meta.pop("B"), "'B'"),
+        (lambda meta: meta.update(s=[[1.0]]), "'s'"),
+        (lambda meta: meta.update(noise_std=math.inf),
+         "noise_std must be a finite number >= 0, got inf"),
+        (lambda meta: meta.update(B=0.25), "label bound B violated"),
+        (lambda meta: meta.update(sensor_grid=[0.0, 1.0]), "sensor grid length"),
     ])
     def test_sidecar_with_a_bad_key_rejected(self, tmp_path, edit, key):
         p = tmp_path / "d.csv"
@@ -621,7 +625,7 @@ class TestCsvRoundTrip:
         meta = json.loads(sidecar.read_text())
         edit(meta)
         sidecar.write_text(json.dumps(meta))
-        with pytest.raises(FormatError, match=f"^sidecar {re.escape(str(sidecar))} .*'{key}'"):
+        with pytest.raises(FormatError, match=f"^sidecar {re.escape(str(sidecar))} .*{key}"):
             read_dataset_csv(p)
 
 

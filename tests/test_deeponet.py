@@ -21,7 +21,7 @@ from donlab.deeponet import (
     loss_grads,
     save_checkpoint,
 )
-from donlab.errors import InputError
+from donlab.errors import FormatError, InputError
 
 from conftest import (bits_equal, per_net_loss_grads, random_dataset, random_model,
                       random_params)
@@ -578,8 +578,25 @@ class TestJUpperBound:
         with pytest.raises(InputError):
             j_upper_bound(0.5, 4, 1, 1, 1.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((True, 4, 1, 1, 1.0), "W must be a number >= 1, got True"),
+        ((math.nan, 4, 1, 1, 1.0), "W must be a number >= 1, got nan"),
+        ((2.0, True, 1, 1, 1.0), "p must be an int >= 1, got True"),
+        ((2.0, 4.0, 1, 1, 1.0), "p must be an int >= 1, got 4.0"),
+        ((2.0, 4, 0, 1, 1.0), "Q must be an int >= 1, got 0"),
+        ((2.0, 4, 1, True, 1.0), "depth must be an int >= 1, got True"),
+        ((2.0, 4, 1, 1, 0.0), "R must be a number > 0, got 0.0"),
+        ((2.0, 4, 1, 1, math.nan), "R must be a number > 0, got nan"),
+        ((2.0, 4, 1, 1, True), "R must be a number > 0, got True"),
+    ])
+    def test_bool_nan_or_out_of_range_rejected(self, args, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            j_upper_bound(*args)
+
     def test_overflow_gives_inf(self):
         assert j_upper_bound(1e6, 10**6, 2, 50, 1e3) == math.inf
+        assert j_upper_bound(math.inf, 4, 1, 1, 1.0) == math.inf
+        assert j_upper_bound(2.0, 4, 1, 1, math.inf) == math.inf
 
 
 class TestCheckpoint:
@@ -617,25 +634,26 @@ class TestCheckpoint:
         assert epoch == 1 and np.array_equal(loaded.branch.flat, model.branch.flat)
         assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
-    def test_reject_non_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("text, error, message", [
+        ("{}", InputError, "{} is not a donlab checkpoint$"),
+        ("not json", FormatError, "checkpoint {} is not valid JSON: "),
+        ("[1, 2]", FormatError, "checkpoint {} must hold a JSON object$"),
+        (None, InputError, "checkpoint not found: {}$"),  # no file at the path
+    ])
+    def test_reject_non_checkpoint(self, tmp_path, text, error, message):
         p = tmp_path / "x.json"
-        p.write_text("{}")
-        with pytest.raises(InputError):
-            load_checkpoint(p)
-        p.write_text("not json")
-        with pytest.raises(InputError):
+        if text is not None:
+            p.write_text(text)
+        with pytest.raises(error, match="^" + message.format(re.escape(str(p)))):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("drop", [None, "branch", "trunk"])
-    def test_reject_non_object_or_netless_checkpoint(self, rng, tmp_path, drop):
+    @pytest.mark.parametrize("drop", ["branch", "trunk"])
+    def test_reject_netless_checkpoint(self, rng, tmp_path, drop):
         p = tmp_path / "x.json"
-        if drop is None:
-            p.write_text("[1, 2]")
-        else:
-            save_checkpoint(random_model(rng), p)
-            payload = json.loads(p.read_text())
-            del payload[drop]
-            p.write_text(json.dumps(payload))
+        save_checkpoint(random_model(rng), p)
+        payload = json.loads(p.read_text())
+        del payload[drop]
+        p.write_text(json.dumps(payload))
         with pytest.raises(InputError, match="is not a donlab checkpoint"):
             load_checkpoint(p)
 

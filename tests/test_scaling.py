@@ -73,6 +73,18 @@ class TestMakePlan:
         with pytest.raises(Exception):
             make_plan((0, 100), [1], 0.5)
 
+    @pytest.mark.parametrize("anchor, exponent, message", [
+        ((True, 4000), 0.5, "anchor q0 must be an int >= 1, got True"),
+        ((4, 4000.0), 0.5, "anchor n0 must be an int >= 1, got 4000.0"),
+        ((4, 0), 0.5, "anchor n0 must be an int >= 1, got 0"),
+        ((4, 4000), math.nan, "exponent must be a number > 0, got nan"),
+        ((4, 4000), True, "exponent must be a number > 0, got True"),
+        ((4, 4000), 0.0, "exponent must be a number > 0, got 0.0"),
+    ])
+    def test_bool_nan_or_out_of_range_rejected(self, anchor, exponent, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            make_plan(anchor, [4, 8], exponent)
+
 
 class TestSizeArchitecture:
     def test_counting_convention_matches_nn(self):
@@ -101,6 +113,19 @@ class TestSizeArchitecture:
     def test_infeasible_target_rejected(self):
         with pytest.raises(ConfigurationError):
             size_architecture(10, 4)
+
+    @pytest.mark.parametrize("args, message", [
+        ((8000, True), "q must be an int >= 1, got True"),
+        ((8000, 0), "q must be an int >= 1, got 0"),
+        ((8000, math.nan), "q must be an int >= 1, got nan"),
+        ((True, 8), "target_params must be an int >= 1, got True"),
+        ((8000.0, 8), "target_params must be an int >= 1, got 8000.0"),
+        ((8000, 8, 1), "depth must be an int >= 2, got 1"),
+        ((8000, 8, True), "depth must be an int >= 2, got True"),
+    ])
+    def test_bool_nan_or_out_of_range_rejected(self, args, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            size_architecture(*args)
 
 
 def test_plan_to_dict_is_golden():
