@@ -45,6 +45,15 @@ def _echo_config(cfg: dict, out_dir: Path, subcommand: str) -> None:
                       json.dumps(cfg, indent=1, sort_keys=True))
 
 
+def _write_report(cfg: dict, out_dir: Path, subcommand: str, payload: dict) -> None:
+    """Print payload as JSON, write it to {subcommand}-report.json, echo the config."""
+    text = json.dumps(payload, indent=1)
+    print(text)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write_text(out_dir / f"{subcommand}-report.json", text)
+    _echo_config(cfg, out_dir, subcommand)
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------
@@ -52,7 +61,6 @@ def _echo_config(cfg: dict, out_dir: Path, subcommand: str) -> None:
 def _cmd_gen_data(args, cfg, /, *, kind="adr", seed=0, out_name="dataset", sensor_count=40,
                   num_functions=10, points_per_function=100, noise_std=0.0, adr={},
                   pendulum={}, grf={}) -> int:
-    out_dir = Path(args.out_dir)
     common = dict(sensor_count=sensor_count, num_functions=num_functions,
                   points_per_function=points_per_function, noise_std=noise_std, seed=seed)
     if kind == "adr":
@@ -67,10 +75,10 @@ def _cmd_gen_data(args, cfg, /, *, kind="adr", seed=0, out_name="dataset", senso
         ds = datagen.build_pendulum_dataset(grf=field, pend_k=pend_k, **pend, **common)
     else:
         raise InputError(f"unknown dataset kind {kind!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{out_name}.csv"
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out_dir / f"{out_name}.csv"
     datagen.write_dataset_csv(ds, csv_path)
-    _echo_config(cfg, out_dir, "gen-data")
+    _echo_config(cfg, args.out_dir, "gen-data")
     print(f"wrote {csv_path} ({ds.n} triples, m={ds.m}, d2={ds.d2}, B={ds.B:.6g})")
     return 0
 
@@ -82,7 +90,6 @@ def _cmd_gen_data(args, cfg, /, *, kind="adr", seed=0, out_name="dataset", senso
 def _cmd_train(args, cfg, /, *, dataset, seed=0, epochs=1, batch_size=256, lr=0.001,
                out_name="run", resume_from=None, weight_ball=None, q=8, width=16, depth=3,
                hidden_activation="relu", output_activation="tanh", init_scheme="he") -> int:
-    out_dir = Path(args.out_dir)
     data = datagen.read_dataset_csv(dataset)
     model = init_model(
         data.m, data.d2, q, width, depth, seed, hidden_activation=hidden_activation,
@@ -107,18 +114,18 @@ def _cmd_train(args, cfg, /, *, dataset, seed=0, epochs=1, batch_size=256, lr=0.
         adam_branch=adam_b, adam_trunk=adam_t, start_epoch=start_epoch,
         weight_ball=weight_ball,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = out_dir / f"{out_name}.checkpoint.json"
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt = args.out_dir / f"{out_name}.checkpoint.json"
     save_checkpoint(
         model, ckpt, seeds={"train": seed}, adam_branch=adam_b,
         adam_trunk=adam_t, epoch=start_epoch + epochs,
     )
-    loss_csv = out_dir / f"{out_name}.loss.csv"
+    loss_csv = args.out_dir / f"{out_name}.loss.csv"
     with atomic_path(loss_csv) as tmp, tmp.open("w") as fh:
         fh.write("epoch,loss\n")
         for i, loss in enumerate(curve):
             fh.write(f"{start_epoch + i},{repr(float(loss))}\n")
-    _echo_config(cfg, out_dir, "train")
+    _echo_config(cfg, args.out_dir, "train")
     last = f"{curve[-1]:.6g}" if curve else "n/a"
     norm_b = nn.param_l2_norm(model.branch)
     norm_t = nn.param_l2_norm(model.trunk)
@@ -133,7 +140,6 @@ def _cmd_train(args, cfg, /, *, dataset, seed=0, epochs=1, batch_size=256, lr=0.
 
 def _cmd_experiment(args, cfg, /, **_) -> int:
     # ExperimentPlan.from_dict checks the keys
-    out_dir = Path(args.out_dir)
     plan = scaling.ExperimentPlan.from_dict(cfg)
     cells = scaling.plan_cells(plan)
     print(f"{'q':>4} {'n':>9} {'width':>6} {'params':>8}")
@@ -144,7 +150,7 @@ def _cmd_experiment(args, cfg, /, **_) -> int:
     t0 = time.perf_counter()
     suite = scaling.run_suite(plan, max_workers=args.threads)
     verdict = scaling.check_monotonic(suite)
-    curves, summary = scaling.emit_plot_data(suite, out_dir)
+    curves, summary = scaling.emit_plot_data(suite, args.out_dir)
     payload = {
         "plan": plan.to_dict(),
         "verdict": verdict,
@@ -154,8 +160,8 @@ def _cmd_experiment(args, cfg, /, **_) -> int:
         },
         "failures": [asdict(c) for c in suite.failures],
     }
-    atomic_write_text(out_dir / "suite-summary.json", json.dumps(payload, indent=1))
-    _echo_config(cfg, out_dir, "experiment")
+    atomic_write_text(args.out_dir / "suite-summary.json", json.dumps(payload, indent=1))
+    _echo_config(cfg, args.out_dir, "experiment")
     print(f"wrote {curves}, {summary}, suite-summary.json")
     for seed, row in verdict["per_seed"].items():
         print(f"seed {seed}: best losses {['%.4g' % v for v in row['best_losses']]} "
@@ -172,7 +178,6 @@ def _cmd_experiment(args, cfg, /, **_) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_bound(args, cfg, /, *, variant="general", **rest) -> int:
-    out_dir = Path(args.out_dir)
     fclass = bounds.FunctionClassSpec(**rest.pop("class", {}))
     inputs = bounds.BoundInputs(**rest, fclass=fclass)
     if variant == "general":
@@ -181,12 +186,7 @@ def _cmd_bound(args, cfg, /, *, variant="general", **rest) -> int:
         report = bounds.q_lower_bound_sigmoid(inputs)
     else:
         raise InputError(f"unknown bound variant {variant!r}")
-    payload = {"inputs": cfg, "report": report.to_dict()}
-    text = json.dumps(payload, indent=1)
-    print(text)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "bound-report.json", text)
-    _echo_config(cfg, out_dir, "bound")
+    _write_report(cfg, args.out_dir, "bound", {"inputs": cfg, "report": report.to_dict()})
     return 0
 
 
@@ -213,8 +213,6 @@ def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=
                        ("perturbation_trials", perturbation_trials),
                        ("cover_probes", cover_probes), ("hoeffding_trials", hoeffding_trials)):
         check_number(key, value, InputError, count=True, at_least=1)  # before any work
-    out_dir = Path(args.out_dir)
-    checks = []
 
     # 1) exact gradients vs central finite differences
     worst = 0.0
@@ -228,12 +226,6 @@ def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=
             gradcheck.relative_error(gb, fb),
             gradcheck.relative_error(gt, ft),
         )
-    checks.append({
-        "name": "gradient_check",
-        "observed": worst,
-        "bound": 1e-6,
-        "holds": bool(worst < 1e-6),
-    })
 
     # 2) risk perturbation bound with the analytic weight-Lipschitz constant
     model, ds = _toy_model_and_data(seed)
@@ -241,12 +233,6 @@ def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=
         model, theta=0.05, dataset=ds,
         trials=perturbation_trials, seed=[seed, 13],
     )
-    checks.append({
-        "name": "perturbation_bound",
-        "observed": rep.max_observed,
-        "bound": rep.bound,
-        "holds": rep.holds,
-    })
 
     # 3) constructive covering of the weight ball
     cover_ok = all(
@@ -255,31 +241,19 @@ def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=
         for d in (1, 2)
         for theta in (0.25, 0.5)
     )
-    checks.append({
-        "name": "cover_bruteforce",
-        "observed": cover_ok,
-        "bound": True,
-        "holds": cover_ok,
-    })
 
     # 4) mean-deviation tail vs its exponential bound
     hrep = bounds.hoeffding_mc_check(
         0.0, 1.0, 100, 0.2, hoeffding_trials, seed=[seed, 17]
     )
-    checks.append({
-        "name": "hoeffding_tail",
-        "observed": hrep.empirical_tail,
-        "bound": hrep.bound + 3.0 * hrep.std_err,
-        "holds": hrep.holds,
-    })
 
-    failed = [c["name"] for c in checks if not c["holds"]]
-    payload = {"checks": checks, "failed": failed}
-    text = json.dumps(payload, indent=1)
-    print(text)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "verify-report.json", text)
-    _echo_config(cfg, out_dir, "verify")
+    rows = [("gradient_check", worst, 1e-6, bool(worst < 1e-6)),
+            ("perturbation_bound", rep.max_observed, rep.bound, rep.holds),
+            ("cover_bruteforce", cover_ok, True, cover_ok),
+            ("hoeffding_tail", hrep.empirical_tail, hrep.bound + 3.0 * hrep.std_err, hrep.holds)]
+    checks = [dict(zip(("name", "observed", "bound", "holds"), row)) for row in rows]
+    failed = [name for name, *_, holds in rows if not holds]
+    _write_report(cfg, args.out_dir, "verify", {"checks": checks, "failed": failed})
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
         return 1
@@ -299,38 +273,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True, seed=True):
+    def common(name, help_text, func, config_required=True, seed=True):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=config_required,
                        help="path to the JSON config")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
-        p.add_argument("--out-dir", default="donlab-out",
+        p.add_argument("--out-dir", type=Path, default="donlab-out",
                        help="directory for outputs and the config echo")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a dataset CSV + sidecar")
-    common(p)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="train a single model")
-    common(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("experiment", help="run a fixed-ratio suite")
-    common(p)
+    common("gen-data", "generate a dataset CSV + sidecar", _cmd_gen_data)
+    common("train", "train a single model", _cmd_train)
+    p = common("experiment", "run a fixed-ratio suite", _cmd_experiment)
     p.add_argument("--threads", type=int, default=1,
                    help="parallel training cells")
     p.add_argument("--dry-run", action="store_true",
                    help="print the (q, n, width) table and exit")
-    p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("bound", help="evaluate a q lower bound")
-    common(p, seed=False)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("verify", help="run the built-in verification checks")
-    common(p, config_required=False)
-    p.set_defaults(func=_cmd_verify)
+    common("bound", "evaluate a q lower bound", _cmd_bound, seed=False)
+    common("verify", "run the built-in verification checks", _cmd_verify,
+           config_required=False)
     return parser
 
 

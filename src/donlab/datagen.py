@@ -367,7 +367,7 @@ def read_dataset_csv(path) -> Dataset:
     ending in ``\\r\\n``, ``\\n`` or ``\\r``; a quote is a non-numeric value.
     Each line is split once from the right into its ``s`` text and its ``p``
     and ``y`` fields; an ``s`` text equal to the previous row's is not split
-    or parsed again."""
+    or parsed again. A non-finite value is rejected naming its line."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"dataset file not found: {path}")
@@ -402,6 +402,9 @@ def read_dataset_csv(path) -> Dataset:
     s = np.array(s_rows, dtype=np.float64).reshape(len(s_rows), m)
     s = s[np.asarray(runs, dtype=np.intp)]
     py = np.array(py_rows, dtype=np.float64).reshape(len(py_rows), d2 + 1)
+    bad = ~(np.isfinite(s).all(axis=1) & np.isfinite(py).all(axis=1))
+    if bad.any():
+        raise FormatError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite value")
     p, y = py[:, :d2].copy(), py[:, d2].copy()
 
     sidecar = _sidecar_path(path)

@@ -96,6 +96,7 @@ class Dataset:
         if self.sensor_grid.shape[0] != self.s.shape[1]:
             raise InputError("sensor grid length != sensor count m")
         check_number("noise_std", self.noise_std, InputError, finite=True, at_least=0)
+        check_number("B", self.B, InputError, finite=True, at_least=0)
         if self.y.size and np.max(np.abs(self.y)) > self.B:
             raise InputError("label bound B violated: max|y| > B")
 

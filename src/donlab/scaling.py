@@ -63,12 +63,12 @@ class ExperimentPlan:
                                ("batch_size", 1), ("points_per_function", None)):
             check_number(name, getattr(self, name), ConfigurationError, count=True,
                          at_least=at_least)
-        for name in ("q_list", "seeds"):
+        for name, at_least in (("q_list", None), ("seeds", 0)):
             items = getattr(self, name)
             if not isinstance(items, list):
                 raise ConfigurationError(f"{name} must be a list of ints, got {items!r}")
             for i, v in enumerate(items):
-                check_number(f"{name}[{i}]", v, ConfigurationError, count=True)
+                check_number(f"{name}[{i}]", v, ConfigurationError, count=True, at_least=at_least)
         if not any(math.isclose(self.exponent, e) for e in VALID_EXPONENTS):
             raise ConfigurationError(
                 f"exponent must be one of 1/2, 2/3, 1/6; got {self.exponent}"
@@ -254,8 +254,9 @@ def train_deeponet(
     (bound-faithful mode); by default the norms are unconstrained and just
     reported by the callers.
     """
-    check_number("epochs", epochs, InputError, count=True, at_least=0)
-    check_number("batch_size", batch_size, InputError, count=True, at_least=1)
+    for name, value, at_least in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
+                                  ("seed", seed, 0), ("start_epoch", start_epoch, 0)):
+        check_number(name, value, InputError, count=True, at_least=at_least)
     if weight_ball is not None:
         check_number("weight_ball", weight_ball, InputError, finite=True, above=0)
     if adam_branch is None:

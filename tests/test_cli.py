@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from donlab import cli, nn, scaling
+from donlab import bounds, cli, nn, scaling
 from donlab.cli import main
 from donlab.datagen import read_dataset_csv
 from donlab.deeponet import load_checkpoint
@@ -284,6 +285,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"error: checkpoint {ckpt}: {got}" in err
         assert f"does not match the config's {want}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+    def test_non_finite_label_exits_two_before_training(self, tmp_path, dataset_csv, capsys,
+                                                         sidecar):
+        lines = dataset_csv.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+        dataset_csv.write_text("\n".join(lines) + "\n")
+        if not sidecar:
+            (dataset_csv.parent / "ds.csv.meta.json").unlink()
+        out = tmp_path / "trained"
+        cfg = _write(tmp_path / "t.json", {"dataset": str(dataset_csv), "epochs": 1})
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {dataset_csv}:3: non-finite value\n"
         assert not out.exists()
 
     def test_interrupted_loss_csv_keeps_previous_file(self, tmp_path, dataset_csv,
@@ -577,12 +592,13 @@ class TestExperiment:
         ("epochs", 2.0, "epochs must be an int"),
         ("batch_size", 64.0, "batch_size must be an int"),
         ("points_per_function", 50.0, "points_per_function must be an int"),
-        ("seeds", [0.5], "seeds[0] must be an int, got 0.5"),
-        ("seeds", [False], "seeds[0] must be an int, got False"),
+        ("seeds", [0.5], "seeds[0] must be an int >= 0, got 0.5"),
+        ("seeds", [False], "seeds[0] must be an int >= 0, got False"),
         ("trunk_in", 3, "unexpected keyword argument 'trunk_in'"),
         ("adr", {"nx": 21.0, "nt": 21}, "nx must be an int >= 3, got 21.0"),
         ("exponent", "1/0", "exponent must be a number or a fraction a/b, got '1/0'"),
         ("exponent", "half", "exponent must be a number or a fraction a/b, got 'half'"),
+        ("seeds", [0, -1], "seeds[1] must be an int >= 0, got -1"),
     ])
     def test_non_int_or_unknown_plan_value_exits_two(self, tmp_path, capsys, key, value,
                                                      message):
@@ -619,6 +635,17 @@ class TestExperiment:
                      "--out-dir", str(out)]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == "" and not out.exists() and built == []
+
+    def test_negative_seed_flag_exits_two_before_any_data(self, tmp_path, capsys, monkeypatch):
+        # a negative seed used to fail every cell and exit 1 after writing the outputs
+        built = []
+        monkeypatch.setattr(scaling, "build_adr_dataset", lambda *a, **k: built.append(a))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", self._plan_cfg(tmp_path), "--seed", "-1",
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seeds[0] must be an int >= 0, got -1\n"
         assert captured.out == "" and not out.exists() and built == []
 
 
@@ -755,6 +782,25 @@ class TestVerify:
         assert "gradient_check" in err
         report = json.loads((out / "verify-report.json").read_text())
         assert report["failed"] == ["gradient_check"]
+
+    @pytest.mark.parametrize("name, function, failing", [
+        ("perturbation_bound", "verify_perturbation", lambda rep: replace(rep, holds=False)),
+        ("cover_bruteforce", "verify_cover_bruteforce", lambda ok: False),
+        ("hoeffding_tail", "hoeffding_mc_check", lambda rep: replace(rep, holds=False)),
+    ], ids=["perturbation_bound", "cover_bruteforce", "hoeffding_tail"])
+    def test_failing_bound_check_fails_named_check(self, tmp_path, capsys, monkeypatch,
+                                                   name, function, failing):
+        real = getattr(bounds, function)
+        monkeypatch.setattr(bounds, function, lambda *a, **k: failing(real(*a, **k)))
+        cfg = _write(tmp_path / "v.json", {"gradient_models": 1, "perturbation_trials": 50,
+                                           "cover_probes": 200, "hoeffding_trials": 200})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"FAILED checks: {name}\n"
+        report = json.loads((out / "verify-report.json").read_text())
+        assert report["failed"] == [name]
+        assert [c["holds"] for c in report["checks"]] == [c["name"] != name
+                                                          for c in report["checks"]]
 
     @pytest.mark.parametrize("key, count", [
         ("gradient_models", 0), ("gradient_models", -3), ("gradient_models", True),

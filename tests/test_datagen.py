@@ -616,6 +616,9 @@ class TestCsvRoundTrip:
         (lambda meta: meta.update(noise_std=math.inf),
          "noise_std must be a finite number >= 0, got inf"),
         (lambda meta: meta.update(B=0.25), "label bound B violated"),
+        (lambda meta: meta.update(B=math.nan), "B must be a finite number >= 0, got nan"),
+        (lambda meta: meta.update(B=math.inf), "B must be a finite number >= 0, got inf"),
+        (lambda meta: meta.update(B="1.0"), "B must be a finite number >= 0, got '1.0'"),
         (lambda meta: meta.update(sensor_grid=[0.0, 1.0]), "sensor grid length"),
     ])
     def test_sidecar_with_a_bad_key_rejected(self, tmp_path, edit, key):
@@ -658,10 +661,11 @@ def _csv_module_read(path):
     return s, p, np.array(y_rows, dtype=np.float64)
 
 
-# texts float() reads as signed zeros, NaNs, infinities, subnormals and extremes
-_SPECIAL_TEXTS = ["0.0", "-0.0", "0", "nan", "-nan", "NaN", "inf", "-inf", "Infinity",
-                  "5e-324", "-5e-324", "1e-310", "-2.5e-315", "2.2250738585072014e-308",
-                  "1.7976931348623157e+308", "-1e400", "1e-400"]
+# texts float() reads as signed zeros, subnormals and extremes
+_SPECIAL_TEXTS = ["0.0", "-0.0", "0", "5e-324", "-5e-324", "1e-310", "-2.5e-315",
+                  "2.2250738585072014e-308", "1.7976931348623157e+308", "1e-400"]
+# texts float() reads as NaNs and infinities, which the reader rejects
+_NON_FINITE_TEXTS = ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-1e400"]
 
 
 def _random_rows(rng, m, d2, distinct):
@@ -753,4 +757,14 @@ class TestReaderMatchesCsvModule:
         path = tmp_path / "q.csv"
         _write_lines(path, (2, 1), ["1.0,2.0,0.5,3.0", row])
         with pytest.raises(FormatError, match=r":3: non-numeric value .*'\"\d\.\d\"'"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("text", _NON_FINITE_TEXTS)
+    @pytest.mark.parametrize("column", [1, 2, 3], ids=["s", "p", "y"])
+    def test_non_finite_value_is_rejected_naming_its_line(self, tmp_path, column, text):
+        row = ["1.0", "2.0", "0.5", "3.0"]
+        row[column] = text
+        path = tmp_path / "n.csv"
+        _write_lines(path, (2, 1), ["1.0,2.0,0.25,1.0", "1.0,2.0,0.5,3.0", ",".join(row)])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:4: non-finite value$"):
             read_dataset_csv(path)

@@ -1,9 +1,11 @@
-"""The import footprint: scipy is loaded by the ADR solver only.
+"""The import footprint: scipy is loaded by the ADR solver only, and each
+module uses every name it imports.
 
-Each case runs in a fresh interpreter, since this test process has scipy
-loaded already (the reference solvers in test_datagen use it).
+Each scipy case runs in a fresh interpreter, since this test process has
+scipy loaded already (the reference solvers in test_datagen use it).
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -95,3 +97,17 @@ def test_adr_gen_data_loads_scipy_linalg(tmp_path):
     got, err = _fresh_run(["gen-data", "--config", cfg, "--out-dir", tmp_path / "o"])
     assert got == {"rc": 0, "scipy": True, "scipy.linalg": True}, err
     assert (tmp_path / "o" / "ds.csv").exists()
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (SRC / "donlab").glob("*.py") if p.name != "__init__.py"))
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((SRC / "donlab" / module).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

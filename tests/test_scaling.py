@@ -454,6 +454,17 @@ class TestWeightBallTraining:
                            weight_ball=radius)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", True), ("seed", 1.0), ("start_epoch", -1), ("start_epoch", 2.0),
+])
+def test_train_rejects_bad_seed_or_start_epoch_naming_it(rng, key, value):
+    from conftest import random_dataset, random_model
+
+    kwargs = dict({"seed": 0, "start_epoch": 0}, **{key: value})
+    with pytest.raises(InputError, match=f"^{key} must be an int >= 0, got {value!r}$"):
+        train_deeponet(random_model(rng), random_dataset(rng), 1, 16, **kwargs)
+
+
 class TestTrainResume:
     def test_split_training_equals_uninterrupted(self, rng):
         from conftest import random_dataset, random_model
