@@ -228,12 +228,14 @@ def analytic_j_for_model(
     """Analytic weight-Lipschitz constant valid on the theta/2 ball around the model.
 
     Uses the layered-net bound with Q = 1 (each parameter appears once in a
-    dense net), R the largest input 2-norm in the dataset, and the entrywise
+    dense net), R the largest input 2-norm in the dataset (for the branch,
+    over the sensors rows its triples use), and the entrywise
     weight bound max(1, |w|_inf + theta/2) so original and perturbed nets
     both qualify.
     """
     js = []
-    for params, inputs in ((model.branch, dataset.s), (model.trunk, dataset.p)):
+    branch_inputs = dataset.sensors[dataset.used_rows()]
+    for params, inputs in ((model.branch, branch_inputs), (model.trunk, dataset.p)):
         p = nn.param_count(params.spec)
         depth = params.spec.depth
         r = float(np.max(np.linalg.norm(inputs, axis=1)))

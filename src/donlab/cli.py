@@ -202,7 +202,7 @@ def _toy_model_and_data(seed: int):
     s = rng.uniform(-1.0, 1.0, size=(n, 6))
     p = rng.uniform(0.0, 1.0, size=(n, 2))
     y = rng.uniform(-1.0, 1.0, size=n)
-    ds = Dataset(s=s, p=p, y=y, B=float(np.max(np.abs(y))),
+    ds = Dataset(sensors=s, source=np.arange(n), p=p, y=y, B=float(np.max(np.abs(y))),
                  sensor_grid=np.linspace(0, 1, 6))
     return model, ds
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_path, atomic_write_text
-from .deeponet import Dataset, _distinct_rows
+from .deeponet import Dataset
 from .errors import (ConfigurationError, DivergenceError, FormatError, InputError,
                      NumericalError, check_number, read_json_object)
 
@@ -244,9 +244,11 @@ def _assemble(grf, grids, solve, sensor_count, num_functions, points_per_functio
                       rng.standard_normal(per)))
     fs, *nodes, z = (np.array(col) for col in zip(*draws))
     nodes = [j.ravel() for j in nodes]
-    y = solve(fs, np.repeat(np.arange(num_functions), per), *nodes) + noise_std * z.ravel()
+    source = np.arange(num_functions * per) // per
+    y = solve(fs, source, *nodes) + noise_std * z.ravel()
     return Dataset(
-        s=np.repeat(fs[:, idx], per, axis=0),
+        sensors=fs[:, idx],
+        source=source,
         p=np.stack([grid[j] for grid, j in zip(grids, nodes)], axis=1),
         y=y,
         B=float(np.max(np.abs(y))),
@@ -332,20 +334,19 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     """Columns s_0..s_{m-1}, p_0..p_{d2-1}, y plus a metadata sidecar JSON.
 
     Every float is written as its ``repr`` and every line ends in ``\\r\\n``,
-    as ``csv.writer`` would write them. The text of each bitwise-distinct
-    ``s`` row is formatted once and reused for every row that repeats it."""
+    as ``csv.writer`` would write them. The text of each used ``sensors`` row
+    is formatted once and reused for every triple of its source function."""
     path = Path(path)
     header = (
         [f"s_{i}" for i in range(dataset.m)]
         + [f"p_{i}" for i in range(dataset.d2)]
         + ["y"]
     )
-    # Bitwise, not float ==: -0.0 == 0.0 and nan != nan would reuse the wrong text.
-    first, inverse = _distinct_rows(dataset.s)
-    s_texts = [",".join(map(repr, row)) for row in dataset.s[first].tolist()]
+    s_texts = {k: ",".join(map(repr, dataset.sensors[k].tolist()))
+               for k in dataset.used_rows().tolist()}
     with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        rows = zip(inverse.tolist(), dataset.p.tolist(), dataset.y.tolist())
+        rows = zip(dataset.source.tolist(), dataset.p.tolist(), dataset.y.tolist())
         for k, p_row, y in rows:
             fh.write(f"{s_texts[k]},{','.join(map(repr, p_row))},{y!r}\r\n")
     meta = {
@@ -367,7 +368,8 @@ def read_dataset_csv(path) -> Dataset:
     ending in ``\\r\\n``, ``\\n`` or ``\\r``; a quote is a non-numeric value.
     Each line is split once from the right into its ``s`` text and its ``p``
     and ``y`` fields; an ``s`` text equal to the previous row's is not split
-    or parsed again. A non-finite value is rejected naming its line."""
+    or parsed again, and each run of equal ``s`` texts is stored as one
+    ``sensors`` row. A non-finite value is rejected naming its line."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"dataset file not found: {path}")
@@ -399,10 +401,10 @@ def read_dataset_csv(path) -> Dataset:
             except ValueError as exc:
                 raise FormatError(f"{path}:{ln}: non-numeric value ({exc})") from exc
             runs.append(len(s_rows) - 1)
-    s = np.array(s_rows, dtype=np.float64).reshape(len(s_rows), m)
-    s = s[np.asarray(runs, dtype=np.intp)]
+    sensors = np.array(s_rows, dtype=np.float64).reshape(len(s_rows), m)
+    source = np.asarray(runs, dtype=np.intp)
     py = np.array(py_rows, dtype=np.float64).reshape(len(py_rows), d2 + 1)
-    bad = ~(np.isfinite(s).all(axis=1) & np.isfinite(py).all(axis=1))
+    bad = ~(np.isfinite(sensors).all(axis=1)[source] & np.isfinite(py).all(axis=1))
     if bad.any():
         raise FormatError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite value")
     p, y = py[:, :d2].copy(), py[:, d2].copy()
@@ -413,8 +415,9 @@ def read_dataset_csv(path) -> Dataset:
         if meta.pop("m", None) != m or meta.pop("d2", None) != d2:
             raise FormatError(f"sidecar {sidecar} disagrees with the CSV header")
         try:
-            return Dataset(s=s, p=p, y=y, **meta)
+            return Dataset(sensors=sensors, source=source, p=p, y=y, **meta)
         except (TypeError, ValueError) as exc:  # a missing or unknown key, or a bad value
             raise FormatError(f"sidecar {sidecar} does not describe a dataset: {exc}") from exc
     b = float(np.max(np.abs(y))) if y.size else 0.0
-    return Dataset(s=s, p=p, y=y, B=b, sensor_grid=np.full(m, np.nan))
+    return Dataset(sensors=sensors, source=source, p=p, y=y, B=b,
+                   sensor_grid=np.full(m, np.nan))

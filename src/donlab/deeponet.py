@@ -71,34 +71,51 @@ def init_model(m: int, d2: int, q: int, width: int, depth: int, seed,
 class Dataset:
     """Training triples (s_i, p_i, y_i) stored as arrays, plus metadata.
 
-    s has shape (n, m), p has shape (n, d2), y has shape (n,). B bounds the
-    labels: |y_i| <= B, measured as max|y| unless the generator overrode it.
+    Each source function's sensor values are stored once: sensors has shape
+    (k, m), one row per source function, and source has shape (n,), the
+    sensors row of each triple, so s_i = sensors[source[i]]. p has shape
+    (n, d2), y has shape (n,). B bounds the labels: |y_i| <= B, measured as
+    max|y| unless the generator overrode it. seed is the generator's seed
+    (None, an int >= 0 or a list of them) and generator its settings.
     """
 
-    s: np.ndarray
+    sensors: np.ndarray
+    source: np.ndarray
     p: np.ndarray
     y: np.ndarray
     B: float
     sensor_grid: np.ndarray
     noise_std: float = 0.0
-    seed: int | None = None
+    seed: int | list[int] | None = None
     generator: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=np.float64)
+        self.sensors = np.asarray(self.sensors, dtype=np.float64)
+        self.source = np.asarray(self.source)
         self.p = np.asarray(self.p, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
         self.sensor_grid = np.asarray(self.sensor_grid, dtype=np.float64)
-        if self.s.ndim != 2 or self.p.ndim != 2 or self.y.ndim != 1:
-            raise InputError("s and p must be 2-d, y 1-d")
-        if not (self.s.shape[0] == self.p.shape[0] == self.y.shape[0]):
-            raise InputError("s, p, y row counts disagree")
-        if self.sensor_grid.shape[0] != self.s.shape[1]:
+        if self.sensors.ndim != 2 or self.p.ndim != 2 or self.y.ndim != 1:
+            raise InputError("sensors and p must be 2-d, y 1-d")
+        k = self.sensors.shape[0]
+        if (self.source.ndim != 1 or not np.issubdtype(self.source.dtype, np.integer)
+                or self.source.size and not 0 <= self.source.min() <= self.source.max() < k):
+            raise InputError(f"source must be a 1-d int array of indices into the {k} sensors "
+                             f"rows, got {self.source.dtype} values of shape {self.source.shape}")
+        self.source = self.source.astype(np.intp, copy=False)
+        if not (self.source.shape[0] == self.p.shape[0] == self.y.shape[0]):
+            raise InputError("source, p, y row counts disagree")
+        if self.sensor_grid.shape[0] != self.sensors.shape[1]:
             raise InputError("sensor grid length != sensor count m")
         check_number("noise_std", self.noise_std, InputError, finite=True, at_least=0)
         check_number("B", self.B, InputError, finite=True, at_least=0)
         if self.y.size and np.max(np.abs(self.y)) > self.B:
             raise InputError("label bound B violated: max|y| > B")
+        if self.seed is not None:
+            for entry in self.seed if isinstance(self.seed, list) else [self.seed]:
+                check_number("seed", entry, InputError, count=True, at_least=0)
+        if not isinstance(self.generator, dict):
+            raise InputError(f"generator must be a dict, got {self.generator!r}")
 
     @property
     def n(self) -> int:
@@ -106,15 +123,32 @@ class Dataset:
 
     @property
     def m(self) -> int:
-        return self.s.shape[1]
+        return self.sensors.shape[1]
 
     @property
     def d2(self) -> int:
         return self.p.shape[1]
 
+    @property
+    def s(self) -> np.ndarray:
+        """The (n, m) branch inputs, gathered from sensors; a read-only copy."""
+        s = self.sensors.take(self.source, axis=0)
+        s.flags.writeable = False
+        return s
+
+    def used_rows(self) -> np.ndarray:
+        """The sensors rows that some triple uses, in order of first use."""
+        # lexsort is stable, so each row's first use leads its group; it is
+        # loaded for _distinct_rows already, where np.unique imports numpy.ma
+        order = np.lexsort((self.source,))
+        grouped = self.source[order]
+        first = np.ones(self.n, dtype=bool)
+        first[order[1:][grouped[1:] == grouped[:-1]]] = False
+        return self.source[first]
+
     def take(self, indices) -> "Dataset":
-        """Row subset sharing the metadata (B stays the original bound)."""
-        return replace(self, s=self.s[indices], p=self.p[indices], y=self.y[indices])
+        """Row subset sharing sensors and the metadata (B stays the original bound)."""
+        return replace(self, source=self.source[indices], p=self.p[indices], y=self.y[indices])
 
 
 def don_forward_batch(model: DeepONetModel, s: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -180,17 +214,24 @@ def _stack_size(model: DeepONetModel, rows: int) -> int:
 class _RiskEvaluator:
     """Empirical risks of many (branch, trunk) flat pairs on one dataset.
 
-    The bitwise-distinct rows of dataset.s and dataset.p are found once;
-    each pass runs the branch only on distinct s rows and the trunk only on
-    distinct p rows, and gathers their outputs back to every row before the
-    residuals and their mean are taken.
+    The bitwise-distinct branch rows among the sensors rows the triples use,
+    and the bitwise-distinct rows of dataset.p, are found once, each in order
+    of first use. Each pass runs the branch only on distinct s rows and the
+    trunk only on distinct p rows, then forms the residuals one block of
+    triples at a time, gathering the outputs back to that block's rows.
     """
 
     def __init__(self, model: DeepONetModel, dataset: Dataset):
         if dataset.n == 0:
             raise InputError("empirical risk of an empty dataset is undefined")
         self.bspec, self.tspec = model.branch.spec, model.trunk.spec
-        self.s, self.s_rows = self._distinct(nn._check_input(self.bspec, dataset.s))
+        sensors = nn._check_input(self.bspec, dataset.sensors)
+        used = dataset.used_rows()
+        rank = np.empty(sensors.shape[0], dtype=np.intp)  # a used row's place in used
+        rank[used] = np.arange(used.size)
+        rows, inverse = _distinct_rows(sensors[used])
+        self.s = sensors[used[rows]]
+        self.s_rows = None if rows.size == dataset.n else inverse[rank[dataset.source]]
         self.p, self.p_rows = self._distinct(nn._check_input(self.tspec, dataset.p))
         self.y = dataset.y
 
@@ -209,17 +250,31 @@ class _RiskEvaluator:
         against each other over lead; entry k of the result is the risk of
         the pair (branch_flats[k], trunk_flats[k]), bit-identical to
         :func:`empirical_risk` of that pair. Unstacked flats give a 0-d array.
+        A block of triples gathers at most _WORKING_SET floats of either
+        tower's outputs, so no (n, q) array is formed.
+        """
+        b = nn._forward(self.bspec, branch_flats, self.s, None)
+        t = nn._forward(self.tspec, trunk_flats, self.p, None)
+        n = self.y.shape[0]
+        block = max(1, _WORKING_SET // max(b.size // b.shape[-2], t.size // t.shape[-2]))
+        if block >= n:
+            r = self._residuals(b, t, slice(None))
+        else:
+            r = np.concatenate([self._residuals(b, t, slice(lo, lo + block))
+                                for lo in range(0, n, block)], axis=-1)
+        return np.mean(r * r, axis=-1)
+
+    def _residuals(self, b: np.ndarray, t: np.ndarray, rows: slice) -> np.ndarray:
+        """y - h on the triples in rows, from the towers' outputs on their distinct rows.
+
+        The einsum takes each triple's dot product on its own, so the
+        residuals do not depend on how the triples are split into blocks.
         """
         # np.take keeps the gathered outputs in C order, as the per-row pass
         # had them; a strided layout would make the mean sum in another order
-        b = nn._forward(self.bspec, branch_flats, self.s, None)
-        if self.s_rows is not None:
-            b = np.take(b, self.s_rows, axis=-2)
-        t = nn._forward(self.tspec, trunk_flats, self.p, None)
-        if self.p_rows is not None:
-            t = np.take(t, self.p_rows, axis=-2)
-        r = self.y - np.einsum("...ij,...ij->...i", b, t)
-        return np.mean(r * r, axis=-1)
+        b = b[..., rows, :] if self.s_rows is None else np.take(b, self.s_rows[rows], axis=-2)
+        t = t[..., rows, :] if self.p_rows is None else np.take(t, self.p_rows[rows], axis=-2)
+        return self.y[rows] - np.einsum("...ij,...ij->...i", b, t)
 
 
 def loss_grads(
@@ -229,7 +284,8 @@ def loss_grads(
     if batch.n == 0:
         raise InputError("cannot take gradients on an empty batch")
     step = _TwoTowers(model, batch.n)
-    s, p = nn._check_input(model.branch.spec, batch.s), nn._check_input(model.trunk.spec, batch.p)
+    s = nn._check_input(model.branch.spec, batch.sensors).take(batch.source, 0)
+    p = nn._check_input(model.trunk.spec, batch.p)
     grad, loss = step(step.join(model.branch.flat, model.trunk.flat), s, p, batch.y)
     return *step.split(grad), loss
 

@@ -272,14 +272,14 @@ def train_deeponet(
     adam = replace(adam_branch, m=step.join(adam_branch.m, adam_trunk.m),
                    v=step.join(adam_branch.v, adam_trunk.v))
     curve = []
-    s, p, y = dataset.s, dataset.p, dataset.y
+    sensors, source, p, y = dataset.sensors, dataset.source, dataset.p, dataset.y
     n = dataset.n
     risks = _RiskEvaluator(model, dataset).risks if epochs > 0 else None
     for epoch in range(start_epoch, start_epoch + epochs):
         perm = np.random.default_rng([seed, epoch]).permutation(n)
         for lo in range(0, n, batch_size):
             idx = perm[lo : lo + batch_size]
-            grad, _ = step(joint, s.take(idx, 0), p.take(idx, 0), y.take(idx))
+            grad, _ = step(joint, sensors.take(source.take(idx), 0), p.take(idx, 0), y.take(idx))
             adam, joint = nn._adam_update(adam, joint, grad)
             if weight_ball is not None:
                 joint = step.join(*(

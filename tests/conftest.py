@@ -71,7 +71,8 @@ def random_model(rng, m=3, d2=2, q=2, width=4,
 def random_dataset(rng, n=8, m=3, d2=2) -> Dataset:
     y = rng.uniform(-1.0, 1.0, n)
     return Dataset(
-        s=rng.uniform(-1.0, 1.0, (n, m)),
+        sensors=rng.uniform(-1.0, 1.0, (n, m)),
+        source=np.arange(n),
         p=rng.uniform(0.0, 1.0, (n, d2)),
         y=y,
         B=float(np.max(np.abs(y))) if n else 0.0,

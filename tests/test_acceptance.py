@@ -77,7 +77,8 @@ def test_criterion_01_gradient_correctness():
         layouts.append(deeponet._TwoTowers(model, n).heads)
         y = rng.uniform(-1, 1, n)
         ds = Dataset(
-            s=rng.uniform(-1, 1, (n, m)),
+            sensors=rng.uniform(-1, 1, (n, m)),
+            source=np.arange(n),
             p=rng.uniform(-1, 1, (n, d2)),
             y=y, B=float(np.max(np.abs(y))),
             sensor_grid=np.linspace(0, 1, m),
@@ -340,7 +341,8 @@ def test_criterion_09_perturbation_verification():
     )
     n = 50
     y = rng.uniform(-1, 1, n)
-    ds = Dataset(s=rng.uniform(-1, 1, (n, 5)), p=rng.uniform(0, 1, (n, 2)),
+    ds = Dataset(sensors=rng.uniform(-1, 1, (n, 5)), source=np.arange(n),
+                 p=rng.uniform(0, 1, (n, 2)),
                  y=y, B=float(np.max(np.abs(y))), sensor_grid=np.linspace(0, 1, 5))
     rep = verify_perturbation(model, theta=0.1, dataset=ds, trials=1000, seed=99)
     _report(9, "risk perturbation bound", rep.holds,

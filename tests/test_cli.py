@@ -429,6 +429,20 @@ class TestTrain:
         assert f"sidecar {meta}" in err and "'labels'" in err
 
     @pytest.mark.parametrize("key, value, message", [
+        ("seed", "abc", "seed must be an int >= 0, got 'abc'"),
+        ("seed", -5, "seed must be an int >= 0, got -5"),
+        ("generator", [1], "generator must be a dict, got [1]"),
+    ])
+    def test_bad_sidecar_seed_or_generator_exits_two(self, tmp_path, dataset_csv, capsys,
+                                                      key, value, message):
+        meta = dataset_csv.parent / (dataset_csv.name + ".meta.json")
+        meta.write_text(json.dumps(dict(json.loads(meta.read_text()), **{key: value})))
+        cfg = _write(tmp_path / "t.json", {"dataset": str(dataset_csv), "epochs": 1})
+        assert main(["train", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"sidecar {meta}" in err and message in err
+
+    @pytest.mark.parametrize("key, value, message", [
         ("lr", -1.0, "lr must be a finite number > 0, got -1.0"),
         ("lr", 0.0, "lr must be a finite number > 0, got 0.0"),
         ("lr", math.nan, "lr must be a finite number > 0, got nan"),

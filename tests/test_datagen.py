@@ -528,9 +528,10 @@ class TestCsvRoundTrip:
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     def test_signed_zero_rows_keep_their_own_text(self, tmp_path):
-        s = np.array([[0.0, 1.5], [-0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]])
-        ds = Dataset(s=s, p=np.full((4, 1), 0.5), y=np.zeros(4), B=0.0,
+        ds = Dataset(sensors=[[0.0, 1.5], [-0.0, 1.5]], source=[0, 1, 1, 0],
+                     p=np.full((4, 1), 0.5), y=np.zeros(4), B=0.0,
                      sensor_grid=np.array([0.0, 1.0]))
+        s = np.array([[0.0, 1.5], [-0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]])
         path = tmp_path / "z.csv"
         write_dataset_csv(ds, path)
         lines = path.read_bytes().split(b"\r\n")
@@ -620,10 +621,15 @@ class TestCsvRoundTrip:
         (lambda meta: meta.update(B=math.inf), "B must be a finite number >= 0, got inf"),
         (lambda meta: meta.update(B="1.0"), "B must be a finite number >= 0, got '1.0'"),
         (lambda meta: meta.update(sensor_grid=[0.0, 1.0]), "sensor grid length"),
+        (lambda meta: meta.update(seed="abc"), "seed must be an int >= 0, got 'abc'"),
+        (lambda meta: meta.update(seed=-5), "seed must be an int >= 0, got -5"),
+        (lambda meta: meta.update(seed=[3, -1]), "seed must be an int >= 0, got -1"),
+        (lambda meta: meta.update(generator=[1]), r"generator must be a dict, got \[1\]"),
     ])
     def test_sidecar_with_a_bad_key_rejected(self, tmp_path, edit, key):
         p = tmp_path / "d.csv"
-        write_dataset_csv(Dataset(s=[[1.0]], p=[[2.0]], y=[0.5], B=1.0, sensor_grid=[0.0]), p)
+        write_dataset_csv(Dataset(sensors=[[1.0]], source=[0], p=[[2.0]], y=[0.5], B=1.0,
+                                  sensor_grid=[0.0]), p)
         sidecar = tmp_path / "d.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         edit(meta)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,8 @@ class TestEmpiricalRisk:
     def test_zero_when_predictions_match(self):
         model = DeepONetModel(_const_output_net(2, [0.5]), _const_output_net(1, [2.0]))
         ds = Dataset(
-            s=np.zeros((3, 2)), p=np.zeros((3, 1)), y=np.full(3, 1.0),
+            sensors=np.zeros((1, 2)), source=np.zeros(3, int),
+            p=np.zeros((3, 1)), y=np.full(3, 1.0),
             B=1.0, sensor_grid=np.array([0.0, 1.0]),
         )
         assert empirical_risk(model, ds) == 0.0
@@ -110,7 +112,8 @@ class TestEmpiricalRisk:
     def test_single_unit_residual(self):
         model = DeepONetModel(_const_output_net(2, [0.0]), _const_output_net(1, [0.0]))
         ds = Dataset(
-            s=np.zeros((1, 2)), p=np.zeros((1, 1)), y=np.array([1.0]),
+            sensors=np.zeros((1, 2)), source=np.zeros(1, int),
+            p=np.zeros((1, 1)), y=np.array([1.0]),
             B=1.0, sensor_grid=np.array([0.0, 1.0]),
         )
         assert empirical_risk(model, ds) == 1.0
@@ -118,7 +121,8 @@ class TestEmpiricalRisk:
     def test_mean_of_squares(self):
         model = DeepONetModel(_const_output_net(2, [0.0]), _const_output_net(1, [0.0]))
         ds = Dataset(
-            s=np.zeros((2, 2)), p=np.zeros((2, 1)), y=np.array([1.0, 3.0]),
+            sensors=np.zeros((1, 2)), source=np.zeros(2, int),
+            p=np.zeros((2, 1)), y=np.array([1.0, 3.0]),
             B=3.0, sensor_grid=np.array([0.0, 1.0]),
         )
         assert empirical_risk(model, ds) == 5.0  # (1 + 9) / 2
@@ -140,7 +144,8 @@ class TestLossGrads:
     def test_zero_residuals_give_zero_grads(self):
         model = DeepONetModel(_const_output_net(2, [1.0]), _const_output_net(1, [1.0]))
         ds = Dataset(
-            s=np.zeros((4, 2)), p=np.zeros((4, 1)), y=np.ones(4),
+            sensors=np.zeros((1, 2)), source=np.zeros(4, int),
+            p=np.zeros((4, 1)), y=np.ones(4),
             B=1.0, sensor_grid=np.array([0.0, 1.0]),
         )
         gb, gt, loss = loss_grads(model, ds)
@@ -298,8 +303,42 @@ class TestStackedRisks:
 def test_dataset_rejects_negative_or_nan_noise_std(noise_std):
     message = f"noise_std must be a finite number >= 0, got {noise_std}"
     with pytest.raises(InputError, match=message):
-        Dataset(s=np.zeros((2, 3)), p=np.zeros((2, 1)), y=np.zeros(2), B=0.0,
-                sensor_grid=np.zeros(3), noise_std=noise_std)
+        Dataset(sensors=np.zeros((1, 3)), source=np.zeros(2, int), p=np.zeros((2, 1)),
+                y=np.zeros(2), B=0.0, sensor_grid=np.zeros(3), noise_std=noise_std)
+
+
+@pytest.mark.parametrize("source, message", [
+    (np.zeros(2), "source must be a 1-d int array of indices into the 2 sensors rows, "
+                  "got float64 values of shape (2,)"),
+    (np.array([True, False]), "got bool values"),
+    (np.zeros((2, 1), int), "got int64 values of shape (2, 1)"),
+    ([0, 2], "source must be a 1-d int array of indices into the 2 sensors rows"),
+    ([-1, 0], "source must be a 1-d int array of indices into the 2 sensors rows"),
+    ([0, 1, 1], "source, p, y row counts disagree"),
+])
+def test_dataset_rejects_a_bad_source(source, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        Dataset(sensors=np.zeros((2, 3)), source=source, p=np.zeros((2, 1)), y=np.zeros(2),
+                B=0.0, sensor_grid=np.zeros(3))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an int >= 0, got True"),
+    (-1, "seed must be an int >= 0, got -1"),
+    ([0, 1.5], "seed must be an int >= 0, got 1.5"),
+])
+def test_dataset_rejects_a_bad_seed(rng, seed, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        replace(random_dataset(rng), seed=seed)
+
+
+def test_s_is_a_read_only_gather_of_the_sensors_rows(rng):
+    ds = random_dataset(rng, n=4).take([2, 0, 2])
+    assert ds.source.dtype == np.intp and list(ds.source) == [2, 0, 2]
+    assert np.array_equal(ds.s, ds.sensors[[2, 0, 2]])
+    with pytest.raises(ValueError, match="read-only"):
+        ds.s[0, 0] = 1.0
+    assert list(ds.used_rows()) == [2, 0]  # in order of first use
 
 
 def test_stack_size_shrinks_for_large_datasets(rng):
@@ -406,9 +445,11 @@ class TestRiskOnDistinctRows:
     def test_signed_zero_and_nan_payload_rows(self, rng):
         model = random_model(rng, q=2, width=4)
         ds = random_dataset(rng, n=6)
-        ds.s[:] = ds.s[0]
-        ds.s[1::2, 0] = -0.0
-        ds.s[::2, 0] = 0.0
+        # six sensors rows of two bit patterns: +0.0 and -0.0 in column 0
+        sensors = np.repeat(ds.sensors[:1], 6, axis=0)
+        sensors[1::2, 0] = -0.0
+        sensors[::2, 0] = 0.0
+        ds = replace(ds, sensors=sensors)
         ds.p[:] = ds.p[0]
         ds.p[3:, 1] = np.array([_bits(np.nan) | 1], dtype=np.uint64).view(np.float64)[0]
         ds.p[:3, 1] = np.nan
@@ -451,6 +492,26 @@ class TestRiskOnDistinctRows:
                 start_epoch=epoch)
             want = _reference_risks(model, model.branch.flat, model.trunk.flat, ds)
             assert _bits(curve[epoch]) == _bits(want)
+
+
+@pytest.mark.parametrize("fresh_p", [False, True], ids=["p-repeats", "p-distinct"])
+@pytest.mark.parametrize("name", sorted(ROW_ORDERS))
+@pytest.mark.parametrize("leads", [((), ()), ((3,), (3,)), ((2, 3), ()), ((), (4,))])
+def test_risks_in_small_blocks_equal_one_block(rng, monkeypatch, name, fresh_p, leads):
+    model = random_model(rng, q=3, width=5)
+    ds = _with_rows(rng, random_dataset(rng, n=5), ROW_ORDERS[name])
+    if fresh_p:
+        ds = replace(ds, p=rng.uniform(0, 1, ds.p.shape))
+    flats = [rng.uniform(-1, 1, lead + (net.flat.size,))
+             for lead, net in zip(leads, (model.branch, model.trunk))]
+    ev = deeponet._RiskEvaluator(model, ds)
+    want = ev.risks(*flats)
+    assert np.array_equal(_bits(want), _bits(_reference_risks(model, *flats, ds)))
+    per_row = 3 * max(math.prod(lead) for lead in leads)  # q floats per stacked vector
+    for rows in (1, 2, 4):  # blocks of this many triples
+        monkeypatch.setattr(deeponet, "_WORKING_SET", rows * per_row)
+        got = ev.risks(*flats)
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
 
 
 def _criterion11_cell(q):

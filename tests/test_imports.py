@@ -1,5 +1,6 @@
-"""The import footprint: scipy is loaded by the ADR solver only, and each
-module uses every name it imports.
+"""The import footprint: scipy is loaded by the ADR solver only, numpy.ma
+(which np.unique imports, at a cost in peak memory) by none of the
+scipy-free runs, and each module uses every name it imports.
 
 Each scipy case runs in a fresh interpreter, since this test process has
 scipy loaded already (the reference solvers in test_datagen use it).
@@ -28,14 +29,15 @@ import donlab, donlab.cli
 argv = json.loads(sys.argv[2])
 rc = donlab.cli.main(argv) if argv else 0
 print(json.dumps({"rc": rc, "scipy": "scipy" in sys.modules,
-                  "scipy.linalg": "scipy.linalg" in sys.modules}))
+                  "scipy.linalg": "scipy.linalg" in sys.modules,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
 def _fresh_run(argv) -> tuple[dict, str]:
     """Run `donlab.cli.main(argv)` (or only the imports, for an empty argv)
-    in a new interpreter. Returns its exit code and which scipy modules it
-    loaded, and its standard error."""
+    in a new interpreter. Returns its exit code and which of scipy,
+    scipy.linalg and numpy.ma it loaded, and its standard error."""
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(SRC), json.dumps([str(a) for a in argv])],
         capture_output=True, text=True, timeout=120, check=True,
@@ -50,7 +52,8 @@ def _write(path, payload):
 
 def _hand_made_csv(tmp_path):
     rng = np.random.default_rng(0)
-    ds = Dataset(s=rng.standard_normal((24, 4)), p=rng.random((24, 2)),
+    ds = Dataset(sensors=rng.standard_normal((24, 4)), source=np.arange(24),
+                 p=rng.random((24, 2)),
                  y=rng.uniform(-1.0, 1.0, 24), B=1.0, sensor_grid=np.linspace(0, 1, 4))
     path = tmp_path / "hand.csv"
     write_dataset_csv(ds, path)
@@ -85,7 +88,7 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_scipy_stays_unloaded(tmp_path, case):
     got, err = _fresh_run(CASES[case](tmp_path))
-    assert got == {"rc": 0, "scipy": False, "scipy.linalg": False}, err
+    assert got == {"rc": 0, "scipy": False, "scipy.linalg": False, "numpy.ma": False}, err
 
 
 def test_adr_gen_data_loads_scipy_linalg(tmp_path):
@@ -95,6 +98,7 @@ def test_adr_gen_data_loads_scipy_linalg(tmp_path):
         "grf": {"length_scale": 0.1},
     })
     got, err = _fresh_run(["gen-data", "--config", cfg, "--out-dir", tmp_path / "o"])
+    del got["numpy.ma"]  # what scipy imports is scipy's affair
     assert got == {"rc": 0, "scipy": True, "scipy.linalg": True}, err
     assert (tmp_path / "o" / "ds.csv").exists()
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from donlab import nn, scaling
+from donlab import datagen, nn, scaling
 from donlab.datagen import AdrConfig
 from donlab.deeponet import Dataset, DeepONetModel, empirical_risk, init_model
 from donlab.errors import ConfigurationError, InputError
@@ -315,7 +315,8 @@ def _golden_run(hidden: str, output: str) -> str:
     rng = np.random.default_rng(11)
     n, m, d2, q, width = 150, 6, 2, 3, 7
     y = np.tanh(rng.standard_normal(n))
-    ds = Dataset(s=rng.uniform(-1, 1, (n, m)), p=rng.uniform(0, 1, (n, d2)), y=y,
+    ds = Dataset(sensors=rng.uniform(-1, 1, (n, m)), source=np.arange(n),
+                 p=rng.uniform(0, 1, (n, d2)), y=y,
                  B=float(np.max(np.abs(y))), sensor_grid=np.linspace(0, 1, m))
     common = dict(hidden_activation=hidden, output_activation=output)
     model = DeepONetModel(
@@ -542,3 +543,36 @@ class TestJointTraining:
         with pytest.raises(InputError, match=message):
             train_deeponet(model, random_dataset(rng, n=20), 1, 8, seed=0,
                            adam_branch=ab, adam_trunk=at)
+
+
+def test_no_step_gathers_the_dense_branch_inputs(tmp_path, monkeypatch):
+    """Building, taking, training, risk and CSV I/O work on sensors and source
+    alone, and every dataset built or read holds one sensors row per source
+    function."""
+    def gathered(self):
+        raise AssertionError("Dataset.s was gathered")
+
+    monkeypatch.setattr(Dataset, "s", property(gathered))
+    plan = _tiny_plan()
+    adr_grf = datagen.GrfConfig(grid=plan.adr.x_grid, length_scale=0.05)
+    pendulum_grf = datagen.GrfConfig(grid=np.linspace(0.0, 1.0, 11), length_scale=0.2)
+    built = {  # name: (dataset, points per function)
+        "adr": (datagen.build_adr_dataset(adr_grf, plan.adr, 6, 3, 7, 0.0, seed=1), 7),
+        "pendulum": (datagen.build_pendulum_dataset(pendulum_grf, 1.0, 4, 4, 5, 0.0, seed=2), 5),
+        # 120 triples: two whole source functions of 50 points and 20 of a third
+        "cell": (scaling.build_cell_dataset(plan, 120, seed=[0, 2, 120]), 50),
+    }
+    for name, (ds, per) in built.items():
+        want = np.arange(ds.n) // per
+        assert ds.sensors.shape[0] == want[-1] + 1 and np.array_equal(ds.source, want), name
+        path = tmp_path / f"{name}.csv"
+        datagen.write_dataset_csv(ds, path)
+        back = datagen.read_dataset_csv(path)
+        assert np.array_equal(back.source, want), name
+        assert back.sensors.tobytes() == ds.sensors.tobytes(), name
+    cell = built["cell"][0]
+    sub = cell.take(np.arange(30, 110))
+    assert sub.sensors is cell.sensors
+    model = init_model(plan.branch_in, plan.trunk_in, 2, 4, plan.depth, 0, "relu", "tanh", "he")
+    trained, _, _, curve = train_deeponet(model, sub, 2, 16, seed=0)
+    assert empirical_risk(trained, sub) == curve[-1]
