@@ -33,7 +33,6 @@ from .deeponet import (
     DeepONetModel,
     don_forward_batch,
     empirical_risk,
-    estimate_J,
     j_upper_bound,
     load_checkpoint,
     loss_grads,

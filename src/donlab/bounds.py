@@ -229,13 +229,12 @@ def analytic_j_for_model(
 
     Uses the layered-net bound with Q = 1 (each parameter appears once in a
     dense net), R the largest input 2-norm in the dataset (for the branch,
-    over the sensors rows its triples use), and the entrywise
-    weight bound max(1, |w|_inf + theta/2) so original and perturbed nets
-    both qualify.
+    over dataset.sensors, which holds only the rows its triples use), and
+    the entrywise weight bound max(1, |w|_inf + theta/2) so original and
+    perturbed nets both qualify.
     """
     js = []
-    branch_inputs = dataset.sensors[dataset.used_rows()]
-    for params, inputs in ((model.branch, branch_inputs), (model.trunk, dataset.p)):
+    for params, inputs in ((model.branch, dataset.sensors), (model.trunk, dataset.p)):
         p = nn.param_count(params.spec)
         depth = params.spec.depth
         r = float(np.max(np.linalg.norm(inputs, axis=1)))
@@ -298,18 +297,24 @@ def verify_perturbation(
 def verify_cover_bruteforce(d: int, w: float, theta: float, probes: int, seed) -> bool:
     """Constructive covering check for the weight ball bound in d <= 3.
 
-    Builds a centered uniform grid on [-w, w]^d whose cardinality stays
-    within the ceiling of the (2 w sqrt(d) / theta)^d bound, then verifies
-    that uniform random probes all lie within theta of some grid point. The
-    probes are drawn and checked a chunk at a time, stopping at the first miss.
+    Builds the finest centered uniform grid on [-w, w]^d whose cardinality
+    the bound of :func:`log_covering_number_ball` allows, then checks that a
+    cell corner, the point farthest from its centre at h sqrt(d) / 2, lies
+    within theta of it (exactly, in integer arithmetic), and that uniform
+    random probes all lie within theta of some grid point. The probes are
+    drawn and checked a chunk at a time, stopping at the first miss. Below
+    theta of about 5e-16 w, a few ulps of w, the rounding of a probe's
+    distance to its centre exceeds theta and valid covers fail.
     """
     check_number("d", d, InputError, count=True, at_least=1, below=4)
     check_number("w", w, InputError, above=0)
     check_number("theta", theta, InputError, above=0)
     check_number("probes", probes, InputError, count=True, at_least=1)
-    per_axis = max(1, math.ceil(w * math.sqrt(d) / theta))
-    allowed = math.ceil((2.0 * w * math.sqrt(d) / theta) ** d)
-    if per_axis**d > max(allowed, 1):
+    per_axis = max(1, math.floor(math.exp(log_covering_number_ball(theta, w, d) / d)))
+    # a cell corner lies h sqrt(d) / 2 = w sqrt(d) / per_axis from its centre;
+    # its square is compared with theta^2 on the floats' exact integer ratios
+    (a, b), (c, e) = w.as_integer_ratio(), theta.as_integer_ratio()
+    if (a * e) ** 2 * d > (c * b * per_axis) ** 2:
         return False
     h = 2.0 * w / per_axis
     rng = np.random.default_rng(seed)

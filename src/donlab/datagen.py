@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -334,16 +335,16 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     """Columns s_0..s_{m-1}, p_0..p_{d2-1}, y plus a metadata sidecar JSON.
 
     Every float is written as its ``repr`` and every line ends in ``\\r\\n``,
-    as ``csv.writer`` would write them. The text of each used ``sensors`` row
-    is formatted once and reused for every triple of its source function."""
+    as ``csv.writer`` would write them. The text of each ``sensors`` row (each
+    is used, and distinct) is formatted once and reused for every triple of
+    its source function."""
     path = Path(path)
     header = (
         [f"s_{i}" for i in range(dataset.m)]
         + [f"p_{i}" for i in range(dataset.d2)]
         + ["y"]
     )
-    s_texts = {k: ",".join(map(repr, dataset.sensors[k].tolist()))
-               for k in dataset.used_rows().tolist()}
+    s_texts = [",".join(map(repr, row)) for row in dataset.sensors.tolist()]
     with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         rows = zip(dataset.source.tolist(), dataset.p.tolist(), dataset.y.tolist())
@@ -367,9 +368,12 @@ def read_dataset_csv(path) -> Dataset:
     Reads unquoted comma-separated fields, one record per line, with lines
     ending in ``\\r\\n``, ``\\n`` or ``\\r``; a quote is a non-numeric value.
     Each line is split once from the right into its ``s`` text and its ``p``
-    and ``y`` fields; an ``s`` text equal to the previous row's is not split
-    or parsed again, and each run of equal ``s`` texts is stored as one
-    ``sensors`` row. A non-finite value is rejected naming its line."""
+    and ``y`` fields; each distinct ``s`` text is split and parsed once, at
+    its first line, and stored as one ``sensors`` row, so the rows come in
+    order of first use however the lines are ordered. A file written by
+    :func:`write_dataset_csv` thus reads back in the layout ``Dataset``
+    keeps, as ``repr`` gives each distinct row a text of its own. A
+    non-finite value is rejected naming its line."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"dataset file not found: {path}")
@@ -384,26 +388,26 @@ def read_dataset_csv(path) -> Dataset:
         expected = [f"s_{i}" for i in range(m)] + [f"p_{i}" for i in range(d2)] + ["y"]
         if m < 1 or d2 < 1 or header != expected:
             raise FormatError(f"unexpected header in {path}: {header}")
-        s_rows, runs, py_rows = [], [], []
-        s_text = None
+        rows, s_rows = {}, []  # rows: s text -> its sensors row
+        labels, py_values = array("q"), array("d")  # 8 bytes a value, not a float object
         for ln, line in enumerate(fh, start=2):
             line = line.rstrip("\r\n")
             text, *py = line.rsplit(",", d2 + 1)
-            new = text != s_text
-            if len(py) != d2 + 1 or (new and text.count(",") != m - 1):
+            k = rows.get(text)
+            if len(py) != d2 + 1 or (k is None and text.count(",") != m - 1):
                 got = line.count(",") + 1 if line else 0
                 raise FormatError(f"{path}:{ln}: expected {len(header)} columns, got {got}")
             try:
-                if new:
+                if k is None:
                     s_rows.append(list(map(float, text.split(","))))
-                    s_text = text
-                py_rows.append(list(map(float, py)))
+                    k = rows[text] = len(s_rows) - 1
+                py_values.extend(map(float, py))
             except ValueError as exc:
                 raise FormatError(f"{path}:{ln}: non-numeric value ({exc})") from exc
-            runs.append(len(s_rows) - 1)
+            labels.append(k)
     sensors = np.array(s_rows, dtype=np.float64).reshape(len(s_rows), m)
-    source = np.asarray(runs, dtype=np.intp)
-    py = np.array(py_rows, dtype=np.float64).reshape(len(py_rows), d2 + 1)
+    source = np.asarray(labels, dtype=np.intp)
+    py = np.frombuffer(py_values).reshape(len(labels), d2 + 1)
     bad = ~(np.isfinite(sensors).all(axis=1)[source] & np.isfinite(py).all(axis=1))
     if bad.any():
         raise FormatError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite value")

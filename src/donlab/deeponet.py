@@ -1,8 +1,8 @@
 """Branch/trunk operator model: h(s, p) = <Branch(s), Trunk(p)>.
 
-Holds the model container, its empirical risk and exact gradients, the
-weight-Lipschitz machinery (Monte Carlo estimate and analytic bound), and
-checkpoint I/O.
+Holds the model container, its dataset, its empirical risk and exact
+gradients, the ball sampler and the analytic weight-Lipschitz bound that
+the perturbation check uses, and checkpoint I/O.
 """
 
 from __future__ import annotations
@@ -72,11 +72,14 @@ class Dataset:
     """Training triples (s_i, p_i, y_i) stored as arrays, plus metadata.
 
     Each source function's sensor values are stored once: sensors has shape
-    (k, m), one row per source function, and source has shape (n,), the
-    sensors row of each triple, so s_i = sensors[source[i]]. p has shape
-    (n, d2), y has shape (n,). B bounds the labels: |y_i| <= B, measured as
-    max|y| unless the generator overrode it. seed is the generator's seed
-    (None, an int >= 0 or a list of them) and generator its settings.
+    (k, m) and source has shape (n,), the sensors row of each triple, so
+    s_i = sensors[source[i]]. Construction leaves sensors holding each
+    bitwise-distinct row that some triple uses exactly once, in order of
+    first use, and relabels source to match; input already in that form is
+    kept as it is, not copied. p has shape (n, d2), y has shape (n,). B
+    bounds the labels: |y_i| <= B, measured as max|y| unless the generator
+    overrode it. seed is the generator's seed (None, an int >= 0 or a list
+    of them) and generator its settings.
     """
 
     sensors: np.ndarray
@@ -116,6 +119,14 @@ class Dataset:
                 check_number("seed", entry, InputError, count=True, at_least=0)
         if not isinstance(self.generator, dict):
             raise InputError(f"generator must be a dict, got {self.generator!r}")
+        # the layout: the used rows in order of first use (first, label), then
+        # the bitwise-distinct rows among them (rows, relabel)
+        first, label = _distinct_rows(self.source[:, None])
+        used = self.source[first]
+        rows, relabel = _distinct_rows(self.sensors[used])
+        keep = used[rows]
+        if keep.size != k or np.any(keep != np.arange(k)):
+            self.sensors, self.source = self.sensors[keep], relabel[label]
 
     @property
     def n(self) -> int:
@@ -136,18 +147,12 @@ class Dataset:
         s.flags.writeable = False
         return s
 
-    def used_rows(self) -> np.ndarray:
-        """The sensors rows that some triple uses, in order of first use."""
-        # lexsort is stable, so each row's first use leads its group; it is
-        # loaded for _distinct_rows already, where np.unique imports numpy.ma
-        order = np.lexsort((self.source,))
-        grouped = self.source[order]
-        first = np.ones(self.n, dtype=bool)
-        first[order[1:][grouped[1:] == grouped[:-1]]] = False
-        return self.source[first]
-
     def take(self, indices) -> "Dataset":
-        """Row subset sharing sensors and the metadata (B stays the original bound)."""
+        """Row subset with the same metadata (B stays the original bound).
+
+        It shares sensors when the subset uses every row in order, else keeps
+        only the rows it uses.
+        """
         return replace(self, source=self.source[indices], p=self.p[indices], y=self.y[indices])
 
 
@@ -214,10 +219,9 @@ def _stack_size(model: DeepONetModel, rows: int) -> int:
 class _RiskEvaluator:
     """Empirical risks of many (branch, trunk) flat pairs on one dataset.
 
-    The bitwise-distinct branch rows among the sensors rows the triples use,
-    and the bitwise-distinct rows of dataset.p, are found once, each in order
-    of first use. Each pass runs the branch only on distinct s rows and the
-    trunk only on distinct p rows, then forms the residuals one block of
+    The branch runs on dataset.sensors, which holds each distinct branch row
+    once, and the trunk on the bitwise-distinct rows of dataset.p, found once
+    in order of first use. Each pass forms the residuals one block of
     triples at a time, gathering the outputs back to that block's rows.
     """
 
@@ -225,23 +229,13 @@ class _RiskEvaluator:
         if dataset.n == 0:
             raise InputError("empirical risk of an empty dataset is undefined")
         self.bspec, self.tspec = model.branch.spec, model.trunk.spec
-        sensors = nn._check_input(self.bspec, dataset.sensors)
-        used = dataset.used_rows()
-        rank = np.empty(sensors.shape[0], dtype=np.intp)  # a used row's place in used
-        rank[used] = np.arange(used.size)
-        rows, inverse = _distinct_rows(sensors[used])
-        self.s = sensors[used[rows]]
-        self.s_rows = None if rows.size == dataset.n else inverse[rank[dataset.source]]
-        self.p, self.p_rows = self._distinct(nn._check_input(self.tspec, dataset.p))
+        self.s = nn._check_input(self.bspec, dataset.sensors)
+        # k == n rows, each used, in order of first use: source is arange(n)
+        self.s_rows = None if self.s.shape[0] == dataset.n else dataset.source
+        p = nn._check_input(self.tspec, dataset.p)
+        first, inverse = _distinct_rows(p)
+        self.p, self.p_rows = (p, None) if first.size == p.shape[0] else (p[first], inverse)
         self.y = dataset.y
-
-    @staticmethod
-    def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """(distinct rows, their gather index), or (x, None) if all differ."""
-        first, inverse = _distinct_rows(x)
-        if first.size == x.shape[0]:
-            return x, None
-        return x[first], inverse
 
     def risks(self, branch_flats: np.ndarray, trunk_flats: np.ndarray) -> np.ndarray:
         """Risk of each (branch, trunk) pair of flats.
@@ -361,45 +355,6 @@ def _uniform_in_ball(normals: np.random.Generator, radii: np.random.Generator,
     norms[norms == 0.0] = np.inf  # a zero row scales by 0 and stays zero
     z *= (radius * radii.random(count) ** (1.0 / dim) / norms)[:, None]
     return z
-
-
-def estimate_J(
-    spec: nn.MlpSpec,
-    weight_bound: float,
-    input_domain: tuple[np.ndarray, np.ndarray],
-    pairs: int,
-    seed,
-    inputs_per_pair: int = 8,
-) -> float:
-    """Monte Carlo lower estimate of the weight-Lipschitz constant.
-
-    Samples weight pairs uniformly in the 2-norm ball of radius
-    ``weight_bound`` and inputs uniformly in the box ``input_domain``
-    (lo, hi vectors), pair after pair from three streams spawned from seed;
-    returns the max of ||f_w1(x) - f_w2(x)||_inf / ||w1 - w2||. This is a
-    lower bound on the true constant.
-    """
-    check_number("pairs", pairs, InputError, count=True, at_least=1)
-    check_number("inputs_per_pair", inputs_per_pair, InputError, count=True, at_least=1)
-    check_number("weight_bound", weight_bound, InputError, finite=True, at_least=0)
-    lo = np.asarray(input_domain[0], dtype=np.float64)
-    hi = np.asarray(input_domain[1], dtype=np.float64)
-    if lo.shape != (spec.in_dim,) or hi.shape != (spec.in_dim,):
-        raise InputError("input box must be (lo, hi) vectors of the input dim")
-    normals, radii, inputs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
-    dim = nn.param_count(spec)
-    best = 0.0
-    for _ in range(pairs):
-        w1, w2 = _uniform_in_ball(normals, radii, 2, dim, weight_bound)
-        dw = np.linalg.norm(w1 - w2)
-        xs = inputs.uniform(lo, hi, size=(inputs_per_pair, spec.in_dim))
-        if dw == 0.0:
-            continue  # degenerate pair
-        f1 = nn.forward_batch(nn.MlpParams(spec, w1), xs)
-        f2 = nn.forward_batch(nn.MlpParams(spec, w2), xs)
-        ratio = float(np.max(np.abs(f1 - f2))) / dw
-        best = max(best, ratio)
-    return best
 
 
 def j_upper_bound(W: float, p: int, Q: int, depth: int, R: float) -> float:

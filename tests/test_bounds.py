@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from donlab import cli, deeponet, nn
+from donlab import bounds, cli, deeponet, nn
 from donlab.bounds import (
     BoundInputs,
     FunctionClassSpec,
@@ -452,41 +452,77 @@ class TestVerifyPerturbation:
             verify_perturbation(model, theta, ds, trials=2, seed=0)
 
 
-def _reference_cover_bruteforce(d, w, theta, probes, seed):
-    """The one-array cover check that the chunked one replaced."""
-    per_axis = max(1, math.ceil(w * math.sqrt(d) / theta))
-    allowed = math.ceil((2.0 * w * math.sqrt(d) / theta) ** d)
-    if per_axis**d > max(allowed, 1):
-        return False
-    h = 2.0 * w / per_axis
-    x = np.random.default_rng(seed).uniform(-w, w, size=(probes, d))
-    cell = np.clip(np.floor((x + w) / h), 0, per_axis - 1)
-    centers = -w + (cell + 0.5) * h
-    dist2 = np.sum((x - centers) ** 2, axis=1)
-    return bool(np.all(dist2 <= theta * theta))
+_real_default_rng = np.random.default_rng
+
+
+class _RecordedUniform:
+    """A probe stream that records its draws and can move the probe at one
+    index outside the ball, far from every grid point."""
+
+    def __init__(self, seed, moved=None):
+        self.rng, self.draws, self.moved = _real_default_rng(seed), [], moved
+
+    def uniform(self, low, high, size):
+        x = self.rng.uniform(low, high, size)
+        start = sum(map(len, self.draws))
+        if self.moved is not None and start <= self.moved < start + len(x):
+            x[self.moved - start] = 3.0 * high
+        self.draws.append(x)
+        return x
+
+
+def _record_probes(monkeypatch, moved=None):
+    """Make np.random.default_rng return _RecordedUniform streams; the list
+    of streams made."""
+    streams = []
+
+    def default_rng(seed):
+        streams.append(_RecordedUniform(seed, moved))
+        return streams[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return streams
 
 
 class TestVerifyCoverBruteforce:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("extra", [None, 0, 1])
-    @pytest.mark.parametrize("theta", [0.25, 1e-16])
-    def test_equals_one_array_check(self, d, extra, theta):
-        # at theta 1e-16 the rounding of x - center exceeds theta within
-        # the first few probes
+    @pytest.mark.parametrize("theta", [0.25, 1e-12])
+    def test_equals_one_array_check(self, monkeypatch, d, extra, theta):
+        # the chunks draw the probes of one array, and a valid cover holds
         chunk = deeponet._WORKING_SET // d
         probes = 1 if extra is None else chunk + extra
-        want = _reference_cover_bruteforce(d, 1.0, theta, probes, [d, probes])
-        assert want == (theta == 0.25)
-        assert verify_cover_bruteforce(d, 1.0, theta, probes, seed=[d, probes]) == want
+        streams = _record_probes(monkeypatch)
+        assert verify_cover_bruteforce(d, 1.0, theta, probes, seed=[d, probes])
+        want = _real_default_rng([d, probes]).uniform(-1.0, 1.0, (probes, d))
+        assert max(map(len, streams[0].draws)) <= chunk
+        assert np.array_equal(np.concatenate(streams[0].draws), want)
 
-    @pytest.mark.parametrize("d, theta, seed", [(1, 1e-12, 5), (2, 1e-14, 24), (3, 1e-14, 4)])
-    def test_miss_after_the_first_chunk_found(self, d, theta, seed):
-        # with these seeds the first probe that rounding puts farther than
-        # theta from its center comes after the first chunk
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_miss_after_the_first_chunk_found(self, monkeypatch, d):
         chunk = deeponet._WORKING_SET // d
-        assert _reference_cover_bruteforce(d, 1.0, theta, chunk, seed)
-        assert not _reference_cover_bruteforce(d, 1.0, theta, 2 * chunk, seed)
-        assert not verify_cover_bruteforce(d, 1.0, theta, 2 * chunk, seed)
+        assert verify_cover_bruteforce(d, 1.0, 0.25, 2 * chunk, seed=d)
+        streams = _record_probes(monkeypatch, moved=chunk + 7)  # in the second chunk
+        assert not verify_cover_bruteforce(d, 1.0, 0.25, 2 * chunk, seed=d)
+        assert len(streams[0].draws) == 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("shrink", [2.5, 1e6])
+    def test_fails_when_the_bound_allows_too_few_points(self, monkeypatch, d, shrink):
+        # the bound's count over shrink^d (at least one point) cannot cover;
+        # the cell corner shows it whatever the one probe draws
+        real = bounds.log_covering_number_ball
+        assert verify_cover_bruteforce(d, 1.0, 0.25, probes=1, seed=0)
+        monkeypatch.setattr(bounds, "log_covering_number_ball",
+                            lambda theta, w, d: max(0.0, real(theta, w, d) - d * math.log(shrink)))
+        assert not verify_cover_bruteforce(d, 1.0, 0.25, probes=1, seed=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [1e-12, 1e-14])
+    def test_valid_cover_holds_at_tiny_scales(self, d, theta):
+        # the grid the bound allows is about twice as fine as a cover needs,
+        # so the probes' rounding stays within theta
+        assert verify_cover_bruteforce(d, 1.0, theta, probes=200_000, seed=0)
 
     def test_single_center_point_suffices(self):
         assert verify_cover_bruteforce(1, 1.0, 2.0, probes=1000, seed=0)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
+from donlab import scaling
 from donlab.datagen import (
     AdrConfig,
     GrfConfig,
@@ -551,6 +553,26 @@ class TestCsvRoundTrip:
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
         write_dataset_csv(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_shuffled_file_reads_back_one_row_per_source_function(self, tmp_path):
+        plan = scaling.ExperimentPlan(exponent=0.5, anchor_q=4, anchor_n=4000,
+                                      q_list=[4, 8, 16], target_params=8000)
+        ds = scaling.build_cell_dataset(plan, 4000, seed=[0, 4, 4000])
+        shuffled = ds.take(np.random.default_rng(0).permutation(ds.n))
+        assert ds.sensors.shape[0] == shuffled.sensors.shape[0] == 40
+        path = tmp_path / "shuffled.csv"
+        write_dataset_csv(shuffled, path)
+        tracemalloc.start()
+        try:
+            back = read_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one row per source function, not one per run of equal s texts
+        assert back.sensors.tobytes() == shuffled.sensors.tobytes()
+        assert np.array_equal(back.source, shuffled.source)
+        assert _same_bits(back.s, shuffled.s)
+        assert peak < ds.n * ds.m * 8  # the dense (n, m) branch inputs
 
     @pytest.mark.parametrize("column", [1, 4, 6], ids=["s_1", "p_0", "y"])
     def test_non_numeric_value_names_its_line(self, tmp_path, column):

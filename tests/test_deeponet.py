@@ -15,7 +15,6 @@ from donlab.deeponet import (
     DeepONetModel,
     don_forward_batch,
     empirical_risk,
-    estimate_J,
     init_model,
     j_upper_bound,
     load_checkpoint,
@@ -333,12 +332,14 @@ def test_dataset_rejects_a_bad_seed(rng, seed, message):
 
 
 def test_s_is_a_read_only_gather_of_the_sensors_rows(rng):
-    ds = random_dataset(rng, n=4).take([2, 0, 2])
-    assert ds.source.dtype == np.intp and list(ds.source) == [2, 0, 2]
-    assert np.array_equal(ds.s, ds.sensors[[2, 0, 2]])
+    base = random_dataset(rng, n=4)
+    ds = base.take([2, 0, 2])
+    # only the used rows 2 and 0 are kept, in order of first use
+    assert ds.source.dtype == np.intp and list(ds.source) == [0, 1, 0]
+    assert ds.sensors.tobytes() == base.sensors[[2, 0]].tobytes()
+    assert np.array_equal(ds.s, base.sensors[[2, 0, 2]])
     with pytest.raises(ValueError, match="read-only"):
         ds.s[0, 0] = 1.0
-    assert list(ds.used_rows()) == [2, 0]  # in order of first use
 
 
 def test_stack_size_shrinks_for_large_datasets(rng):
@@ -376,6 +377,41 @@ def _with_rows(rng, base, order):
     ds = base.take(np.asarray(order))
     ds.y = rng.uniform(-1.0, 1.0, ds.n)
     return ds
+
+
+def _assert_layout(ds, s):
+    """ds keeps each distinct used sensors row once, in order of first use,
+    and its branch inputs are s bit for bit."""
+    k = ds.sensors.shape[0]
+    assert list(dict.fromkeys(ds.source.tolist())) == list(range(k))
+    assert len({row.tobytes() for row in ds.sensors}) == k
+    assert ds.source.dtype == np.intp and _bits(ds.s).tobytes() == _bits(s).tobytes()
+    again = replace(ds)  # a dataset in this layout is kept as it is
+    assert again.sensors is ds.sensors and again.source is ds.source
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_dataset_keeps_each_used_row_once_in_first_use_order(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 4)), int(rng.integers(1, 25))
+    payload = np.array([_bits(np.nan) | 1], dtype=np.uint64).view(np.float64)[0]
+    values = np.array([0.0, -0.0, 1.5, -0.25, *rng.uniform(-1.0, 1.0, 2)])
+    base = values[rng.integers(0, values.size, (int(rng.integers(1, 6)), m))]
+    nan_rows = rng.random(base.shape[0]) < 0.3  # one NaN payload per row
+    base[nan_rows, 0] = np.where(rng.random(nan_rows.sum()) < 0.5, np.nan, payload)
+    sensors = base[rng.integers(0, base.shape[0], int(rng.integers(1, 9)))]  # bitwise repeats
+    source = rng.integers(0, sensors.shape[0], n)  # may leave rows unused
+    ds = Dataset(sensors=sensors, source=source, p=rng.uniform(0.0, 1.0, (n, 2)),
+                 y=rng.uniform(-1.0, 1.0, n), B=1.0, sensor_grid=np.zeros(m))
+    _assert_layout(ds, sensors[source])
+    indices = rng.integers(0, n, int(rng.integers(1, 2 * n + 1)))
+    sub = ds.take(indices)
+    _assert_layout(sub, sensors[source[indices]])
+    model = random_model(rng, m=m, q=2, width=3)
+    for d in (ds, sub):
+        want = _reference_risks(model, model.branch.flat, model.trunk.flat, d)
+        assert _bits(empirical_risk(model, d)) == _bits(want)
 
 
 # Rows picked from 5 base rows: all distinct, consecutive runs only, and
@@ -578,48 +614,6 @@ def test_uniform_in_ball_zero_normals_give_zero_rows_and_take_their_radii():
     assert got.shape == (4, 5) and np.all(got == 0.0)
     after.random(4)
     assert radii.bit_generator.state == after.bit_generator.state
-
-
-class TestWeightLipschitz:
-    def test_degenerate_family_estimates_zero(self):
-        spec = nn.MlpSpec((2, 3, 2))
-        box = (np.full(2, -1.0), np.full(2, 1.0))
-        assert estimate_J(spec, 0.0, box, pairs=20, seed=0) == 0.0
-
-    def test_estimate_below_analytic_bound(self):
-        spec = nn.MlpSpec((2, 3, 2), hidden_activation="relu",
-                          output_activation="sigmoid")
-        box = (np.full(2, -1.0), np.full(2, 1.0))
-        p = nn.param_count(spec)
-        bound = j_upper_bound(W=1.5, p=p, Q=1, depth=spec.depth, R=math.sqrt(2.0))
-        for seed in range(5):
-            est = estimate_J(spec, 1.5, box, pairs=50, seed=seed)
-            assert 0.0 < est <= bound
-
-    def test_estimate_monotone_in_pairs(self):
-        spec = nn.MlpSpec((2, 4, 2))
-        box = (np.full(2, -1.0), np.full(2, 1.0))
-        e1 = estimate_J(spec, 2.0, box, pairs=10, seed=5)
-        e2 = estimate_J(spec, 2.0, box, pairs=40, seed=5)
-        assert e2 >= e1
-
-    def test_estimate_requires_pairs(self):
-        spec = nn.MlpSpec((2, 4, 2))
-        with pytest.raises(InputError):
-            estimate_J(spec, 1.0, (np.zeros(2), np.ones(2)), pairs=0, seed=0)
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"inputs_per_pair": 0}, "inputs_per_pair must be an int >= 1"),
-        ({"inputs_per_pair": -2}, "inputs_per_pair must be an int >= 1"),
-        ({"weight_bound": -1.0}, "weight_bound must be a finite number >= 0"),
-        ({"weight_bound": math.nan}, "weight_bound must be a finite number >= 0"),
-        ({"weight_bound": math.inf}, "weight_bound must be a finite number >= 0"),
-    ])
-    def test_estimate_rejects_bad_arguments(self, kwargs, message):
-        args = {"spec": nn.MlpSpec((2, 3, 1)), "weight_bound": 1.0,
-                "input_domain": (np.zeros(2), np.ones(2)), "pairs": 5, "seed": 0, **kwargs}
-        with pytest.raises(InputError, match=f"^{message}, got "):
-            estimate_J(**args)
 
 
 class TestJUpperBound:

@@ -50,14 +50,23 @@ def _write(path, payload):
     return path
 
 
-def _hand_made_csv(tmp_path):
+def _hand_made_csv(tmp_path, shuffled=False):
+    """24 triples, each with its own sensors row, or (shuffled) 6 sensors rows
+    of 4 triples each in random order, so equal s texts are not adjacent."""
     rng = np.random.default_rng(0)
-    ds = Dataset(sensors=rng.standard_normal((24, 4)), source=np.arange(24),
+    source = rng.permutation(np.arange(24) // 4) if shuffled else np.arange(24)
+    ds = Dataset(sensors=rng.standard_normal((24, 4)), source=source,
                  p=rng.random((24, 2)),
                  y=rng.uniform(-1.0, 1.0, 24), B=1.0, sensor_grid=np.linspace(0, 1, 4))
     path = tmp_path / "hand.csv"
     write_dataset_csv(ds, path)
     return path
+
+
+def _train_csv(tmp, shuffled):
+    return ["train", "--config", _write(tmp / "t.json", {
+        "dataset": str(_hand_made_csv(tmp, shuffled)), "q": 2, "width": 4, "depth": 2,
+        "epochs": 2, "batch_size": 8}), "--out-dir", tmp / "o"]
 
 
 def _bound_cfg(tmp_path, variant):
@@ -77,9 +86,8 @@ CASES = {
                                   "--out-dir", tmp / "o"],
     "bound-sigmoid": lambda tmp: ["bound", "--config", _bound_cfg(tmp, "sigmoid"),
                                   "--out-dir", tmp / "o"],
-    "train-csv": lambda tmp: ["train", "--config", _write(tmp / "t.json", {
-        "dataset": str(_hand_made_csv(tmp)), "q": 2, "width": 4, "depth": 2,
-        "epochs": 2, "batch_size": 8}), "--out-dir", tmp / "o"],
+    "train-csv": lambda tmp: _train_csv(tmp, shuffled=False),
+    "train-shuffled-csv": lambda tmp: _train_csv(tmp, shuffled=True),
     "experiment-dry-run": lambda tmp: ["experiment", "--config", PLANS / "quadratic-data.json",
                                        "--out-dir", tmp / "o", "--dry-run"],
 }
