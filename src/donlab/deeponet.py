@@ -76,10 +76,13 @@ class Dataset:
     s_i = sensors[source[i]]. Construction leaves sensors holding each
     bitwise-distinct row that some triple uses exactly once, in order of
     first use, and relabels source to match; input already in that form is
-    kept as it is, not copied. p has shape (n, d2), y has shape (n,). B
-    bounds the labels: |y_i| <= B, measured as max|y| unless the generator
-    overrode it. seed is the generator's seed (None, an int >= 0 or a list
-    of them) and generator its settings.
+    kept as it is, not copied. The labels are relabelled in O(n + k), with
+    no sort of the n labels, so a shuffled source costs what a sorted one
+    does; only the used rows are sorted, by their bits. p has shape (n, d2)
+    and y shape (n,); sensors and p have a column or more. B bounds the
+    labels: |y_i| <= B, measured as max|y| unless the generator overrode it.
+    seed is the generator's seed (None, an int >= 0 or a list of them) and
+    generator its settings.
     """
 
     sensors: np.ndarray
@@ -98,8 +101,9 @@ class Dataset:
         self.p = np.asarray(self.p, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
         self.sensor_grid = np.asarray(self.sensor_grid, dtype=np.float64)
-        if self.sensors.ndim != 2 or self.p.ndim != 2 or self.y.ndim != 1:
-            raise InputError("sensors and p must be 2-d, y 1-d")
+        if (self.sensors.ndim != 2 or self.p.ndim != 2 or self.y.ndim != 1
+                or 0 in (self.sensors.shape[1], self.p.shape[1])):
+            raise InputError("sensors and p must be 2-d with a column or more, y 1-d")
         k = self.sensors.shape[0]
         if (self.source.ndim != 1 or not np.issubdtype(self.source.dtype, np.integer)
                 or self.source.size and not 0 <= self.source.min() <= self.source.max() < k):
@@ -119,14 +123,18 @@ class Dataset:
                 check_number("seed", entry, InputError, count=True, at_least=0)
         if not isinstance(self.generator, dict):
             raise InputError(f"generator must be a dict, got {self.generator!r}")
-        # the layout: the used rows in order of first use (first, label), then
-        # the bitwise-distinct rows among them (rows, relabel)
-        first, label = _distinct_rows(self.source[:, None])
-        used = self.source[first]
+        # the layout: each label's first use (n if unused), the used labels in
+        # order of first use, then the bitwise-distinct rows among them
+        n = self.source.shape[0]
+        first = np.full(k, n)
+        np.minimum.at(first, self.source, np.arange(n))
+        used = np.argsort(first)[:np.count_nonzero(first < n)]
         rows, relabel = _distinct_rows(self.sensors[used])
         keep = used[rows]
         if keep.size != k or np.any(keep != np.arange(k)):
-            self.sensors, self.source = self.sensors[keep], relabel[label]
+            table = np.empty(k, dtype=np.intp)  # each used label's new label
+            table[used] = relabel
+            self.sensors, self.source = self.sensors[keep], table[self.source]
 
     @property
     def n(self) -> int:
@@ -175,26 +183,19 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first occurrence, in increasing order, and inverse maps every row to its
     entry of first, so x[first][inverse] equals x bit for bit. Rows compare
     by their bits: 0.0 and -0.0 differ, and NaNs match only with the same
-    payload. Runs of equal consecutive rows are collapsed first, and only
-    the run heads are sorted.
+    payload.
     """
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-    head = np.ones(bits.shape[0], dtype=bool)
-    head[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    heads = np.flatnonzero(head)
-    run = np.cumsum(head) - 1  # each row's run, as an index into heads
-    if heads.size < 2:
-        return heads, run
-    keys = bits[heads]
-    order = np.lexsort(keys.T[::-1])  # stable: equal heads keep their order
-    ordered = keys[order]
-    starts = np.ones(heads.size, dtype=bool)
+    rows = bits.shape[0]
+    order = np.lexsort(bits.T[::-1])  # stable: equal rows keep their order
+    ordered = bits[order]
+    starts = np.ones(rows, dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    rep = np.empty(heads.size, dtype=np.intp)  # the first head equal to each head
+    rep = np.empty(rows, dtype=np.intp)  # the first row equal to each row
     rep[order] = order[starts][np.cumsum(starts) - 1]
-    is_first = rep == np.arange(heads.size)
-    rank = np.cumsum(is_first) - 1  # a first head's place among the firsts
-    return heads[is_first], rank[rep][run]
+    is_first = rep == np.arange(rows)
+    rank = np.cumsum(is_first) - 1  # a first row's place among the firsts
+    return np.flatnonzero(is_first), rank[rep]
 
 
 # Every stacked or Monte Carlo pass of donlab verify works on at most
@@ -251,11 +252,8 @@ class _RiskEvaluator:
         t = nn._forward(self.tspec, trunk_flats, self.p, None)
         n = self.y.shape[0]
         block = max(1, _WORKING_SET // max(b.size // b.shape[-2], t.size // t.shape[-2]))
-        if block >= n:
-            r = self._residuals(b, t, slice(None))
-        else:
-            r = np.concatenate([self._residuals(b, t, slice(lo, lo + block))
-                                for lo in range(0, n, block)], axis=-1)
+        r = np.concatenate([self._residuals(b, t, slice(lo, lo + block))
+                            for lo in range(0, n, block)], axis=-1)
         return np.mean(r * r, axis=-1)
 
     def _residuals(self, b: np.ndarray, t: np.ndarray, rows: slice) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -321,6 +322,14 @@ def test_dataset_rejects_a_bad_source(source, message):
                 B=0.0, sensor_grid=np.zeros(3))
 
 
+@pytest.mark.parametrize("m, d2", [(0, 1), (3, 0)])
+def test_dataset_rejects_sensors_or_p_without_columns(m, d2):
+    # no net takes 0 inputs, and the CSV reader rejects such a header too
+    with pytest.raises(InputError, match="sensors and p must be 2-d with a column or more"):
+        Dataset(sensors=np.zeros((2, m)), source=[0, 1], p=np.zeros((2, d2)), y=np.zeros(2),
+                B=0.0, sensor_grid=np.zeros(m))
+
+
 @pytest.mark.parametrize("seed, message", [
     (True, "seed must be an int >= 0, got True"),
     (-1, "seed must be an int >= 0, got -1"),
@@ -379,39 +388,92 @@ def _with_rows(rng, base, order):
     return ds
 
 
-def _assert_layout(ds, s):
-    """ds keeps each distinct used sensors row once, in order of first use,
-    and its branch inputs are s bit for bit."""
-    k = ds.sensors.shape[0]
-    assert list(dict.fromkeys(ds.source.tolist())) == list(range(k))
-    assert len({row.tobytes() for row in ds.sensors}) == k
-    assert ds.source.dtype == np.intp and _bits(ds.s).tobytes() == _bits(s).tobytes()
+def _first_use_layout(sensors, source):
+    """The layout a Dataset should hold, built with a dict: each distinct
+    used row's bytes once, in order of first use, and every triple's label."""
+    texts = [row.tobytes() for row in np.asarray(sensors, dtype=np.float64)]
+    rows = {}  # row bytes -> new label
+    labels = [rows.setdefault(texts[i], len(rows)) for i in np.asarray(source).tolist()]
+    return b"".join(rows), labels
+
+
+def _assert_layout(ds, sensors, source):
+    """ds holds the first-use layout of (sensors, source) bit for bit."""
+    want_sensors, want_source = _first_use_layout(sensors, source)
+    assert ds.sensors.tobytes() == want_sensors and ds.sensors.shape[1] == sensors.shape[1]
+    assert ds.source.dtype == np.intp and ds.source.tolist() == want_source
     again = replace(ds)  # a dataset in this layout is kept as it is
     assert again.sensors is ds.sensors and again.source is ds.source
 
 
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=60, deadline=None)
-def test_dataset_keeps_each_used_row_once_in_first_use_order(seed):
+def _labels(rng, kind, k, n):
+    """n labels into k rows: random, one label, or (for k > 1) never two
+    equal in a row."""
+    if kind == "one":
+        return np.full(n, rng.integers(0, k))
+    if kind == "apart" and k > 1:  # each label differs from the one before
+        steps = rng.integers(1, k, n)
+        return (rng.integers(0, k) + np.cumsum(steps)) % k
+    return rng.integers(0, k, n)  # may leave rows unused
+
+
+@pytest.mark.parametrize("kind", ["random", "none", "one", "apart"])
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_dataset_keeps_each_used_row_once_in_first_use_order(kind, seed):
     rng = np.random.default_rng(seed)
-    m, n = int(rng.integers(1, 4)), int(rng.integers(1, 25))
+    m, n = int(rng.integers(1, 4)), 0 if kind == "none" else int(rng.integers(1, 25))
     payload = np.array([_bits(np.nan) | 1], dtype=np.uint64).view(np.float64)[0]
     values = np.array([0.0, -0.0, 1.5, -0.25, *rng.uniform(-1.0, 1.0, 2)])
     base = values[rng.integers(0, values.size, (int(rng.integers(1, 6)), m))]
     nan_rows = rng.random(base.shape[0]) < 0.3  # one NaN payload per row
     base[nan_rows, 0] = np.where(rng.random(nan_rows.sum()) < 0.5, np.nan, payload)
     sensors = base[rng.integers(0, base.shape[0], int(rng.integers(1, 9)))]  # bitwise repeats
-    source = rng.integers(0, sensors.shape[0], n)  # may leave rows unused
+    source = _labels(rng, kind, sensors.shape[0], n)
     ds = Dataset(sensors=sensors, source=source, p=rng.uniform(0.0, 1.0, (n, 2)),
                  y=rng.uniform(-1.0, 1.0, n), B=1.0, sensor_grid=np.zeros(m))
-    _assert_layout(ds, sensors[source])
+    _assert_layout(ds, sensors, source)
+    if n == 0:  # every row unused
+        assert ds.sensors.shape == (0, m)
+        return
     indices = rng.integers(0, n, int(rng.integers(1, 2 * n + 1)))
     sub = ds.take(indices)
-    _assert_layout(sub, sensors[source[indices]])
+    _assert_layout(sub, sensors, source[indices])
     model = random_model(rng, m=m, q=2, width=3)
     for d in (ds, sub):
         want = _reference_risks(model, model.branch.flat, model.trunk.flat, d)
         assert _bits(empirical_risk(model, d)) == _bits(want)
+
+
+def _traced_peak(make):
+    """make() and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        return make(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shuffled_labels_are_relabelled_without_a_sort_of_n():
+    rng = np.random.default_rng(0)
+    n, k = 200_000, 2_000
+    sensors = rng.standard_normal((k, 4))
+    source = rng.permutation(np.arange(n) % k)
+    p, y = rng.random((n, 2)), np.zeros(n)
+    ds, peak = _traced_peak(lambda: Dataset(sensors=sensors, source=source, p=p, y=y, B=0.0,
+                                            sensor_grid=np.zeros(4)))
+    _assert_layout(ds, sensors, source)
+    assert peak < 3 * n * 8  # a few (k,) tables and one (n,) index array
+
+
+def test_risk_set_up_on_distinct_p_rows_copies_them_at_most_once(rng):
+    n = 200_000
+    ds = Dataset(sensors=rng.standard_normal((1, 3)), source=np.zeros(n, int),
+                 p=rng.random((n, 2)), y=np.zeros(n), B=0.0, sensor_grid=np.zeros(3))
+    model = random_model(rng, m=3, d2=2)
+    ev, peak = _traced_peak(lambda: deeponet._RiskEvaluator(model, ds))
+    assert ev.p is ds.p and ev.p_rows is None  # every row distinct: p is kept as it is
+    assert peak < 5 * ds.p.nbytes
 
 
 # Rows picked from 5 base rows: all distinct, consecutive runs only, and

@@ -1,6 +1,6 @@
 """The import footprint: scipy is loaded by the ADR solver only, numpy.ma
-(which np.unique imports, at a cost in peak memory) by none of the
-scipy-free runs, and each module uses every name it imports.
+(which np.unique imports for float keys or rows, at a cost in peak memory)
+by none of the scipy-free runs, and each module uses every name it imports.
 
 Each scipy case runs in a fresh interpreter, since this test process has
 scipy loaded already (the reference solvers in test_datagen use it).
@@ -22,24 +22,43 @@ from donlab.deeponet import Dataset
 SRC = Path(donlab.__file__).resolve().parent.parent
 PLANS = Path(__file__).resolve().parent.parent / "plans"
 
-_CHILD = """
+_START = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-import donlab, donlab.cli
-argv = json.loads(sys.argv[2])
-rc = donlab.cli.main(argv) if argv else 0
+"""
+_REPORT = """
 print(json.dumps({"rc": rc, "scipy": "scipy" in sys.modules,
                   "scipy.linalg": "scipy.linalg" in sys.modules,
                   "numpy.ma": "numpy.ma" in sys.modules}))
 """
+_CLI = _START + """
+import donlab, donlab.cli
+argv = json.loads(sys.argv[2])
+rc = donlab.cli.main(argv) if argv else 0
+""" + _REPORT
+# a Dataset built through a shuffled take (6 rows of 4 triples each, the
+# labels out of runs), then one epoch of training with its epoch-end risk
+_SHUFFLED_TAKE = _START + """
+import numpy as np
+from donlab import scaling
+from donlab.deeponet import Dataset, init_model
+rng = np.random.default_rng(0)
+ds = Dataset(sensors=rng.standard_normal((6, 4)), source=np.arange(24) // 4,
+             p=rng.random((24, 2)), y=rng.uniform(-1.0, 1.0, 24), B=1.0,
+             sensor_grid=np.linspace(0, 1, 4)).take(rng.permutation(24))
+model = init_model(4, 2, 2, 4, 2, 0, "relu", "linear", "he")
+curve = scaling.train_deeponet(model, ds, 1, 8, seed=0)[3]
+rc = 0 if len(curve) == 1 and ds.sensors.shape[0] == 6 else 1
+""" + _REPORT
 
 
-def _fresh_run(argv) -> tuple[dict, str]:
-    """Run `donlab.cli.main(argv)` (or only the imports, for an empty argv)
-    in a new interpreter. Returns its exit code and which of scipy,
-    scipy.linalg and numpy.ma it loaded, and its standard error."""
+def _fresh_run(argv, child=_CLI) -> tuple[dict, str]:
+    """Run `donlab.cli.main(argv)` (or only the imports, for an empty argv),
+    or another child script, in a new interpreter. Returns its exit code and
+    which of scipy, scipy.linalg and numpy.ma it loaded, and its standard
+    error."""
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(SRC), json.dumps([str(a) for a in argv])],
+        [sys.executable, "-c", child, str(SRC), json.dumps([str(a) for a in argv])],
         capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
@@ -96,6 +115,11 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_scipy_stays_unloaded(tmp_path, case):
     got, err = _fresh_run(CASES[case](tmp_path))
+    assert got == {"rc": 0, "scipy": False, "scipy.linalg": False, "numpy.ma": False}, err
+
+
+def test_shuffled_take_and_one_epoch_load_neither_scipy_nor_numpy_ma():
+    got, err = _fresh_run([], child=_SHUFFLED_TAKE)
     assert got == {"rc": 0, "scipy": False, "scipy.linalg": False, "numpy.ma": False}, err
 
 
