@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -214,38 +215,43 @@ def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=
                        ("cover_probes", cover_probes), ("hoeffding_trials", hoeffding_trials)):
         check_number(key, value, InputError, count=True, at_least=1)  # before any work
 
-    # 1) exact gradients vs central finite differences
-    worst = 0.0
-    for rep in range(gradient_models):
-        model, ds = _toy_model_and_data(seed + rep)
-        batch = ds.take(np.arange(8))
-        gb, gt, _ = loss_grads(model, batch)
-        fb, ft = gradcheck.fd_loss_grads(model, batch)
-        worst = max(
-            worst,
-            gradcheck.relative_error(gb, fb),
-            gradcheck.relative_error(gt, ft),
+    # The checks draw from their own seeded streams and share no state, so
+    # the longest, 2), runs on a worker thread while this one runs the others
+    # (numpy releases the GIL in their large operations); the report is the same.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # 2) risk perturbation bound with the analytic weight-Lipschitz constant
+        model, ds = _toy_model_and_data(seed)
+        perturbation = pool.submit(
+            bounds.verify_perturbation, model, theta=0.05, dataset=ds,
+            trials=perturbation_trials, seed=[seed, 13],
         )
 
-    # 2) risk perturbation bound with the analytic weight-Lipschitz constant
-    model, ds = _toy_model_and_data(seed)
-    rep = bounds.verify_perturbation(
-        model, theta=0.05, dataset=ds,
-        trials=perturbation_trials, seed=[seed, 13],
-    )
+        # 1) exact gradients vs central finite differences
+        worst = 0.0
+        for rep in range(gradient_models):
+            model, ds = _toy_model_and_data(seed + rep)
+            batch = ds.take(np.arange(8))
+            gb, gt, _ = loss_grads(model, batch)
+            fb, ft = gradcheck.fd_loss_grads(model, batch)
+            worst = max(
+                worst,
+                gradcheck.relative_error(gb, fb),
+                gradcheck.relative_error(gt, ft),
+            )
 
-    # 3) constructive covering of the weight ball
-    cover_ok = all(
-        bounds.verify_cover_bruteforce(d, 1.0, theta, cover_probes,
-                                       seed=[seed, d, int(theta * 100)])
-        for d in (1, 2)
-        for theta in (0.25, 0.5)
-    )
+        # 3) constructive covering of the weight ball
+        cover_ok = all(
+            bounds.verify_cover_bruteforce(d, 1.0, theta, cover_probes,
+                                           seed=[seed, d, int(theta * 100)])
+            for d in (1, 2)
+            for theta in (0.25, 0.5)
+        )
 
-    # 4) mean-deviation tail vs its exponential bound
-    hrep = bounds.hoeffding_mc_check(
-        0.0, 1.0, 100, 0.2, hoeffding_trials, seed=[seed, 17]
-    )
+        # 4) mean-deviation tail vs its exponential bound
+        hrep = bounds.hoeffding_mc_check(
+            0.0, 1.0, 100, 0.2, hoeffding_trials, seed=[seed, 17]
+        )
+        rep = perturbation.result()
 
     rows = [("gradient_check", worst, 1e-6, bool(worst < 1e-6)),
             ("perturbation_bound", rep.max_observed, rep.bound, rep.holds),

@@ -199,7 +199,9 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Every stacked or Monte Carlo pass of donlab verify works on at most
-# _WORKING_SET floats at a time (512 KiB, which fits in L2).
+# _WORKING_SET floats at a time (512 KiB, which fits in L2). A _RiskEvaluator
+# writes the layers of every pass into the same buffers, so repeated passes
+# reuse pages already mapped and cached instead of faulting in fresh ones.
 _WORKING_SET = 1 << 16
 
 
@@ -208,9 +210,11 @@ def _stack_size(model: DeepONetModel, rows: int) -> int:
 
     Each vector counts rows * widest floats of layer buffer (the widest layer
     of either net) plus P floats for itself (the larger parameter count), and
-    k vectors stay within _WORKING_SET unless k is 1. The buffer term also
-    covers the outputs that _RiskEvaluator gathers back to all rows: at most
-    k * rows * q floats, and q is a layer width.
+    k vectors stay within _WORKING_SET unless k is 1. So each of the layer
+    buffers that _RiskEvaluator keeps for a tower, k * rows * widest floats,
+    fits too. The buffer term also covers the outputs that _RiskEvaluator
+    gathers back to all rows: at most k * rows * q floats, and q is a layer
+    width.
     """
     widest = max(model.branch.spec.layer_dims + model.trunk.spec.layer_dims)
     vector = max(model.branch.flat.size, model.trunk.flat.size)
@@ -224,6 +228,10 @@ class _RiskEvaluator:
     once, and the trunk on the bitwise-distinct rows of dataset.p, found once
     in order of first use. Each pass forms the residuals one block of
     triples at a time, gathering the outputs back to that block's rows.
+
+    Each tower's layers write into two buffers that the evaluator keeps,
+    grown to the largest pass so far and reused by every later pass. So an
+    evaluator belongs to one thread: two threads need two evaluators.
     """
 
     def __init__(self, model: DeepONetModel, dataset: Dataset):
@@ -237,6 +245,7 @@ class _RiskEvaluator:
         first, inverse = _distinct_rows(p)
         self.p, self.p_rows = (p, None) if first.size == p.shape[0] else (p[first], inverse)
         self.y = dataset.y
+        self.buffers = [(np.empty(0), np.empty(0))] * 2  # branch's, trunk's
 
     def risks(self, branch_flats: np.ndarray, trunk_flats: np.ndarray) -> np.ndarray:
         """Risk of each (branch, trunk) pair of flats.
@@ -248,13 +257,23 @@ class _RiskEvaluator:
         A block of triples gathers at most _WORKING_SET floats of either
         tower's outputs, so no (n, q) array is formed.
         """
-        b = nn._forward(self.bspec, branch_flats, self.s, None)
-        t = nn._forward(self.tspec, trunk_flats, self.p, None)
+        bufs = self._scratch(branch_flats.shape[:-1], trunk_flats.shape[:-1])
+        b = nn._forward(self.bspec, branch_flats, self.s, None, scratch=bufs[0])
+        t = nn._forward(self.tspec, trunk_flats, self.p, None, scratch=bufs[1])
         n = self.y.shape[0]
         block = max(1, _WORKING_SET // max(b.size // b.shape[-2], t.size // t.shape[-2]))
         r = np.concatenate([self._residuals(b, t, slice(lo, lo + block))
                             for lo in range(0, n, block)], axis=-1)
         return np.mean(r * r, axis=-1)
+
+    def _scratch(self, *leads: tuple) -> list:
+        """Each tower's layer buffers, grown to hold a pass of that tower's
+        stack of nets: leads[0] branches and leads[1] trunks."""
+        for j, (spec, x, lead) in enumerate(zip((self.bspec, self.tspec), (self.s, self.p), leads)):
+            size = math.prod(lead) * x.shape[0] * max(spec.layer_dims[1:])
+            if self.buffers[j][0].size < size:
+                self.buffers[j] = (np.empty(size), np.empty(size))
+        return self.buffers
 
     def _residuals(self, b: np.ndarray, t: np.ndarray, rows: slice) -> np.ndarray:
         """y - h on the triples in rows, from the towers' outputs on their distinct rows.

@@ -1,13 +1,15 @@
 """Dense feed-forward networks with exact reverse-mode gradients and Adam.
 
 Everything is float64 and purely functional: parameters live in a single
-flat vector, and every operation returns fresh arrays so that repeated
-calls with the same inputs are bit-identical.
+flat vector, and every public operation returns fresh arrays so that
+repeated calls with the same inputs are bit-identical. The private forward
+loop can instead write into scratch buffers its caller keeps and reuses.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -114,30 +116,34 @@ def init_mlp(spec: MlpSpec, seed) -> MlpParams:
     return MlpParams(spec, flat)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
     # piecewise form avoids overflow warnings for large |z|: with e = exp(-|z|),
     # 1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; minimum(z, -z) is -|z|
-    # but keeps a NaN's sign. Writes into z, which is not read after the where.
-    e = np.negative(z)
+    # but keeps a NaN's sign. As 0 <= e <= 1, the numerator is maximum(e, z >= 0),
+    # which a NaN z passes as e's NaN. Writes into z, and e into spare (shaped
+    # as z) if given.
+    e = np.negative(z, out=spare)
     np.exp(np.minimum(z, e, out=e), out=e)
-    num = np.where(z < 0, e, 1.0)
+    num = np.maximum(e, z >= 0, out=z)
     e += 1.0
     return np.divide(num, e, out=z)
 
 
-def _activate_(z: np.ndarray, name: str, zeros: np.ndarray | None) -> np.ndarray:
+def _activate_(z: np.ndarray, name: str, zeros: np.ndarray | None,
+               spare: np.ndarray | None = None) -> np.ndarray:
     """Apply the activation to z in place and return z, a buffer the caller owns.
 
     relu compares against zeros[:z.size], a zeros buffer at least as large
     as z: numpy takes a vector loop against an array where it takes a scalar
     loop against the constant 0.0, with the same bits (-0.0 and NaN included).
+    sigmoid takes its temporary from spare, a free buffer shaped as z, if given.
     """
     if name == "relu":
         return np.maximum(z, zeros[:z.size].reshape(z.shape), out=z)
     if name == "tanh":
         return np.tanh(z, out=z)
     if name == "sigmoid":
-        return _sigmoid(z)
+        return _sigmoid(z, spare)
     return z  # linear
 
 
@@ -167,7 +173,7 @@ def _check_input(spec: MlpSpec, x) -> np.ndarray:
 
 def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None,
              start: int = 0, stop: int | None = None, out: np.ndarray | None = None,
-             zeros: np.ndarray | None = None):
+             zeros: np.ndarray | None = None, scratch: tuple | None = None):
     """The forward loop. Appends each layer's input to acts unless it is None.
 
     Runs layers start..stop-1 (default: all), whose parameters flat holds
@@ -175,9 +181,12 @@ def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None,
     lead, on x of shape (n, d) or lead + (n, d). lead == () is the one-net
     pass, and every stacked slice equals it bit for bit. The last layer
     writes into out if given, the others into fresh buffers, never into x.
-    Weights enter as C-ordered copies of their transposes (faster in BLAS,
-    same bits). zeros goes to the relu (see _activate_); a relu pass without
-    one large enough allocates its own.
+    A pass without acts may instead give scratch, two 1-d float64 buffers
+    that each hold the pass's largest layer output: the layers write into
+    them in turn, so the result is a view of one, and sigmoid takes its
+    temporary from the other. Weights enter as C-ordered copies of their
+    transposes (faster in BLAS, same bits). zeros goes to the relu (see
+    _activate_); a relu pass without one large enough allocates its own.
     """
     lead = flat.shape[:-1]
     layers = _layer_slices(spec, start, stop)
@@ -185,14 +194,18 @@ def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None,
     for i, (w_sl, b_sl, n_out, n_in) in enumerate(layers, start):
         if acts is not None:
             acts.append(a)
+        z, spare = out if i == start + len(layers) - 1 else None, None
+        if scratch is not None:  # this layer's buffer, then the spare
+            shape = np.broadcast_shapes(lead, a.shape[:-2]) + (a.shape[-2], n_out)
+            z, spare = (buf[:math.prod(shape)].reshape(shape) for buf in scratch)
+            scratch = scratch[::-1]
         w = flat[..., w_sl].reshape(lead + (n_out, n_in))
-        z = np.matmul(a, np.ascontiguousarray(w.swapaxes(-1, -2)),
-                      out=out if i == start + len(layers) - 1 else None)
+        z = np.matmul(a, np.ascontiguousarray(w.swapaxes(-1, -2)), out=z)
         z += flat[..., b_sl][..., None, :]
         name = spec.output_activation if i == spec.depth - 1 else spec.hidden_activation
         if name == "relu" and (zeros is None or zeros.size < z.size):
             zeros = np.zeros(z.size)  # once per pass unless a later layer is wider
-        a = _activate_(z, name, zeros)
+        a = _activate_(z, name, zeros, spare)
     return a
 
 

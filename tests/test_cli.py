@@ -2,16 +2,22 @@ import hashlib
 import json
 import math
 import re
+import sys
+import threading
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from donlab import bounds, cli, nn, scaling
+from donlab import bounds, cli, deeponet, nn, scaling
 from donlab.cli import main
 from donlab.datagen import read_dataset_csv
 from donlab.deeponet import load_checkpoint
+from donlab.errors import InputError
+
+from conftest import bits_equal
 
 
 def _write(path, payload):
@@ -850,3 +856,94 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--seed", "31", "--out-dir", str(out)]) == 0
         digest = hashlib.sha256((out / "verify-report.json").read_bytes()).hexdigest()
         assert digest == "61cd60954489e0314c6661b213196f7ee4e76a7444abc1b6654e4da2bf7a9818"
+
+
+class _InlineExecutor:
+    """An executor that runs each submitted call at once, on the calling thread."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestVerifyThread:
+    """verify runs its perturbation check on one worker thread."""
+
+    CONFIG = {"gradient_models": 3, "perturbation_trials": 1500,
+              "cover_probes": 2000, "hoeffding_trials": 2000}
+
+    def _run(self, tmp_path, name):
+        cfg = _write(tmp_path / "v.json", self.CONFIG)
+        out = tmp_path / name
+        rc = main(["verify", "--config", cfg, "--seed", "31", "--out-dir", str(out)])
+        return rc, out / "verify-report.json"
+
+    def test_report_bytes_equal_an_inline_run(self, tmp_path, capsys, monkeypatch):
+        rc, threaded = self._run(tmp_path, "threaded")
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", _InlineExecutor)
+        rc_inline, inline = self._run(tmp_path, "inline")
+        assert rc == rc_inline == 0
+        assert threaded.read_bytes() == inline.read_bytes()
+
+    def test_worker_thread_is_joined(self, tmp_path, capsys):
+        before = threading.active_count()
+        assert self._run(tmp_path, "o")[0] == 0
+        assert threading.active_count() == before
+
+    def test_error_in_perturbation_check_exits_two(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise InputError("perturbation check could not run")
+
+        monkeypatch.setattr(bounds, "verify_perturbation", failing)
+        before = threading.active_count()
+        rc, report = self._run(tmp_path, "o")
+        assert rc == 2 and not report.exists()
+        assert capsys.readouterr().err == "error: perturbation check could not run\n"
+        assert threading.active_count() == before
+
+    def test_evaluators_on_threads_equal_serial_risks(self):
+        # each thread owns its evaluator, and so its layer buffers; more
+        # threads than cores and a short switch interval interleave the passes
+        model, ds = cli._toy_model_and_data(0)
+        k = deeponet._stack_size(model, ds.n)
+        rng = np.random.default_rng(9)
+        chunks = [[net.flat + rng.uniform(-0.05, 0.05, (k, net.flat.size))
+                   for net in (model.branch, model.trunk)] for _ in range(6)]
+        serial = deeponet._RiskEvaluator(model, ds)
+        want = [serial.risks(*chunk) for chunk in chunks]
+        workers = 4
+        got, barrier = {}, threading.Barrier(workers)
+
+        def drive(j):
+            ev = deeponet._RiskEvaluator(model, ds)
+            barrier.wait(timeout=30)
+            order = chunks if j % 2 == 0 else chunks[::-1]
+            got[j] = [ev.risks(*chunk) for chunk in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drive, args=(j,)) for j in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for j in range(workers):
+            risks = got[j] if j % 2 == 0 else got[j][::-1]
+            assert all(bits_equal(r, w) for r, w in zip(risks, want, strict=True))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from donlab import deeponet, gradcheck, nn, scaling
+from donlab import cli, deeponet, gradcheck, nn, scaling
 from donlab.deeponet import (
     Dataset,
     DeepONetModel,
@@ -476,6 +476,25 @@ def test_risk_set_up_on_distinct_p_rows_copies_them_at_most_once(rng):
     assert peak < 5 * ds.p.nbytes
 
 
+def test_second_risks_call_at_verify_shape_reuses_the_layer_buffers():
+    # verify's perturbation chunk: _stack_size = 108 stacked nets on the toy
+    # model's 64 rows, so each hidden layer output is 108 x 64 x 8 floats
+    # (442,368 bytes). The second call traced a 1,357,248-byte peak when each
+    # layer wrote a fresh array, and 168,096 bytes with the evaluator's buffers
+    model, ds = cli._toy_model_and_data(0)
+    k = deeponet._stack_size(model, ds.n)
+    rng = np.random.default_rng(5)
+    flats = [net.flat + rng.uniform(-0.01, 0.01, (k, net.flat.size))
+             for net in (model.branch, model.trunk)]
+    ev = deeponet._RiskEvaluator(model, ds)
+    first = ev.risks(*flats)
+    second, peak = _traced_peak(lambda: ev.risks(*flats))
+    assert bits_equal(second, first)
+    assert bits_equal(first, _reference_risks(model, *flats, ds))
+    layer_bytes = k * ds.n * max(model.branch.spec.layer_dims[1:]) * 8
+    assert peak < layer_bytes
+
+
 # Rows picked from 5 base rows: all distinct, consecutive runs only, and
 # repeats that are apart (as in the p column of an ADR dataset).
 ROW_ORDERS = {
@@ -571,9 +590,9 @@ class TestRiskOnDistinctRows:
         seen = []
         real = nn._forward
 
-        def recording(spec, flat, x, acts):
+        def recording(spec, flat, x, acts, **kwargs):
             seen.append((spec.in_dim, x.shape[0]))
-            return real(spec, flat, x, acts)
+            return real(spec, flat, x, acts, **kwargs)
 
         monkeypatch.setattr(nn, "_forward", recording)
         empirical_risk(model, ds)

@@ -317,6 +317,51 @@ def test_sigmoid_equals_masked_form_bit_for_bit(rng):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _where_sigmoid(z):
+    """nn._sigmoid with its numerator from np.where, which takes no out
+    buffer; the form before the spare buffer, kept as a reference."""
+    e = np.negative(z)
+    np.exp(np.minimum(z, e, out=e), out=e)
+    num = np.where(z < 0, e, 1.0)
+    e += 1.0
+    return np.divide(num, e, out=z)
+
+
+# signed zeros, infinities, quiet and signalling NaNs with payloads, subnormals,
+# and where exp(-|z|) underflows (|z| > 745.13)
+SIGMOID_SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000123, 0xFFF8000000000456, 0x7FF8000000000000, 0xFFF8000000000000,
+    0x7FF0000000000001, 0xFFF4000000000789, 0x0000000000000001, 0x8000000000000001,
+    0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,
+    *np.array([745.2, -745.2, 800.0, -800.0, 1e-17, -1e-17]).view(np.uint64).tolist(),
+]
+
+
+def _sigmoid_both_ways(z):
+    """(nn._sigmoid without a spare, with one, _where_sigmoid) on copies of z."""
+    buf, spare_buf, spare = z.copy(), z.copy(), np.empty_like(z)
+    got, got_spare = nn._sigmoid(buf), nn._sigmoid(spare_buf, spare)
+    assert got is buf and got_spare is spare_buf  # written in place
+    return got, got_spare, _where_sigmoid(z.copy())
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_sigmoid_equals_where_form_bit_for_bit_property(bits):
+    z = np.array(bits + SIGMOID_SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+    got, got_spare, want = _sigmoid_both_ways(z)
+    assert bits_equal(got, want) and bits_equal(got_spare, want)
+
+
+def test_sigmoid_equals_where_form_on_a_hundred_thousand_values(rng):
+    z = np.concatenate([rng.standard_normal(50_000) * 40.0,
+                        rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64)])
+    for x in (z, z.reshape(40, 50, 50)):
+        got, got_spare, want = _sigmoid_both_ways(x)
+        assert bits_equal(got, want) and bits_equal(got_spare, want)
+
+
 # criterion 11's nets (target 8000 parameters, depth 5) at each of its q
 CRITERION_11_SPECS = [
     nn.MlpSpec((n_in,) + (size_architecture(8000, q),) * 4 + (q,),
