@@ -14,6 +14,7 @@ doubles the result exactly in float64.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -72,7 +73,11 @@ class BoundInputs:
 
     def __post_init__(self):
         check_number("n", self.n, InputError, count=True, at_least=1)
-        for name in ("epsilon", "label_bound", "j"):
+        if self.n > sys.float_info.max:  # n^(1/4) is taken in float64
+            raise InputError(f"n must be at most {sys.float_info.max!r}, "
+                             f"got an int of {self.n.bit_length()} bits")
+        check_number("epsilon", self.epsilon, InputError, finite=True, above=0)
+        for name in ("label_bound", "j"):
             check_number(name, getattr(self, name), InputError, above=0)
         check_number("delta", self.delta, InputError, above=0, below=1)
         check_number("sigma2", self.sigma2, InputError, at_least=0)
@@ -205,11 +210,14 @@ def q_lower_bound_sigmoid(inputs: BoundInputs) -> BoundReport:
 
 
 def perturbation_bound(q: int, c: float, j: float, theta: float, b: float) -> float:
-    """Risk increment bound q c J theta (B + 2 q c^2) under a theta-cover move."""
+    """Risk increment bound q c J theta (B + 2 q c^2) under a theta-cover move;
+    0 for theta = 0, whatever J (the overflow value +inf included)."""
     check_number("q", q, InputError, count=True, at_least=1)
     for name, value in (("c", c), ("J", j), ("B", b)):
         check_number(name, value, InputError, above=0)
     check_number("theta", theta, InputError, at_least=0)
+    if theta == 0:  # a zero move; inf * 0 would be NaN
+        return 0.0
     return q * c * j * theta * (b + 2.0 * q * c * c)
 
 
@@ -262,7 +270,7 @@ def verify_perturbation(
     seed, each read row after row so the chunk size never changes the draws,
     and evaluated in one stacked pass; a NaN increment is skipped.
     """
-    check_number("theta", theta, InputError, at_least=0)
+    check_number("theta", theta, InputError, finite=True, at_least=0)
     check_number("trials", trials, InputError, count=True, at_least=1)
     c = model.c_bound
     if not math.isfinite(c):
@@ -307,8 +315,8 @@ def verify_cover_bruteforce(d: int, w: float, theta: float, probes: int, seed) -
     distance to its centre exceeds theta and valid covers fail.
     """
     check_number("d", d, InputError, count=True, at_least=1, below=4)
-    check_number("w", w, InputError, above=0)
-    check_number("theta", theta, InputError, above=0)
+    check_number("w", w, InputError, finite=True, above=0)
+    check_number("theta", theta, InputError, finite=True, above=0)
     check_number("probes", probes, InputError, count=True, at_least=1)
     per_axis = max(1, math.floor(math.exp(log_covering_number_ball(theta, w, d) / d)))
     # a cell corner lies h sqrt(d) / 2 = w sqrt(d) / per_axis from its centre;
@@ -350,6 +358,8 @@ def hoeffding_mc_check(
     """
     if not a < b:
         raise InputError("need a < b")
+    check_number("a", a, InputError, finite=True)
+    check_number("b", b, InputError, finite=True)
     check_number("n", n, InputError, count=True, at_least=1)
     check_number("trials", trials, InputError, count=True, at_least=1)
     check_number("t", t, InputError, at_least=0)

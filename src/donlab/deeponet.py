@@ -229,9 +229,10 @@ class _RiskEvaluator:
     in order of first use. Each pass forms the residuals one block of
     triples at a time, gathering the outputs back to that block's rows.
 
-    Each tower's layers write into two buffers that the evaluator keeps,
-    grown to the largest pass so far and reused by every later pass. So an
-    evaluator belongs to one thread: two threads need two evaluators.
+    Each tower's passes write their layers into a scratch list of two
+    buffers that the evaluator keeps, which nn._forward grows to the largest
+    pass so far, so later passes reuse them. So an evaluator belongs to one
+    thread: two threads need two evaluators.
     """
 
     def __init__(self, model: DeepONetModel, dataset: Dataset):
@@ -245,7 +246,7 @@ class _RiskEvaluator:
         first, inverse = _distinct_rows(p)
         self.p, self.p_rows = (p, None) if first.size == p.shape[0] else (p[first], inverse)
         self.y = dataset.y
-        self.buffers = [(np.empty(0), np.empty(0))] * 2  # branch's, trunk's
+        self.scratch = [np.empty(0), np.empty(0)], [np.empty(0), np.empty(0)]  # branch's, trunk's
 
     def risks(self, branch_flats: np.ndarray, trunk_flats: np.ndarray) -> np.ndarray:
         """Risk of each (branch, trunk) pair of flats.
@@ -257,23 +258,13 @@ class _RiskEvaluator:
         A block of triples gathers at most _WORKING_SET floats of either
         tower's outputs, so no (n, q) array is formed.
         """
-        bufs = self._scratch(branch_flats.shape[:-1], trunk_flats.shape[:-1])
-        b = nn._forward(self.bspec, branch_flats, self.s, None, scratch=bufs[0])
-        t = nn._forward(self.tspec, trunk_flats, self.p, None, scratch=bufs[1])
+        b = nn._forward(self.bspec, branch_flats, self.s, None, scratch=self.scratch[0])
+        t = nn._forward(self.tspec, trunk_flats, self.p, None, scratch=self.scratch[1])
         n = self.y.shape[0]
         block = max(1, _WORKING_SET // max(b.size // b.shape[-2], t.size // t.shape[-2]))
         r = np.concatenate([self._residuals(b, t, slice(lo, lo + block))
                             for lo in range(0, n, block)], axis=-1)
         return np.mean(r * r, axis=-1)
-
-    def _scratch(self, *leads: tuple) -> list:
-        """Each tower's layer buffers, grown to hold a pass of that tower's
-        stack of nets: leads[0] branches and leads[1] trunks."""
-        for j, (spec, x, lead) in enumerate(zip((self.bspec, self.tspec), (self.s, self.p), leads)):
-            size = math.prod(lead) * x.shape[0] * max(spec.layer_dims[1:])
-            if self.buffers[j][0].size < size:
-                self.buffers[j] = (np.empty(size), np.empty(size))
-        return self.buffers
 
     def _residuals(self, b: np.ndarray, t: np.ndarray, rows: slice) -> np.ndarray:
         """y - h on the triples in rows, from the towers' outputs on their distinct rows.
@@ -294,7 +285,7 @@ def loss_grads(
     """Exact gradient of the batch empirical risk w.r.t. both flat vectors."""
     if batch.n == 0:
         raise InputError("cannot take gradients on an empty batch")
-    step = _TwoTowers(model, batch.n)
+    step = _TwoTowers(model)
     s = nn._check_input(model.branch.spec, batch.sensors).take(batch.source, 0)
     p = nn._check_input(model.trunk.spec, batch.p)
     grad, loss = step(step.join(model.branch.flat, model.trunk.flat), s, p, batch.y)
@@ -309,10 +300,11 @@ class _TwoTowers:
     (2, rows, width) buffer and every later layer runs as one stacked pass;
     otherwise each tower runs whole and the stacked tail is empty. A joint
     vector is [branch head | trunk head | (2, P_tail) tail], and every value
-    equals the per-net pass bit for bit.
+    equals the per-net pass bit for bit. A step keeps no buffers, so one
+    serves batches of any size.
     """
 
-    def __init__(self, model: DeepONetModel, rows: int):
+    def __init__(self, model: DeepONetModel):
         b, t = self.specs = model.branch.spec, model.trunk.spec
         stack = ((b.layer_dims[1:], b.hidden_activation, b.output_activation)
                  == (t.layer_dims[1:], t.hidden_activation, t.output_activation))
@@ -320,7 +312,6 @@ class _TwoTowers:
         self.cuts = tuple(nn._layer_slices(spec, 0, k)[-1][1].stop
                           for spec, k in zip(self.specs, self.heads))
         self.sizes = (model.branch.flat.size, model.trunk.flat.size)
-        self.zeros = np.zeros(2 * rows * max(b.layer_dims[1:] + t.layer_dims[1:]))  # for relu
 
     def join(self, branch: np.ndarray, trunk: np.ndarray) -> np.ndarray:
         """The joint vector of a branch and a trunk vector laid out as their flats."""
@@ -335,7 +326,7 @@ class _TwoTowers:
         return np.concatenate((joint[:hb], tail[0])), np.concatenate((joint[hb:hb + ht], tail[1]))
 
     def __call__(self, joint: np.ndarray, s, p, y) -> tuple[np.ndarray, float]:
-        """(joint gradient, risk) on (s, p, y), which have at most rows rows.
+        """(joint gradient, risk) on (s, p, y), row-aligned batches of any size.
 
         The residual r_i = h_i - y_i feeds (2/n) r_i Trunk(p_i) into the
         branch output and (2/n) r_i Branch(s_i) into the trunk's.
@@ -347,9 +338,8 @@ class _TwoTowers:
         mid = np.empty((2, y.shape[0], b.layer_dims[kb]))
         acts = [], [], []
         for j, (spec, x) in enumerate(zip(self.specs, (s, p))):
-            nn._forward(spec, flats[j], x, acts[j], stop=self.heads[j], out=mid[j],
-                        zeros=self.zeros)
-        out = nn._forward(b, tail, mid, acts[2], start=kb, zeros=self.zeros)
+            nn._forward(spec, flats[j], x, acts[j], stop=self.heads[j], out=mid[j])
+        out = nn._forward(b, tail, mid, acts[2], start=kb)
         r = np.einsum("ij,ij->i", out[0], out[1]) - y
         delta = (2.0 / y.shape[0] * r)[:, None] * out[::-1]
         for j, spec in enumerate(self.specs):

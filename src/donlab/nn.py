@@ -129,17 +129,13 @@ def _sigmoid(z: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
     return np.divide(num, e, out=z)
 
 
-def _activate_(z: np.ndarray, name: str, zeros: np.ndarray | None,
-               spare: np.ndarray | None = None) -> np.ndarray:
+def _activate_(z: np.ndarray, name: str, spare: np.ndarray | None = None) -> np.ndarray:
     """Apply the activation to z in place and return z, a buffer the caller owns.
 
-    relu compares against zeros[:z.size], a zeros buffer at least as large
-    as z: numpy takes a vector loop against an array where it takes a scalar
-    loop against the constant 0.0, with the same bits (-0.0 and NaN included).
     sigmoid takes its temporary from spare, a free buffer shaped as z, if given.
     """
     if name == "relu":
-        return np.maximum(z, zeros[:z.size].reshape(z.shape), out=z)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
         return np.tanh(z, out=z)
     if name == "sigmoid":
@@ -173,7 +169,7 @@ def _check_input(spec: MlpSpec, x) -> np.ndarray:
 
 def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None,
              start: int = 0, stop: int | None = None, out: np.ndarray | None = None,
-             zeros: np.ndarray | None = None, scratch: tuple | None = None):
+             scratch: list | None = None):
     """The forward loop. Appends each layer's input to acts unless it is None.
 
     Runs layers start..stop-1 (default: all), whose parameters flat holds
@@ -181,12 +177,12 @@ def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None,
     lead, on x of shape (n, d) or lead + (n, d). lead == () is the one-net
     pass, and every stacked slice equals it bit for bit. The last layer
     writes into out if given, the others into fresh buffers, never into x.
-    A pass without acts may instead give scratch, two 1-d float64 buffers
-    that each hold the pass's largest layer output: the layers write into
-    them in turn, so the result is a view of one, and sigmoid takes its
-    temporary from the other. Weights enter as C-ordered copies of their
-    transposes (faster in BLAS, same bits). zeros goes to the relu (see
-    _activate_); a relu pass without one large enough allocates its own.
+    A pass without acts may instead give scratch, a list of two 1-d float64
+    buffers that the caller keeps between passes: the layers write into its
+    entries in turn, the other entry being the sigmoid's temporary, and an
+    entry too small for a layer is replaced in the list by one that fits.
+    The result is then a view of an entry. Weights enter as C-ordered copies
+    of their transposes (faster in BLAS, same bits).
     """
     lead = flat.shape[:-1]
     layers = _layer_slices(spec, start, stop)
@@ -195,17 +191,16 @@ def _forward(spec: MlpSpec, flat: np.ndarray, x: np.ndarray, acts: list | None,
         if acts is not None:
             acts.append(a)
         z, spare = out if i == start + len(layers) - 1 else None, None
-        if scratch is not None:  # this layer's buffer, then the spare
+        if scratch is not None:  # this layer's entry, then the spare
             shape = np.broadcast_shapes(lead, a.shape[:-2]) + (a.shape[-2], n_out)
-            z, spare = (buf[:math.prod(shape)].reshape(shape) for buf in scratch)
-            scratch = scratch[::-1]
+            size = math.prod(shape)
+            scratch[:] = [buf if buf.size >= size else np.empty(size) for buf in scratch]
+            z, spare = (scratch[(i - start + k) % 2][:size].reshape(shape) for k in (0, 1))
         w = flat[..., w_sl].reshape(lead + (n_out, n_in))
         z = np.matmul(a, np.ascontiguousarray(w.swapaxes(-1, -2)), out=z)
         z += flat[..., b_sl][..., None, :]
         name = spec.output_activation if i == spec.depth - 1 else spec.hidden_activation
-        if name == "relu" and (zeros is None or zeros.size < z.size):
-            zeros = np.zeros(z.size)  # once per pass unless a later layer is wider
-        a = _activate_(z, name, zeros, spare)
+        a = _activate_(z, name, spare)
     return a
 
 

@@ -267,7 +267,7 @@ def train_deeponet(
     if shared[0] != shared[1]:  # one Adam update serves both nets
         raise InputError(f"adam_branch and adam_trunk must share (t, lr, beta1, beta2, eps), "
                          f"got {shared[0]} and {shared[1]}")
-    step = _TwoTowers(model, min(batch_size, dataset.n))
+    step = _TwoTowers(model)
     joint = step.join(model.branch.flat, model.trunk.flat)
     adam = replace(adam_branch, m=step.join(adam_branch.m, adam_trunk.m),
                    v=step.join(adam_branch.v, adam_trunk.v))

@@ -90,7 +90,7 @@ def view_forward(spec: nn.MlpSpec, flat, x, acts: list):
         z = a @ flat[..., w_sl].reshape(lead + (n_out, n_in)).swapaxes(-1, -2)
         z += flat[..., b_sl][..., None, :]
         name = spec.output_activation if i == spec.depth - 1 else spec.hidden_activation
-        a = np.maximum(z, 0.0) if name == "relu" else nn._activate_(z, name, None)
+        a = np.maximum(z, 0.0) if name == "relu" else nn._activate_(z, name)
     return a
 
 

@@ -74,7 +74,7 @@ def test_criterion_01_gradient_correctness():
         for net in (model.branch, model.trunk):
             net.flat[:] = rng.uniform(-1, 1, net.flat.size)
         n = 4
-        layouts.append(deeponet._TwoTowers(model, n).heads)
+        layouts.append(deeponet._TwoTowers(model).heads)
         y = rng.uniform(-1, 1, n)
         ds = Dataset(
             sensors=rng.uniform(-1, 1, (n, m)),

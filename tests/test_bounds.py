@@ -235,7 +235,10 @@ class TestQLowerBoundGeneral:
     @pytest.mark.parametrize("name, value, message", [
         ("n", 0, "n must be an int >= 1, got 0"),
         ("n", math.nan, "n must be an int >= 1, got nan"),
-        ("epsilon", math.nan, "epsilon must be a number > 0, got nan"),
+        pytest.param("n", 10**400, "n must be at most 1.7976931348623157e+308, "
+                     "got an int of 1329 bits", id="n-10**400"),
+        ("epsilon", math.nan, "epsilon must be a finite number > 0, got nan"),
+        ("epsilon", math.inf, "epsilon must be a finite number > 0, got inf"),
         ("label_bound", 0.0, "label_bound must be a number > 0, got 0.0"),
         ("label_bound", math.nan, "label_bound must be a number > 0, got nan"),
         ("j", math.nan, "j must be a number > 0, got nan"),
@@ -333,8 +336,10 @@ class TestQLowerBoundSigmoid:
 
 
 class TestPerturbationBound:
-    def test_zero_scale_gives_zero(self):
-        assert perturbation_bound(3, 1.0, 2.0, 0.0, 1.0) == 0.0
+    @pytest.mark.parametrize("j", [2.0, math.inf])
+    def test_zero_scale_gives_zero(self, j):
+        # +inf is j_upper_bound's overflow value
+        assert perturbation_bound(3, 1.0, j, 0.0, 1.0) == 0.0
 
     def test_linear_in_theta_and_j(self):
         base = perturbation_bound(2, 1.0, 1.0, 0.5, 1.0)
@@ -444,12 +449,17 @@ class TestVerifyPerturbation:
         with pytest.raises(InputError):
             verify_perturbation(model, 0.1, ds, trials=2, seed=0)
 
-    @pytest.mark.parametrize("theta", [-0.1, math.nan])
+    @pytest.mark.parametrize("theta", [-0.1, math.nan, math.inf])
     def test_bad_theta_rejected(self, rng, theta):
         model = random_model(rng, output="sigmoid")
         ds = random_dataset(rng, n=5)
-        with pytest.raises(InputError, match=f"theta must be a number >= 0, got {theta}"):
+        with pytest.raises(InputError, match=f"theta must be a finite number >= 0, got {theta}"):
             verify_perturbation(model, theta, ds, trials=2, seed=0)
+
+    def test_zero_move_holds_at_the_overflow_j(self, rng):
+        model = random_model(rng, output="sigmoid")
+        rep = verify_perturbation(model, 0.0, random_dataset(rng, n=5), 5, seed=0, j=math.inf)
+        assert (rep.max_observed, rep.bound, rep.holds) == (0.0, 0.0, True)
 
 
 _real_default_rng = np.random.default_rng
@@ -539,9 +549,10 @@ class TestVerifyCoverBruteforce:
             verify_cover_bruteforce(d, 1.0, 0.5, probes=10, seed=0)
 
     @pytest.mark.parametrize("w, theta", [(0.0, 0.5), (1.0, 0.0), (math.nan, 0.5),
-                                          (1.0, math.nan), (True, 0.5), (1.0, True)])
+                                          (1.0, math.nan), (True, 0.5), (1.0, True),
+                                          (math.inf, 0.5), (1.0, math.inf)])
     def test_bad_range_rejected(self, w, theta):
-        with pytest.raises(InputError, match="^(w|theta) must be a number > 0, got "):
+        with pytest.raises(InputError, match="^(w|theta) must be a finite number > 0, got "):
             verify_cover_bruteforce(2, w, theta, probes=10, seed=0)
 
 
@@ -588,6 +599,11 @@ class TestHoeffdingMc:
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
     def test_degenerate_interval_rejected(self, a, b):
         with pytest.raises(InputError, match="need a < b"):
+            hoeffding_mc_check(a, b, 5, 0.1, trials=10, seed=0)
+
+    @pytest.mark.parametrize("a, b", [(-math.inf, 1.0), (0.0, math.inf)])
+    def test_infinite_end_rejected(self, a, b):
+        with pytest.raises(InputError, match="^(a|b) must be a finite number, got -?inf$"):
             hoeffding_mc_check(a, b, 5, 0.1, trials=10, seed=0)
 
     @pytest.mark.parametrize("t", [-0.1, math.nan])

@@ -737,11 +737,13 @@ class TestBound:
     @pytest.mark.parametrize("top, cls, message", [
         ({"samples": 10}, {}, "'samples'"),
         ({}, {"width": 3}, "'width'"),
-        ({"epsilon": math.nan}, {}, "epsilon must be a number > 0, got nan"),
+        ({"epsilon": math.nan}, {}, "epsilon must be a finite number > 0, got nan"),
         ({}, {"w_b": math.nan}, "w_b must be a number >= 1, got nan"),
         ({"n": "1000"}, {}, "n must be an int >= 1, got '1000'"),
         ({"n": True}, {}, "n must be an int >= 1, got True"),
-        ({"epsilon": True}, {}, "epsilon must be a number > 0, got True"),
+        ({"epsilon": True}, {}, "epsilon must be a finite number > 0, got True"),
+        ({"epsilon": math.inf}, {}, "epsilon must be a finite number > 0, got inf"),
+        ({"n": 10**400}, {}, "n must be at most 1.7976931348623157e+308, got an int of 1329 bits"),
     ])
     def test_bad_key_or_value_exits_two(self, tmp_path, capsys, top, cls, message):
         cfg = json.loads(Path(self._cfg(tmp_path, 1000)).read_text())

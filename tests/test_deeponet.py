@@ -202,7 +202,7 @@ class TestTwoTowerStep:
         for net in (model.branch, model.trunk):
             net.flat += rng.normal(0.0, 0.1, net.flat.size)  # nonzero biases too
         batch = random_dataset(rng, n=rows, m=40)
-        assert deeponet._TwoTowers(model, rows).heads == (1, 1)  # all but the input layer stack
+        assert deeponet._TwoTowers(model).heads == (1, 1)  # all but the input layer stack
         got = loss_grads(model, batch)
         want = per_net_loss_grads(model, batch.s, batch.p, batch.y)
         assert all(bits_equal(g, w) for g, w in zip(got, want))
@@ -222,13 +222,13 @@ class TestTwoTowerStep:
         tspec = nn.MlpSpec(tdims, hidden_activation=trunk_acts[0],
                            output_activation=trunk_acts[1])
         model = DeepONetModel(random_params(bspec, rng), random_params(tspec, rng))
-        step = deeponet._TwoTowers(model, 9)
+        step = deeponet._TwoTowers(model)
         assert step.heads == heads
         joint = step.join(model.branch.flat, model.trunk.flat)
         assert all(bits_equal(g, w) for g, w in zip(
             step.split(joint), (model.branch.flat, model.trunk.flat)))
         joint_before = joint.copy()
-        for rows in (9, 4):
+        for rows in (9, 4, 20):
             s, p = rng.uniform(-1, 1, (rows, bdims[0])), rng.uniform(0, 1, (rows, tdims[0]))
             y = rng.uniform(-1, 1, rows)
             grad, loss = step(joint, s, p, y)
@@ -238,7 +238,7 @@ class TestTwoTowerStep:
 
     def test_join_checks_the_vector_sizes(self, rng):
         model = random_model(rng)
-        step = deeponet._TwoTowers(model, 4)
+        step = deeponet._TwoTowers(model)
         with pytest.raises(InputError, match="state length does not match"):
             step.join(model.branch.flat, model.trunk.flat[:-1])
 
@@ -493,6 +493,25 @@ def test_second_risks_call_at_verify_shape_reuses_the_layer_buffers():
     assert bits_equal(first, _reference_risks(model, *flats, ds))
     layer_bytes = k * ds.n * max(model.branch.spec.layer_dims[1:]) * 8
     assert peak < layer_bytes
+
+
+def test_second_relu_risks_call_allocates_no_layer_sized_array():
+    # the epoch-end risk at n = 8058: 63 source functions and every trunk row
+    # distinct, through four relu layers of width 31. The second call traced a
+    # 2,066,128-byte peak when relu compared against a zeros array as large as
+    # a trunk layer (1,998,384 bytes), and 645,944 bytes against the scalar 0
+    rng = np.random.default_rng(0)
+    n, k = 8058, 63
+    model = init_model(40, 2, 8, 31, 5, 7, "relu", "tanh", "he")
+    y = rng.uniform(-1, 1, n)
+    ds = Dataset(sensors=rng.uniform(-1, 1, (k, 40)), source=np.arange(n) % k,
+                 p=rng.uniform(0, 1, (n, 2)), y=y, B=1.0, sensor_grid=np.linspace(0, 1, 40))
+    ev = deeponet._RiskEvaluator(model, ds)
+    assert ev.p.shape[0] == n
+    first = ev.risks(model.branch.flat, model.trunk.flat)
+    second, peak = _traced_peak(lambda: ev.risks(model.branch.flat, model.trunk.flat))
+    assert bits_equal(second, first) and first == empirical_risk(model, ds)
+    assert peak < n * 31 * 8
 
 
 # Rows picked from 5 base rows: all distinct, consecutive runs only, and

@@ -272,16 +272,23 @@ def test_stacked_backward_slices_equal_view_vjp(rng, hidden, output):
         assert bits_equal(out[j], want_out) and bits_equal(grad[j], want_grad)
 
 
-def test_relu_against_zeros_equals_scalar_form_bit_for_bit(rng):
-    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
-                        np.finfo(np.float64).tiny, -1e308])
-    z = np.concatenate([special, rng.standard_normal(256 * 31 - special.size)])
-    z[-3:] = np.frombuffer(np.array([0x7FF0000000000123, 0xFFF8000000000456, 0x8000000000000000],
-                                    dtype=np.uint64).tobytes())  # NaN payloads, -0.0
-    zeros = np.zeros(2 * z.size)
-    for x in (z.reshape(256, 31), rng.permutation(z).reshape(2, 124, 32), z[:7]):
-        got = nn._activate_(x.copy(), "relu", zeros)
-        assert bits_equal(got, np.maximum(x, 0.0))
+@pytest.mark.parametrize("hidden,output", ACTIVATION_PAIRS)
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_forward_grows_its_callers_scratch_in_place(rng, hidden, output, lead):
+    # the middle layer is the widest, so the entries grow within the first pass
+    spec = nn.MlpSpec((5, 4, 9, 3), hidden_activation=hidden, output_activation=output)
+    flats = rng.uniform(-1.5, 1.5, lead + (nn.param_count(spec),))
+    x = rng.uniform(-2, 2, (11, 5))
+    want = nn._forward(spec, flats, x, None)
+    scratch = [np.empty(0), np.empty(0)]
+    got = nn._forward(spec, flats, x, None, scratch=scratch)
+    assert bits_equal(got, want)
+    entries = list(scratch)
+    assert all(e.size == math.prod(lead) * 11 * 9 for e in entries)
+    assert any(np.shares_memory(got, e) for e in entries)
+    again = nn._forward(spec, flats, x[:7], None, scratch=scratch)  # a smaller pass
+    assert bits_equal(again, nn._forward(spec, flats, x[:7], None))
+    assert all(e is f for e, f in zip(scratch, entries))
 
 
 def test_single_layer_linear_forward_is_not_a_view():
