@@ -318,7 +318,11 @@ def verify_cover_bruteforce(d: int, w: float, theta: float, probes: int, seed) -
     check_number("w", w, InputError, finite=True, above=0)
     check_number("theta", theta, InputError, finite=True, above=0)
     check_number("probes", probes, InputError, count=True, at_least=1)
-    per_axis = max(1, math.floor(math.exp(log_covering_number_ball(theta, w, d) / d)))
+    try:
+        per_axis = max(1, math.floor(math.exp(log_covering_number_ball(theta, w, d) / d)))
+    except OverflowError as exc:
+        raise InputError(f"w / theta = {w!r} / {theta!r} needs more grid points per axis "
+                         f"than a float64 holds") from exc
     # a cell corner lies h sqrt(d) / 2 = w sqrt(d) / per_axis from its centre;
     # its square is compared with theta^2 on the floats' exact integer ratios
     (a, b), (c, e) = w.as_integer_ratio(), theta.as_integer_ratio()

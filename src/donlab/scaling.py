@@ -29,8 +29,6 @@ from .deeponet import (
 )
 from .errors import ConfigurationError, InputError, NumericalError, check_number
 
-VALID_EXPONENTS = (0.5, 2.0 / 3.0, 1.0 / 6.0)
-
 
 @dataclass
 class ExperimentPlan:
@@ -63,16 +61,13 @@ class ExperimentPlan:
                                ("batch_size", 1), ("points_per_function", None)):
             check_number(name, getattr(self, name), ConfigurationError, count=True,
                          at_least=at_least)
-        for name, at_least in (("q_list", None), ("seeds", 0)):
+        for name, at_least in (("q_list", 1), ("seeds", 0)):
             items = getattr(self, name)
             if not isinstance(items, list):
                 raise ConfigurationError(f"{name} must be a list of ints, got {items!r}")
             for i, v in enumerate(items):
                 check_number(f"{name}[{i}]", v, ConfigurationError, count=True, at_least=at_least)
-        if not any(math.isclose(self.exponent, e) for e in VALID_EXPONENTS):
-            raise ConfigurationError(
-                f"exponent must be one of 1/2, 2/3, 1/6; got {self.exponent}"
-            )
+        check_number("exponent", self.exponent, ConfigurationError, finite=True, above=0)
         if not self.q_list or sorted(self.q_list) != list(self.q_list):
             raise ConfigurationError("q_list must be non-empty and increasing")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -111,7 +106,7 @@ class ExperimentPlan:
                 raise ConfigurationError(f"anchor must be a list [q0, n0], got {anchor!r}")
             d["anchor_q"], d["anchor_n"] = anchor
         adr = d.pop("adr", {})
-        return cls(exponent=float(exponent), adr=AdrConfig(**adr), **d)
+        return cls(exponent=exponent, adr=AdrConfig(**adr), **d)
 
 
 def make_plan(anchor: tuple[int, int], q_list, exponent: float) -> list[tuple[int, int]]:
@@ -121,9 +116,12 @@ def make_plan(anchor: tuple[int, int], q_list, exponent: float) -> list[tuple[in
     check_number("anchor n0", n0, InputError, count=True, at_least=1)
     check_number("exponent", exponent, InputError, above=0)
     out = []
-    for q in q_list:
-        n = int(math.floor(n0 * (q / q0) ** (1.0 / exponent) + 0.5))
-        out.append((int(q), n))
+    for i, q in enumerate(q_list):
+        check_number(f"q_list[{i}]", q, InputError, count=True, at_least=1)
+        try:
+            out.append((q, math.floor(n0 * (q / q0) ** (1.0 / exponent) + 0.5)))
+        except OverflowError as exc:
+            raise InputError(f"n at q={q} overflows a float at exponent {exponent!r}") from exc
     return out
 
 
@@ -159,16 +157,13 @@ def size_architecture(target_params: int, q: int, depth: int = 5,
     a = (f2 - 2 * f1 + f0) // 2
     b = f1 - f0 - a
     c = f0 - target_params
-    if a == 0:
-        w_star = -c / b
-    else:
-        w_star = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
-    candidates = {max(1, math.floor(w_star)), max(1, math.ceil(w_star))}
+    # floor of the positive root, in integers so that any target fits
+    w = -c // b if a == 0 else (math.isqrt(b * b - 4 * a * c) - b) // (2 * a)
     return min(
-        candidates,
-        key=lambda w: (
-            abs(architecture_params(w, q, depth, branch_in, trunk_in) - target_params),
-            w,
+        (w, w + 1),
+        key=lambda v: (
+            abs(architecture_params(v, q, depth, branch_in, trunk_in) - target_params),
+            v,
         ),
     )
 
@@ -192,7 +187,7 @@ def plan_cells(plan: ExperimentPlan) -> list[PlannedCell]:
         w = size_architecture(plan.target_params, q, plan.depth,
                               plan.branch_in, plan.trunk_in)
         count = architecture_params(w, q, plan.depth, plan.branch_in, plan.trunk_in)
-        if abs(count - plan.target_params) > plan.param_tolerance * plan.target_params:
+        if abs(count - plan.target_params) / plan.target_params > plan.param_tolerance:
             raise ConfigurationError(
                 f"cell q={q}: {count} params misses target {plan.target_params} "
                 f"by more than {plan.param_tolerance:.0%}"

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -554,6 +555,11 @@ class TestVerifyCoverBruteforce:
     def test_bad_range_rejected(self, w, theta):
         with pytest.raises(InputError, match="^(w|theta) must be a finite number > 0, got "):
             verify_cover_bruteforce(2, w, theta, probes=10, seed=0)
+
+    @pytest.mark.parametrize("d, w, theta", [(1, 1e308, 1e-300), (3, 1e300, 1e-300)])
+    def test_grid_beyond_float_range_rejected(self, d, w, theta):
+        with pytest.raises(InputError, match=re.escape(f"w / theta = {w!r} / {theta!r} needs")):
+            verify_cover_bruteforce(d, w, theta, probes=1, seed=0)
 
 
 def _peak_bytes(run):

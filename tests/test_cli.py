@@ -521,6 +521,15 @@ class TestExperiment:
             assert [int(cols[0]), int(cols[1]), int(cols[2])] == [q, n, w]
         assert not (tmp_path / "o").exists()
 
+    def test_target_beyond_float_range_sizes_in_integers(self, tmp_path, capsys):
+        target = 10**400
+        cfg = self._plan_cfg(tmp_path, target_params=target)
+        assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+                     "--dry-run"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == [2, 3]
+        assert all(abs(int(row[3]) - target) * 10**150 < target for row in rows)
+
     def test_full_run_emits_outputs_and_verdict(self, tmp_path, capsys):
         cfg = self._plan_cfg(tmp_path)
         out = tmp_path / "o"
@@ -603,8 +612,8 @@ class TestExperiment:
         ("anchor", 2, "anchor must be a list [q0, n0], got 2"),
         ("anchor_q", 3, "anchor cannot be given with anchor_q or anchor_n"),
         ("anchor_n", 300, "anchor cannot be given with anchor_q or anchor_n"),
-        ("q_list", [2.5, 3], "q_list[0] must be an int, got 2.5"),
-        ("q_list", [2, True], "q_list[1] must be an int, got True"),
+        ("q_list", [2.5, 3], "q_list[0] must be an int >= 1, got 2.5"),
+        ("q_list", [2, True], "q_list[1] must be an int >= 1, got True"),
         ("q_list", 2, "q_list must be a list of ints, got 2"),
         ("target_params", 700.0, "target_params must be an int"),
         ("depth", 3.0, "depth must be an int"),
@@ -619,6 +628,9 @@ class TestExperiment:
         ("exponent", "1/0", "exponent must be a number or a fraction a/b, got '1/0'"),
         ("exponent", "half", "exponent must be a number or a fraction a/b, got 'half'"),
         ("seeds", [0, -1], "seeds[1] must be an int >= 0, got -1"),
+        ("q_list", [-8, 4], "q_list[0] must be an int >= 1, got -8"),
+        ("q_list", [0, 4], "q_list[0] must be an int >= 1, got 0"),
+        ("exponent", 1e-4, "n at q=3 overflows a float at exponent 0.0001"),
     ])
     def test_non_int_or_unknown_plan_value_exits_two(self, tmp_path, capsys, key, value,
                                                      message):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,10 +81,20 @@ class TestMakePlan:
         ((4, 4000), math.nan, "exponent must be a number > 0, got nan"),
         ((4, 4000), True, "exponent must be a number > 0, got True"),
         ((4, 4000), 0.0, "exponent must be a number > 0, got 0.0"),
+        ((4, 4000), 1e-4, "n at q=8 overflows a float at exponent 0.0001"),
     ])
     def test_bool_nan_or_out_of_range_rejected(self, anchor, exponent, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             make_plan(anchor, [4, 8], exponent)
+
+    @pytest.mark.parametrize("q_list, message", [
+        ([-8, 4], "q_list[0] must be an int >= 1, got -8"),
+        ([4, 0], "q_list[1] must be an int >= 1, got 0"),
+        ([4, 8.0], "q_list[1] must be an int >= 1, got 8.0"),
+    ])
+    def test_q_list_entries_are_ints_at_least_one(self, q_list, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            make_plan((4, 4000), q_list, 2.0 / 3.0)
 
 
 class TestSizeArchitecture:
@@ -109,6 +120,15 @@ class TestSizeArchitecture:
     def test_width_monotone_in_target(self):
         widths = [size_architecture(t, 8) for t in (2000, 4000, 8000, 16000)]
         assert all(b > a for a, b in zip(widths, widths[1:]))
+
+    @pytest.mark.parametrize("target", [700, 8000, 18010, 123457, 10**400])
+    @pytest.mark.parametrize("q, depth, branch_in", [(1, 2, 10), (8, 3, 40), (55, 7, 10)])
+    def test_width_is_the_best_integer_at_any_target(self, target, q, depth, branch_in):
+        # the root is taken in integers, so a target beyond float range still sizes
+        w = size_architecture(target, q, depth, branch_in)
+        miss = [abs(architecture_params(v, q, depth, branch_in) - target)
+                for v in (w - 1, w, w + 1)]
+        assert miss[1] < miss[0] and miss[1] <= miss[2]
 
     def test_infeasible_target_rejected(self):
         with pytest.raises(ConfigurationError):
