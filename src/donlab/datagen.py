@@ -121,40 +121,51 @@ def _rows_by_step(jt: np.ndarray, nt: int) -> list[np.ndarray]:
 def _adr_at(config: AdrConfig, fs, fn, jx, jt) -> np.ndarray:
     """u at (x[jx[r]], t[jt[r]]) for the source fs[fn[r]], for every query row r.
 
-    All sources (rows of fs) advance together as the columns of one state,
-    so each stage is one multi-right-hand-side tridiagonal solve; only the
-    queried nodes of each step are kept.
+    All sources (rows of fs) advance together as the rows of one C-ordered
+    (num_sources, nx) state, so each stage is one multi-right-hand-side
+    tridiagonal solve; only the queried nodes of each step are kept. The
+    transpose of a stage's right-hand side is the Fortran-ordered array that
+    LAPACK's ``dgtsv`` (the routine behind ``solve_banded((1, 1), ...)``)
+    solves in place, with no copy and no input check, so a non-finite one
+    reaches the blow-up check, which names the source and the step.
     """
-    from scipy.linalg import solve_banded  # loaded here so only ADR solves pay its import
+    from scipy.linalg.lapack import dgtsv  # loaded here so only ADR solves pay its import
 
     nx, nt = config.nx, config.nt
     dx = 1.0 / (nx - 1)
     dt = 1.0 / (nt - 1)
     r = config.D * dt / (2.0 * dx * dx)
-    f_int = fs[:, 1:-1].T
+    if not np.isfinite(r):
+        raise ConfigurationError(f"D={config.D} overflows D dt / (2 dx^2) on a {nx} x {nt} grid")
+    f_int = fs[:, 1:-1]
 
-    # banded form of I - r*T with T the second-difference stencil
-    ab = np.zeros((3, nx - 2))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
+    # the bands of I - r*T with T the second-difference stencil; dgtsv takes
+    # off-diagonals of length nx - 3, and at least 1 (unused when nx = 3)
+    off = np.full(max(nx - 3, 1), -r)
+    diag = np.full(nx - 2, 1.0 + 2.0 * r)
+
+    def solve(rhs):
+        x, info = dgtsv(off, diag, off, rhs.T, overwrite_b=True)[3:]
+        if info != 0:
+            raise NumericalError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
+        return x.T
 
     rows = _rows_by_step(jt, nt)
     out = np.zeros(jt.size)
-    cur = np.zeros((nx, fs.shape[0]))
+    cur = np.zeros((fs.shape[0], nx))
     for j in range(1, nt):
-        ui = cur[1:-1]
-        lin = ui + r * (cur[:-2] - 2.0 * ui + cur[2:])
+        ui = cur[:, 1:-1]
+        lin = ui + r * (cur[:, :-2] - 2.0 * ui + cur[:, 2:])
         g0 = config.k * ui * ui + f_int
-        pred = solve_banded((1, 1), ab, lin + dt * g0)
+        pred = solve(lin + dt * g0)
         g1 = config.k * pred * pred + f_int
-        new = solve_banded((1, 1), ab, lin + 0.5 * dt * (g0 + g1))
-        blown = ~np.all(np.abs(new) <= BLOWUP_LIMIT, axis=0)  # inf and nan fail <= too
+        new = solve(lin + 0.5 * dt * (g0 + g1))
+        blown = ~np.all(np.abs(new) <= BLOWUP_LIMIT, axis=1)  # inf and nan fail <= too
         if blown.any():
             raise DivergenceError(f"solution for source function {np.argmax(blown)} "
                                   f"blew up at time step {j} (t={j * dt:.4g})")
-        cur[1:-1] = new
-        out[rows[j]] = cur[jx[rows[j]], fn[rows[j]]]
+        cur[:, 1:-1] = new
+        out[rows[j]] = cur[fn[rows[j]], jx[rows[j]]]
     return out
 
 
@@ -331,13 +342,22 @@ def _sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def _column_texts(values: np.ndarray):
+    """The ``repr`` of each value of a float64 column, in order, as an iterator;
+    each bitwise-distinct value (so 0.0 and -0.0 apart) is formatted once."""
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = [repr(v) for v in keys.view(np.float64).tolist()]
+    return map(texts.__getitem__, inverse.tolist())
+
+
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Columns s_0..s_{m-1}, p_0..p_{d2-1}, y plus a metadata sidecar JSON.
 
     Every float is written as its ``repr`` and every line ends in ``\\r\\n``,
-    as ``csv.writer`` would write them. The text of each ``sensors`` row (each
-    is used, and distinct) is formatted once and reused for every triple of
-    its source function."""
+    as ``csv.writer`` would write them. Each ``sensors`` row (each is used,
+    and distinct) and each bitwise-distinct value of a ``p`` column or of
+    ``y`` is formatted once (generated query points are grid nodes, so a
+    ``p`` column holds few), and each line is joined from those texts."""
     path = Path(path)
     header = (
         [f"s_{i}" for i in range(dataset.m)]
@@ -345,11 +365,13 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
         + ["y"]
     )
     s_texts = [",".join(map(repr, row)) for row in dataset.sensors.tolist()]
+    columns = [map(s_texts.__getitem__, dataset.source.tolist())]
+    columns += [_column_texts(dataset.p[:, i]) for i in range(dataset.d2)]
+    columns.append(_column_texts(dataset.y))
     with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        rows = zip(dataset.source.tolist(), dataset.p.tolist(), dataset.y.tolist())
-        for k, p_row, y in rows:
-            fh.write(f"{s_texts[k]},{','.join(map(repr, p_row))},{y!r}\r\n")
+        for fields in zip(*columns):
+            fh.write(",".join(fields) + "\r\n")
     meta = {
         "B": dataset.B,
         "m": dataset.m,
@@ -368,9 +390,12 @@ def read_dataset_csv(path) -> Dataset:
     Reads unquoted comma-separated fields, one record per line, with lines
     ending in ``\\r\\n``, ``\\n`` or ``\\r``; a quote is a non-numeric value.
     Each line is split once from the right into its ``s`` text and its ``p``
-    and ``y`` fields; each distinct ``s`` text is split and parsed once, at
-    its first line, and stored as one ``sensors`` row, so the rows come in
-    order of first use however the lines are ordered. A file written by
+    and ``y`` fields (the line's end stays on ``y``, which ``float`` reads
+    past); each distinct ``s`` text is split and parsed once, at its first
+    line, and stored as one ``sensors`` row, so the rows come in order of
+    first use however the lines are ordered. A line whose ``s`` text equals
+    the previous line's takes that line's row without a lookup, so a run of
+    one source function's lines hashes its text once. A file written by
     :func:`write_dataset_csv` thus reads back in the layout ``Dataset``
     keeps, as ``repr`` gives each distinct row a text of its own. A
     non-finite value is rejected naming its line."""
@@ -390,11 +415,14 @@ def read_dataset_csv(path) -> Dataset:
             raise FormatError(f"unexpected header in {path}: {header}")
         rows, s_rows = {}, []  # rows: s text -> its sensors row
         labels, py_values = array("q"), array("d")  # 8 bytes a value, not a float object
+        last = k = None  # the previous line's s text and its sensors row
         for ln, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
+            # the line's end stays on the y field, whose float() skips it
             text, *py = line.rsplit(",", d2 + 1)
-            k = rows.get(text)
+            if text != last:
+                k, last = rows.get(text), text
             if len(py) != d2 + 1 or (k is None and text.count(",") != m - 1):
+                line = line.rstrip("\r\n")
                 got = line.count(",") + 1 if line else 0
                 raise FormatError(f"{path}:{ln}: expected {len(header)} columns, got {got}")
             try:
@@ -402,8 +430,13 @@ def read_dataset_csv(path) -> Dataset:
                     s_rows.append(list(map(float, text.split(","))))
                     k = rows[text] = len(s_rows) - 1
                 py_values.extend(map(float, py))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{ln}: non-numeric value ({exc})") from exc
+            except ValueError:
+                # name the first field float() rejects, without the line's end
+                for field in line.rstrip("\r\n").split(","):
+                    try:
+                        float(field)
+                    except ValueError as exc:
+                        raise FormatError(f"{path}:{ln}: non-numeric value ({exc})") from exc
             labels.append(k)
     sensors = np.array(s_rows, dtype=np.float64).reshape(len(s_rows), m)
     source = np.asarray(labels, dtype=np.intp)

@@ -187,6 +187,11 @@ def plan_cells(plan: ExperimentPlan) -> list[PlannedCell]:
         w = size_architecture(plan.target_params, q, plan.depth,
                               plan.branch_in, plan.trunk_in)
         count = architecture_params(w, q, plan.depth, plan.branch_in, plan.trunk_in)
+        if count > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"cell q={q}: {count} params exceed the {np.iinfo(np.intp).max} entries "
+                "one array can hold"
+            )
         if abs(count - plan.target_params) / plan.target_params > plan.param_tolerance:
             raise ConfigurationError(
                 f"cell q={q}: {count} params misses target {plan.target_params} "

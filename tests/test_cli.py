@@ -522,13 +522,29 @@ class TestExperiment:
         assert not (tmp_path / "o").exists()
 
     def test_target_beyond_float_range_sizes_in_integers(self, tmp_path, capsys):
+        # sized in integers, then refused: no array holds that many parameters
         target = 10**400
         cfg = self._plan_cfg(tmp_path, target_params=target)
         assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path / "o"),
-                     "--dry-run"]) == 0
-        rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()[1:]]
-        assert [int(row[0]) for row in rows] == [2, 3]
-        assert all(abs(int(row[3]) - target) * 10**150 < target for row in rows)
+                     "--dry-run"]) == 2
+        count = re.fullmatch(r"error: cell q=2: (\d+) params exceed .*\n",
+                             capsys.readouterr().err).group(1)
+        assert abs(int(count) - target) * 10**150 < target
+
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_params_no_array_holds_exit_two_before_any_data(self, tmp_path, capsys,
+                                                            monkeypatch, dry_run):
+        # a 10**30-parameter plan used to build every cell's data, then fail every cell
+        built = []
+        monkeypatch.setattr(scaling, "build_cell_dataset", lambda *a, **k: built.append(a))
+        out = tmp_path / "o"
+        argv = ["experiment", "--config", self._plan_cfg(tmp_path, target_params=10**30),
+                "--out-dir", str(out)] + ["--dry-run"] * dry_run
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"error: cell q=2: \d+ params exceed the {np.iinfo(np.intp).max} "
+                            r"entries one array can hold\n", captured.err)
+        assert captured.out == "" and not out.exists() and built == []
 
     def test_full_run_emits_outputs_and_verdict(self, tmp_path, capsys):
         cfg = self._plan_cfg(tmp_path)

@@ -178,7 +178,8 @@ def _reference_pendulum(k, f, y0, v0, t_end=1.0):
 
 class TestAdrSolver:
     @pytest.mark.parametrize("D,k,nx,nt", [(0.01, 0.01, 101, 101), (0.0, 0.0, 3, 5),
-                                           (0.3, -2.0, 57, 13), (1.0, 1.0, 4, 3)])
+                                           (0.3, -2.0, 57, 13), (1.0, 1.0, 4, 3),
+                                           (0.5, 1.5, 3, 9)])
     def test_matches_reference_loop_bit_for_bit(self, D, k, nx, nt):
         cfg = AdrConfig(D=D, k=k, nx=nx, nt=nt)
         f = np.random.default_rng(nx).standard_normal(nx)
@@ -219,6 +220,19 @@ class TestAdrSolver:
         cfg = AdrConfig(D=0.0, k=80.0, nx=21, nt=101)
         with pytest.raises(DivergenceError, match="step"):
             solve_adr(np.ones(21), cfg)
+
+    def test_overflowing_right_hand_side_is_a_blowup_at_its_step(self):
+        # k u^2 overflows in the corrector's right-hand side at the first step
+        cfg = AdrConfig(k=1e300, nx=11, nt=11)
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergenceError,
+                match=r"^solution for source function 0 blew up at time step 1 \(t=0\.1\)$"):
+            solve_adr(np.full(11, 1e10), cfg)
+
+    def test_diffusion_number_overflow_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^D=1e\+308 overflows D dt / \(2 dx\^2\) on a 101 x 101 grid$"):
+            solve_adr(np.ones(101), AdrConfig(D=1e308))
 
     def test_stays_finite_across_coefficient_sweep(self):
         for dk in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
@@ -530,17 +544,21 @@ class TestCsvRoundTrip:
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     def test_signed_zero_rows_keep_their_own_text(self, tmp_path):
-        ds = Dataset(sensors=[[0.0, 1.5], [-0.0, 1.5]], source=[0, 1, 1, 0],
-                     p=np.full((4, 1), 0.5), y=np.zeros(4), B=0.0,
-                     sensor_grid=np.array([0.0, 1.0]))
         s = np.array([[0.0, 1.5], [-0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]])
+        p = np.array([[0.0, -0.0], [-0.0, 0.5], [0.0, -0.0], [-0.0, 0.0]])
+        y = np.array([-0.0, 0.0, 0.25, -0.0])
+        ds = Dataset(sensors=s[:2], source=[0, 1, 1, 0], p=p, y=y, B=0.25,
+                     sensor_grid=np.array([0.0, 1.0]))
         path = tmp_path / "z.csv"
         write_dataset_csv(ds, path)
         lines = path.read_bytes().split(b"\r\n")
-        assert lines[1:] == [b"0.0,1.5,0.5,0.0", b"-0.0,1.5,0.5,0.0",
-                             b"-0.0,1.5,0.5,0.0", b"0.0,1.5,0.5,0.0", b""]
+        assert lines[1:] == [b"0.0,1.5,0.0,-0.0,-0.0", b"-0.0,1.5,-0.0,0.5,0.0",
+                             b"-0.0,1.5,0.0,-0.0,0.25", b"0.0,1.5,-0.0,0.0,-0.0", b""]
+        rows = np.hstack([s, p, y[:, None]]).tolist()
+        assert lines[1:-1] == [",".join(map(repr, row)).encode() for row in rows]
         back = read_dataset_csv(path)
-        assert np.array_equal(back.s.view(np.int64), s.view(np.int64))
+        for got, want in ((back.s, s), (back.p, p), (back.y, y)):
+            assert _same_bits(got, want)
 
     def test_distinct_rows_round_trip(self, tmp_path, rng):
         from conftest import random_dataset
