@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -260,6 +262,8 @@ def verify_perturbation(
     trials: int,
     seed,
     j: float | None = None,
+    *,
+    pool: Executor | None = None,
 ) -> PerturbationReport:
     """Empirical check of the risk perturbation bound.
 
@@ -269,6 +273,13 @@ def verify_perturbation(
     A chunk of trials is drawn as one block from four streams spawned from
     seed, each read row after row so the chunk size never changes the draws,
     and evaluated in one stacked pass; a NaN increment is skipped.
+
+    With a pool, one task submitted to it evaluates chunks beside the
+    calling thread. Each thread takes the next chunk and draws it under one
+    lock, so chunk c gets the same draws whichever thread takes it, and
+    keeps its own evaluator and running maximum; the report is the same as
+    with pool=None. An error on either thread stops the other at its next
+    chunk and is raised once both have stopped.
     """
     check_number("theta", theta, InputError, finite=True, at_least=0)
     check_number("trials", trials, InputError, count=True, at_least=1)
@@ -284,15 +295,37 @@ def verify_perturbation(
     # branch normals, branch radii, trunk normals, trunk radii
     bn, br, tn, tr = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
     chunk = _stack_size(model, dataset.n)
-    max_observed = -math.inf
-    for start in range(0, trials, chunk):
-        k = min(chunk, trials - start)
-        db = _uniform_in_ball(bn, br, k, branch.size, theta / 2.0)
-        dt = _uniform_in_ball(tn, tr, k, trunk.size, theta / 2.0)
-        increments = risks(branch + db, trunk + dt) - base
-        increments = increments[~np.isnan(increments)]  # NaN never counts
-        if increments.size:
-            max_observed = max(max_observed, float(increments.max()))
+    starts, lock = iter(range(0, trials, chunk)), threading.Lock()
+
+    def evaluate(risks) -> float:
+        nonlocal starts
+        max_observed = -math.inf
+        try:
+            while True:
+                with lock:
+                    start = next(starts, None)
+                    if start is None:
+                        return max_observed
+                    k = min(chunk, trials - start)
+                    db = _uniform_in_ball(bn, br, k, branch.size, theta / 2.0)
+                    dt = _uniform_in_ball(tn, tr, k, trunk.size, theta / 2.0)
+                increments = risks(branch + db, trunk + dt) - base
+                increments = increments[~np.isnan(increments)]  # NaN never counts
+                if increments.size:
+                    max_observed = max(max_observed, float(increments.max()))
+        except BaseException:
+            starts = iter(())  # the other thread stops at its next chunk
+            raise
+
+    helper = None if pool is None else pool.submit(
+        lambda: evaluate(_RiskEvaluator(model, dataset).risks))
+    try:
+        max_observed = evaluate(risks)
+    finally:
+        if helper is not None and not helper.cancel():
+            helper.exception()  # wait for the helper to stop
+    if helper is not None and not helper.cancelled():
+        max_observed = max(max_observed, helper.result())
     return PerturbationReport(
         max_observed=max_observed,
         bound=bound,

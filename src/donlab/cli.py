@@ -216,15 +216,24 @@ def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=
         check_number(key, value, InputError, count=True, at_least=1)  # before any work
 
     # The checks draw from their own seeded streams and share no state, so
-    # the longest, 2), runs on a worker thread while this one runs the others
-    # (numpy releases the GIL in their large operations); the report is the same.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # 2) risk perturbation bound with the analytic weight-Lipschitz constant
-        model, ds = _toy_model_and_data(seed)
-        perturbation = pool.submit(
-            bounds.verify_perturbation, model, theta=0.05, dataset=ds,
-            trials=perturbation_trials, seed=[seed, 13],
+    # the worker runs 3) and 4), a few large numpy calls that release the GIL,
+    # while this thread runs 1), many small calls; then both threads share
+    # the trial chunks of 2). The report is the same as on one thread.
+    def monte_carlo_checks():
+        # 3) constructive covering of the weight ball
+        cover_ok = all(
+            bounds.verify_cover_bruteforce(d, 1.0, theta, cover_probes,
+                                           seed=[seed, d, int(theta * 100)])
+            for d in (1, 2)
+            for theta in (0.25, 0.5)
         )
+        # 4) mean-deviation tail vs its exponential bound
+        return cover_ok, bounds.hoeffding_mc_check(
+            0.0, 1.0, 100, 0.2, hoeffding_trials, seed=[seed, 17]
+        )
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        monte_carlo = pool.submit(monte_carlo_checks)
 
         # 1) exact gradients vs central finite differences
         worst = 0.0
@@ -239,19 +248,11 @@ def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=
                 gradcheck.relative_error(gt, ft),
             )
 
-        # 3) constructive covering of the weight ball
-        cover_ok = all(
-            bounds.verify_cover_bruteforce(d, 1.0, theta, cover_probes,
-                                           seed=[seed, d, int(theta * 100)])
-            for d in (1, 2)
-            for theta in (0.25, 0.5)
-        )
-
-        # 4) mean-deviation tail vs its exponential bound
-        hrep = bounds.hoeffding_mc_check(
-            0.0, 1.0, 100, 0.2, hoeffding_trials, seed=[seed, 17]
-        )
-        rep = perturbation.result()
+        # 2) risk perturbation bound with the analytic weight-Lipschitz constant
+        model, ds = _toy_model_and_data(seed)
+        rep = bounds.verify_perturbation(model, theta=0.05, dataset=ds,
+                                         trials=perturbation_trials, seed=[seed, 13], pool=pool)
+        cover_ok, hrep = monte_carlo.result()
 
     rows = [("gradient_check", worst, 1e-6, bool(worst < 1e-6)),
             ("perturbation_bound", rep.max_observed, rep.bound, rep.holds),

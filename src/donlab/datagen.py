@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,6 +89,23 @@ class AdrConfig:
         check_number("k", self.k, ConfigurationError, finite=True)
         check_number("nx", self.nx, ConfigurationError, count=True, at_least=3)
         check_number("nt", self.nt, ConfigurationError, count=True, at_least=3)
+        for name in ("nx", "nt"):
+            if getattr(self, name) > sys.float_info.max:  # 1 / (count - 1) would overflow
+                raise ConfigurationError(f"{name} is too large for a float64 grid step")
+        try:
+            r = self.r
+        except ZeroDivisionError:  # 2 dx^2 underflows to zero
+            r = math.inf
+        if not math.isfinite(r):
+            raise ConfigurationError(f"D={self.D} overflows D dt / (2 dx^2) "
+                                     f"on a {self.nx} x {self.nt} grid")
+
+    @property
+    def r(self) -> float:
+        """The diffusion number D dt / (2 dx^2) of the Crank-Nicolson step."""
+        dx = 1.0 / (self.nx - 1)
+        dt = 1.0 / (self.nt - 1)
+        return self.D * dt / (2.0 * dx * dx)
 
     @property
     def x_grid(self) -> np.ndarray:
@@ -132,11 +151,8 @@ def _adr_at(config: AdrConfig, fs, fn, jx, jt) -> np.ndarray:
     from scipy.linalg.lapack import dgtsv  # loaded here so only ADR solves pay its import
 
     nx, nt = config.nx, config.nt
-    dx = 1.0 / (nx - 1)
     dt = 1.0 / (nt - 1)
-    r = config.D * dt / (2.0 * dx * dx)
-    if not np.isfinite(r):
-        raise ConfigurationError(f"D={config.D} overflows D dt / (2 dx^2) on a {nx} x {nt} grid")
+    r = config.r
     f_int = fs[:, 1:-1]
 
     # the bands of I - r*T with T the second-difference stencil; dgtsv takes

@@ -1,6 +1,11 @@
 import math
 import re
+import struct
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -461,6 +466,127 @@ class TestVerifyPerturbation:
         model = random_model(rng, output="sigmoid")
         rep = verify_perturbation(model, 0.0, random_dataset(rng, n=5), 5, seed=0, j=math.inf)
         assert (rep.max_observed, rep.bound, rep.holds) == (0.0, 0.0, True)
+
+
+class TestVerifyPerturbationPool:
+    """With a pool, a helper task shares the trial chunks with the calling thread."""
+
+    @staticmethod
+    def _fields(rep):
+        return (struct.pack("<d", rep.max_observed), rep.bound, rep.holds, rep.j_used, rep.trials)
+
+    @pytest.mark.parametrize("seed", [0, 5, 31])
+    @pytest.mark.parametrize("trials", ["1", "chunk-1", "chunk", "chunk+1", "2chunk+5", "10000"])
+    def test_pool_equals_one_thread(self, seed, trials):
+        model, ds = cli._toy_model_and_data(seed)
+        chunk = deeponet._stack_size(model, ds.n)
+        trials = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
+                  "2chunk+5": 2 * chunk + 5, "10000": 10_000}[trials]
+        serial = verify_perturbation(model, 0.05, ds, trials, seed=[seed, 13])
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            shared = verify_perturbation(model, 0.05, ds, trials, seed=[seed, 13], pool=pool)
+        assert self._fields(shared) == self._fields(serial)
+
+    def test_pool_busy_at_first_equals_one_thread(self, monkeypatch):
+        # the CLI's case: the worker is busy when the helper is submitted.
+        # It is released at the second chunk, and the calling thread waits
+        # in its next pass until the helper has drawn a chunk of its own.
+        model, ds = cli._toy_model_and_data(5)
+        serial = verify_perturbation(model, 0.05, ds, 2000, seed=[5, 13])
+        release, helper_drew = threading.Event(), threading.Event()
+        main = threading.current_thread()
+        calls = 0
+        real_draw, real_risks = bounds._uniform_in_ball, deeponet._RiskEvaluator.risks
+
+        def draw(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                release.set()
+            if threading.current_thread() is not main:
+                helper_drew.set()
+            return real_draw(*args)
+
+        def risks(self, branch_flats, trunk_flats):
+            if threading.current_thread() is main and release.is_set():
+                assert helper_drew.wait(timeout=30)
+            return real_risks(self, branch_flats, trunk_flats)
+
+        monkeypatch.setattr(bounds, "_uniform_in_ball", draw)
+        monkeypatch.setattr(deeponet._RiskEvaluator, "risks", risks)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            busy = pool.submit(release.wait, 30)
+            shared = verify_perturbation(model, 0.05, ds, 2000, seed=[5, 13], pool=pool)
+            assert busy.result() is True
+        assert helper_drew.is_set()
+        assert self._fields(shared) == self._fields(serial)
+
+    def test_interleaved_threads_draw_each_chunk_once(self, monkeypatch):
+        # four runs at once, each with its helper: eight threads on the cores.
+        # A short switch interval, and a yield between a chunk's two draws,
+        # interleave the hand-outs; each chunk's branch and trunk draws must
+        # still come from one thread, in chunk order
+        model, ds = cli._toy_model_and_data(31)
+        trials, chunk = 2000, deeponet._stack_size(model, ds.n)
+        want = self._fields(verify_perturbation(model, 0.05, ds, trials, seed=[31, 13]))
+        runs, got = 4, {}
+        draws = {f"run{i}": [] for i in range(runs)}  # (thread, dim, count) in draw order
+        real_draw = bounds._uniform_in_ball
+
+        def draw(*args):
+            name = threading.current_thread().name
+            draws[name.split("_")[0]].append((name, args[3], args[2]))
+            time.sleep(0)
+            return real_draw(*args)
+
+        def run(i):
+            with ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"run{i}") as pool:
+                got[i] = self._fields(verify_perturbation(model, 0.05, ds, trials,
+                                                          seed=[31, 13], pool=pool))
+
+        monkeypatch.setattr(bounds, "_uniform_in_ball", draw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,), name=f"run{i}_caller")
+                       for i in range(runs)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {i: want for i in range(runs)}
+        sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
+        chunk_draws = [((model.branch.flat.size, k), (model.trunk.flat.size, k)) for k in sizes]
+        for seq in draws.values():
+            pairs = list(zip(seq[::2], seq[1::2], strict=True))
+            assert all(b[0] == t[0] for b, t in pairs)  # one thread draws both
+            assert [(b[1:], t[1:]) for b, t in pairs] == chunk_draws
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["one-thread", "pool"])
+    def test_error_in_a_chunk_stops_both_threads(self, monkeypatch, pooled):
+        model, ds = cli._toy_model_and_data(5)
+        calls = 0
+        real_draw = bounds._uniform_in_ball
+
+        def draw(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 3:  # the branch draw of the second chunk
+                raise InputError("draw failed")
+            return real_draw(*args)
+
+        monkeypatch.setattr(bounds, "_uniform_in_ball", draw)
+        before = threading.active_count()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(InputError, match="^draw failed$"):
+                verify_perturbation(model, 0.05, ds, 10_000, seed=[5, 13],
+                                    pool=pool if pooled else None)
+        assert threading.active_count() == before
+        # the other thread draws at most one more chunk of the 93
+        assert calls <= 5
 
 
 _real_default_rng = np.random.default_rng

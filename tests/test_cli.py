@@ -546,6 +546,21 @@ class TestExperiment:
                             r"entries one array can hold\n", captured.err)
         assert captured.out == "" and not out.exists() and built == []
 
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_diffusion_number_overflow_exits_two_before_any_data(self, tmp_path, capsys,
+                                                                 monkeypatch, dry_run):
+        # the plan used to dry-run to a table, and a run to fail every cell
+        built = []
+        monkeypatch.setattr(scaling, "build_cell_dataset", lambda *a, **k: built.append(a))
+        out = tmp_path / "o"
+        adr = {"D": 1e308, "k": 0.01, "nx": 21, "nt": 21}
+        argv = ["experiment", "--config", self._plan_cfg(tmp_path, adr=adr),
+                "--out-dir", str(out)] + ["--dry-run"] * dry_run
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: D=1e+308 overflows D dt / (2 dx^2) on a 21 x 21 grid\n"
+        assert captured.out == "" and not out.exists() and built == []
+
     def test_full_run_emits_outputs_and_verdict(self, tmp_path, capsys):
         cfg = self._plan_cfg(tmp_path)
         out = tmp_path / "o"
@@ -910,7 +925,8 @@ class _InlineExecutor:
 
 
 class TestVerifyThread:
-    """verify runs its perturbation check on one worker thread."""
+    """verify runs its cover and Hoeffding checks on one worker thread, beside
+    the gradient check, and then shares the perturbation trials with it."""
 
     CONFIG = {"gradient_models": 3, "perturbation_trials": 1500,
               "cover_probes": 2000, "hoeffding_trials": 2000}

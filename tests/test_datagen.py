@@ -234,6 +234,19 @@ class TestAdrSolver:
                            match=r"^D=1e\+308 overflows D dt / \(2 dx\^2\) on a 101 x 101 grid$"):
             solve_adr(np.ones(101), AdrConfig(D=1e308))
 
+    @pytest.mark.parametrize("count", ["nx", "nt"])
+    def test_count_beyond_float_range_rejected(self, count):
+        # 1 / (count - 1) raised OverflowError; a run exited 2 with numpy's
+        # "Maximum allowed size exceeded" and a dry run printed its table
+        with pytest.raises(ConfigurationError,
+                           match=f"^{count} is too large for a float64 grid step$"):
+            AdrConfig(**{count: 10**400})
+
+    def test_grid_step_squared_underflow_rejected(self):
+        # 2 dx^2 rounds to zero, so D dt / (2 dx^2) divides by zero
+        with pytest.raises(ConfigurationError, match=r"^D=0.01 overflows D dt / \(2 dx\^2\) "):
+            AdrConfig(nx=10**200)
+
     def test_stays_finite_across_coefficient_sweep(self):
         for dk in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
             cfg = AdrConfig(D=dk, k=dk, nx=101, nt=101)
