@@ -46,16 +46,28 @@ class GrfConfig:
         if not (self.grid[0] >= 0.0 and self.grid[-1] <= 1.0):
             raise ConfigurationError("grid must lie in [0, 1]")
         check_number("length_scale", self.length_scale, ConfigurationError, finite=True, above=0)
+        _check_length_scale(self.length_scale, ConfigurationError)
         check_number("jitter", self.jitter, ConfigurationError, finite=True, at_least=0)
 
 
-def kernel_matrix(grid: np.ndarray, l: float) -> np.ndarray:
-    """RBF kernel matrix of a 1-d grid: entry (i, j) is exp(-|g_i - g_j|^2 / (2 l^2))."""
+def _check_length_scale(l, error) -> None:
+    """Raise error naming length_scale unless l > 0 and the kernel's divisor
+    2 l^2 does not underflow to zero, as it does for l below about 1.5e-162."""
     if not l > 0:
-        raise InputError("length scale must be > 0")
+        raise error(f"length_scale must be > 0, got {l!r}")
+    if 2.0 * l * l == 0.0:
+        raise error(f"length_scale={l!r} is too small: 2 length_scale^2 underflows to 0")
+
+
+def kernel_matrix(grid: np.ndarray, l: float) -> np.ndarray:
+    """RBF kernel matrix of a 1-d grid: entry (i, j) is exp(-|g_i - g_j|^2 / (2 l^2)).
+
+    A quotient that overflows to +inf gives the exact entry exp(-inf) = 0."""
+    _check_length_scale(l, InputError)
     g = np.asarray(grid, dtype=np.float64)
     d = g[:, None] - g[None, :]
-    return np.exp(-(d * d) / (2.0 * l * l))
+    with np.errstate(over="ignore"):
+        return np.exp(-(d * d) / (2.0 * l * l))
 
 
 def grf_cholesky(config: GrfConfig) -> np.ndarray:
@@ -131,6 +143,43 @@ def solve_adr(f: np.ndarray, config: AdrConfig) -> np.ndarray:
     return _adr_at(config, f[None, :], np.zeros_like(jx), jx, jt).reshape(config.nx, config.nt)
 
 
+def _flapack():
+    """scipy's LAPACK extension module, ``scipy.linalg._flapack``, loaded alone.
+
+    ``scipy.linalg.lapack`` re-exports its routines, but importing that loads
+    all of ``scipy.linalg`` (about 310 modules, 27 MiB). Only top-level
+    ``scipy`` is imported, whose ``__init__`` sets up what its shared libraries
+    need; the extension is loaded from its file and kept in ``sys.modules``
+    under its own name, so a later ``import scipy.linalg`` reuses this object.
+    Loads racing in two threads get one object: CPython keeps a single-phase
+    extension module once per file and name.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack was not found in {folder}")
+
+
+def _blowup(bad: np.ndarray, step: int, dt: float) -> DivergenceError:
+    """The error for a solve whose sources flagged in bad blew up at time index step."""
+    return DivergenceError(f"solution for source function {np.argmax(bad)} "
+                           f"blew up at time step {step} (t={step * dt:.4g})")
+
+
 def _rows_by_step(jt: np.ndarray, nt: int) -> list[np.ndarray]:
     """For each time index 0..nt-1, the query rows that sample it."""
     order = np.argsort(jt, kind="stable")
@@ -148,7 +197,7 @@ def _adr_at(config: AdrConfig, fs, fn, jx, jt) -> np.ndarray:
     solves in place, with no copy and no input check, so a non-finite one
     reaches the blow-up check, which names the source and the step.
     """
-    from scipy.linalg.lapack import dgtsv  # loaded here so only ADR solves pay its import
+    dgtsv = _flapack().dgtsv
 
     nx, nt = config.nx, config.nt
     dt = 1.0 / (nt - 1)
@@ -178,8 +227,7 @@ def _adr_at(config: AdrConfig, fs, fn, jx, jt) -> np.ndarray:
         new = solve(lin + 0.5 * dt * (g0 + g1))
         blown = ~np.all(np.abs(new) <= BLOWUP_LIMIT, axis=1)  # inf and nan fail <= too
         if blown.any():
-            raise DivergenceError(f"solution for source function {np.argmax(blown)} "
-                                  f"blew up at time step {j} (t={j * dt:.4g})")
+            raise _blowup(blown, j, dt)
         cur[:, 1:-1] = new
         out[rows[j]] = cur[fn[rows[j]], jx[rows[j]]]
     return out
@@ -207,7 +255,8 @@ def _pendulum_at(k, y0, v0, t_end, fs, fn, jt) -> np.ndarray:
     """y at t[jt[r]] under the forcing fs[fn[r]], for every query row r.
 
     All forcings (rows of fs) are integrated together, one RK4 step on
-    (num_sources,) arrays per time step.
+    (num_sources,) arrays per time step. A step whose angle or velocity is
+    not finite for some source raises DivergenceError naming both.
     """
     n = fs.shape[1]
     h = t_end / (n - 1)
@@ -228,6 +277,9 @@ def _pendulum_at(k, y0, v0, t_end, fs, fn, jt) -> np.ndarray:
         k4v = -k * np.sin(yy + h * k3y) + f1
         yy = yy + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         vv = vv + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        finite = np.isfinite(yy) & np.isfinite(vv)
+        if not finite.all():
+            raise _blowup(~finite, i + 1, h)
         out[rows[i + 1]] = yy[fn[rows[i + 1]]]
     return out
 

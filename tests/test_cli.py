@@ -183,6 +183,11 @@ class TestGenData:
         ({"grf": {"length_scale": True}}, "length_scale must be a finite number > 0, got True"),
         ({"grf": {"length_scale": 0.05, "jitter": None}},
          "jitter must be a finite number >= 0, got None"),
+        # 2 l^2 underflows to 0: the kernel used to divide 0 by 0 on its diagonal
+        ({"grf": {"length_scale": 1e-320}},
+         "length_scale=1e-320 is too small: 2 length_scale^2 underflows to 0"),
+        ({"kind": "pendulum", "pendulum": {"nt": 21}, "grf": {"length_scale": 1e-320}},
+         "length_scale=1e-320 is too small: 2 length_scale^2 underflows to 0"),
         ({"adr": {"D": "0.01", "nx": 21, "nt": 21}}, "D must be a finite number >= 0, got '0.01'"),
         ({"adr": {"k": False, "nx": 21, "nt": 21}}, "k must be a finite number, got False"),
         ({"adr": {"nx": 11.0, "nt": 21}}, "nx must be an int >= 3, got 11.0"),
@@ -197,6 +202,20 @@ class TestGenData:
                      "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_diverging_pendulum_exits_one_naming_its_step(self, tmp_path, capsys):
+        # y overflows at the first step; Dataset used to reject the NaN labels as B
+        cfg = _write(tmp_path / "p.json", {
+            "kind": "pendulum", "sensor_count": 5, "num_functions": 3,
+            "points_per_function": 8, "seed": 1, "out_name": "pend",
+            "pendulum": {"k": 1.0, "nt": 11, "v0": 1e308}, "grf": {"length_scale": 0.1},
+        })
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["gen-data", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: solution for source function 0 blew up at time step 1 (t=0.1)\n")
+        assert not (out / "pend.csv").exists()
 
     def test_pendulum_forcing_scale_is_passed_through(self, tmp_path):
         cfg = _write(tmp_path / "p.json", {
@@ -559,6 +578,21 @@ class TestExperiment:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: D=1e+308 overflows D dt / (2 dx^2) on a 21 x 21 grid\n"
+        assert captured.out == "" and not out.exists() and built == []
+
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_underflowing_length_scale_exits_two_before_any_data(self, tmp_path, capsys,
+                                                                 monkeypatch, dry_run):
+        # the plan used to dry-run to a table, and a run to fail every cell
+        built = []
+        monkeypatch.setattr(scaling, "build_cell_dataset", lambda *a, **k: built.append(a))
+        out = tmp_path / "o"
+        argv = ["experiment", "--config", self._plan_cfg(tmp_path, grf_length_scale=1e-320),
+                "--out-dir", str(out)] + ["--dry-run"] * dry_run
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: grf_length_scale=1e-320 is too small: "
+                                "2 length_scale^2 underflows to 0\n")
         assert captured.out == "" and not out.exists() and built == []
 
     def test_full_run_emits_outputs_and_verdict(self, tmp_path, capsys):

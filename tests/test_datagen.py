@@ -60,6 +60,16 @@ class TestRbfKernel:
             with pytest.raises(InputError):
                 kernel_matrix(np.array([0.0, 1.0]), l)
 
+    def test_length_scale_whose_two_l_squared_underflows_rejected(self):
+        with pytest.raises(InputError, match=r"^length_scale=1e-320 is too small"):
+            kernel_matrix(np.array([0.0, 1.0]), 1e-320)
+        with pytest.raises(ConfigurationError, match=r"^length_scale=1e-320 is too small"):
+            GrfConfig(grid=np.linspace(0, 1, 5), length_scale=1e-320)
+
+    def test_quotient_overflow_gives_exact_zeros_without_a_warning(self):
+        # d^2 / (2 l^2) overflows to +inf off the diagonal; the suite makes warnings errors
+        assert np.array_equal(kernel_matrix(np.linspace(0, 1, 5), 1e-160), np.eye(5))
+
 
 def _grf_draws(cfg, count, seed):
     """count GRF draws as rows, taken the way the program takes them: the s
@@ -440,6 +450,27 @@ class TestBatchedAssembly:
             rows = slice(i * per, (i + 1) * per)
             traj = solve_pendulum(3.0, ds.s[i * per], 0.4, -1.1)
             assert np.array_equal(ds.y[rows], traj[jt[rows]])
+
+    def test_diverging_pendulum_is_a_blowup_at_its_step(self):
+        # v0 = 1e308 overflows y at the first step; a later step would turn it to NaN
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DivergenceError,
+                match=r"^solution for source function 0 blew up at time step 1 \(t=0\.1\)$"):
+            solve_pendulum(1.0, np.zeros(11), 0.0, 1e308)
+
+    def test_diverging_pendulum_source_is_named(self):
+        # forcings of 1e308 times a GRF draw overflow at the first step for the
+        # sources whose draw is large enough; at this seed the first is source 1
+        grf = GrfConfig(grid=np.linspace(0, 1, 11), length_scale=0.5)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DivergenceError,
+                match=r"^solution for source function 1 blew up at time step 1 \(t=0\.1\)$"):
+            build_pendulum_dataset(grf, 1.0, 5, 4, 3, 0.0, seed=0, forcing_scale=1e308)
+
+    def test_huge_finite_pendulum_forcing_is_accepted(self):
+        grf = GrfConfig(grid=np.linspace(0, 1, 21), length_scale=0.1)
+        ds = build_pendulum_dataset(grf, 1.0, 5, 4, 6, 0.0, seed=0, forcing_scale=1e200)
+        assert np.all(np.isfinite(ds.y)) and ds.B > 1e190
 
     def test_one_diverging_source_is_named_with_its_step(self):
         # near-constant sources with D = 0: u_t = k u^2 + c blows up only where c is
