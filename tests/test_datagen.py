@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
-from donlab import scaling
+from donlab import datagen, scaling
 from donlab.datagen import (
     AdrConfig,
     GrfConfig,
@@ -466,6 +466,19 @@ class TestBatchedAssembly:
                 DivergenceError,
                 match=r"^solution for source function 1 blew up at time step 1 \(t=0\.1\)$"):
             build_pendulum_dataset(grf, 1.0, 5, 4, 3, 0.0, seed=0, forcing_scale=1e308)
+
+    @pytest.mark.parametrize("sampled", [np.arange(11), np.array([1])], ids=["all", "step-1"])
+    def test_divergence_after_the_last_sampled_step_still_raises(self, sampled):
+        # a last forcing sample of 1e308 overflows the velocity at the last step
+        # while the angle stays finite (1.67e305); the solve raises there even when
+        # only step 1 is sampled, as the ADR solver does, though no label is affected
+        f = np.zeros(11)
+        f[-1] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DivergenceError,
+                match=r"^solution for source function 0 blew up at time step 10 \(t=1\)$"):
+            datagen._pendulum_at(1.0, 0.0, 0.0, 1.0, f[None, :], np.zeros(sampled.size, int),
+                                 sampled)
 
     def test_huge_finite_pendulum_forcing_is_accepted(self):
         grf = GrfConfig(grid=np.linspace(0, 1, 21), length_scale=0.1)

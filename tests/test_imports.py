@@ -95,8 +95,9 @@ for a in (ds.s, ds.p, ds.y):
 rc = 0 if h.hexdigest() == (
     "1b7c6f497209d8a7926ed3584d55a9680e14253bee0560dfb8151ae7fa4b0fb2") else 1
 """ + _REPORT
-# two threads make the process's first ADR solves at once, switching often:
-# each must get the serial result, bit for bit, from the one module object
+# two threads make the process's first loads and ADR solves at once, switching
+# often: each thread's own first load must return the one module object that
+# sys.modules keeps, and each solve the serial result, bit for bit
 _THREADED_FIRST_SOLVES = _START + """
 import threading
 import numpy as np
@@ -107,8 +108,8 @@ fs = [np.sin(np.pi * (i + 1) * cfg.x_grid) for i in range(2)]
 barrier, got, modules = threading.Barrier(2, timeout=60), {}, {}
 def first_solve(i):
     barrier.wait()
-    got[i] = datagen.solve_adr(fs[i], cfg)
     modules[i] = datagen._flapack()
+    got[i] = datagen.solve_adr(fs[i], cfg)
 threads = [threading.Thread(target=first_solve, args=(i,)) for i in range(2)]
 for t in threads:
     t.start()
@@ -116,7 +117,7 @@ for t in threads:
     t.join(timeout=60)
 serial = [datagen.solve_adr(f, cfg) for f in fs]
 rc = 0 if (not any(t.is_alive() for t in threads) and len(got) == 2
-           and modules[0] is modules[1]
+           and modules[0] is modules[1] is sys.modules["scipy.linalg._flapack"]
            and all(got[i].tobytes() == serial[i].tobytes() for i in range(2))) else 1
 """ + _REPORT
 
@@ -200,26 +201,28 @@ def test_shuffled_take_and_one_epoch_load_neither_scipy_nor_numpy_ma():
     assert got == UNLOADED, err
 
 
+# each ADR run, and the file it must write
 ADR_CASES = {
-    "gen-data": lambda tmp: ["gen-data", "--config", _write(tmp / "gen.json", {
+    "gen-data": ("ds.csv", lambda tmp: ["gen-data", "--config", _write(tmp / "gen.json", {
         "kind": "adr", "sensor_count": 6, "num_functions": 2, "points_per_function": 10,
         "seed": 0, "out_name": "ds", "adr": {"nx": 11, "nt": 11},
         "grf": {"length_scale": 0.1},
-    }), "--out-dir", tmp / "o"],
-    "experiment": lambda tmp: ["experiment", "--config", _write(tmp / "plan.json", {
+    }), "--out-dir", tmp / "o"]),
+    "experiment": ("summary.csv", lambda tmp: ["experiment", "--config", _write(tmp / "plan.json", {
         "exponent": 0.5, "anchor": [2, 40], "q_list": [2, 3], "branch_in": 6,
         "target_params": 340, "param_tolerance": 0.2, "epochs": 1, "batch_size": 16, "seeds": [0],
         "adr": {"nx": 11, "nt": 11}, "grf_length_scale": 0.1, "points_per_function": 10,
-    }), "--out-dir", tmp / "o"],
+    }), "--out-dir", tmp / "o"]),
 }
 
 
 @pytest.mark.parametrize("case", list(ADR_CASES))
 def test_adr_runs_load_lapack_alone(tmp_path, case):
-    got, err = _fresh_run(ADR_CASES[case](tmp_path))
+    written, argv = ADR_CASES[case]
+    got, err = _fresh_run(argv(tmp_path))
     del got["numpy.ma"]  # what scipy imports is scipy's affair
     assert got == LAPACK_ALONE, err
-    assert any((tmp_path / "o").glob("*.csv"))
+    assert (tmp_path / "o" / written).exists()
 
 
 @pytest.mark.parametrize("child, loaded", [
