@@ -62,20 +62,24 @@ def _write_report(cfg: dict, out_dir: Path, subcommand: str, payload: dict) -> N
 def _cmd_gen_data(args, cfg, /, *, kind="adr", seed=0, out_name="dataset", sensor_count=40,
                   num_functions=10, points_per_function=100, noise_std=0.0, adr={},
                   pendulum={}, grf={}) -> int:
+    blocks = {"adr": adr, "pendulum": pendulum}
+    if kind not in blocks:
+        raise InputError(f"unknown dataset kind {kind!r}")
+    for name, block in blocks.items():
+        if name != kind and block != {}:  # the other kind's settings would go unused
+            raise InputError(f"kind {kind!r} takes no {name!r} block, got {block!r}")
     common = dict(sensor_count=sensor_count, num_functions=num_functions,
                   points_per_function=points_per_function, noise_std=noise_std, seed=seed)
     if kind == "adr":
         solver = datagen.AdrConfig(**adr)
         field = datagen.GrfConfig(grid=solver.x_grid, **grf)
         ds = datagen.build_adr_dataset(grf=field, adr=solver, **common)
-    elif kind == "pendulum":
+    else:
         pend = dict(pendulum)
         pend_k, nt = pend.pop("k", 1.0), pend.pop("nt", 101)
         check_number("nt", nt, ConfigurationError, count=True, at_least=2)
         field = datagen.GrfConfig(grid=np.linspace(0.0, 1.0, nt), **grf)
         ds = datagen.build_pendulum_dataset(grf=field, pend_k=pend_k, **pend, **common)
-    else:
-        raise InputError(f"unknown dataset kind {kind!r}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / f"{out_name}.csv"
     datagen.write_dataset_csv(ds, csv_path)
@@ -140,7 +144,8 @@ def _cmd_train(args, cfg, /, *, dataset, seed=0, epochs=1, batch_size=256, lr=0.
 # ---------------------------------------------------------------------------
 
 def _cmd_experiment(args, cfg, /, **_) -> int:
-    # ExperimentPlan.from_dict checks the keys
+    # ExperimentPlan.from_dict checks the keys; a bad --threads fails before the table
+    check_number("max_workers", args.threads, InputError, count=True, at_least=1)
     plan = scaling.ExperimentPlan.from_dict(cfg)
     cells = scaling.plan_cells(plan)
     print(f"{'q':>4} {'n':>9} {'width':>6} {'params':>8}")

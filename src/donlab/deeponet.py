@@ -288,20 +288,19 @@ def loss_grads(
     step = _TwoTowers(model)
     s = nn._check_input(model.branch.spec, batch.sensors).take(batch.source, 0)
     p = nn._check_input(model.trunk.spec, batch.p)
-    grad, loss = step(step.join(model.branch.flat, model.trunk.flat), s, p, batch.y)
-    return *step.split(grad), loss
+    grad, loss = step(np.concatenate((model.branch.flat, model.trunk.flat)), s, p, batch.y)
+    return grad[:step.pb], grad[step.pb:], loss
 
 
 class _TwoTowers:
-    """The training step of one model shape, on joint vectors.
+    """The training step of one model shape, on joint vectors [branch | trunk].
 
     When the towers agree past their input layer (dims and activations, as
     init_model's nets do), each tower's input layer writes into one half of a
-    (2, rows, width) buffer and every later layer runs as one stacked pass;
-    otherwise each tower runs whole and the stacked tail is empty. A joint
-    vector is [branch head | trunk head | (2, P_tail) tail], and every value
-    equals the per-net pass bit for bit. A step keeps no buffers, so one
-    serves batches of any size.
+    (2, rows, width) buffer and every later layer runs as one stacked pass on
+    a (2, P_tail) view of both flats' tails; otherwise each tower runs whole
+    and the stacked tail is empty. Every value equals the per-net pass bit
+    for bit. A step keeps no buffers, so one serves batches of any size.
     """
 
     def __init__(self, model: DeepONetModel):
@@ -311,30 +310,21 @@ class _TwoTowers:
         self.heads = (1, 1) if stack else (b.depth, t.depth)  # each tower's unstacked layers
         self.cuts = tuple(nn._layer_slices(spec, 0, k)[-1][1].stop
                           for spec, k in zip(self.specs, self.heads))
-        self.sizes = (model.branch.flat.size, model.trunk.flat.size)
-
-    def join(self, branch: np.ndarray, trunk: np.ndarray) -> np.ndarray:
-        """The joint vector of a branch and a trunk vector laid out as their flats."""
-        if (branch.size, trunk.size) != self.sizes:
-            raise InputError("gradient / state length does not match parameter vector")
-        hb, ht = self.cuts
-        return np.concatenate((branch[:hb], trunk[:ht], branch[hb:], trunk[ht:]))
-
-    def split(self, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (branch, trunk) vectors of a joint vector, as fresh arrays."""
-        (hb, ht), tail = self.cuts, joint[sum(self.cuts):].reshape(2, -1)
-        return np.concatenate((joint[:hb], tail[0])), np.concatenate((joint[hb:hb + ht], tail[1]))
+        self.pb = model.branch.flat.size
 
     def __call__(self, joint: np.ndarray, s, p, y) -> tuple[np.ndarray, float]:
         """(joint gradient, risk) on (s, p, y), row-aligned batches of any size.
 
-        The residual r_i = h_i - y_i feeds (2/n) r_i Trunk(p_i) into the
-        branch output and (2/n) r_i Branch(s_i) into the trunk's.
+        joint is a C-contiguous float64 [branch | trunk] vector. The residual
+        r_i = h_i - y_i feeds (2/n) r_i Trunk(p_i) into the branch output and
+        (2/n) r_i Branch(s_i) into the trunk's.
         """
-        b, kb, (hb, ht) = self.specs[0], self.heads[0], self.cuts
+        b, kb, pb, (hb, ht) = self.specs[0], self.heads[0], self.pb, self.cuts
         grad = np.empty_like(joint)
-        flats, grads = (joint[:hb], joint[hb:hb + ht]), (grad[:hb], grad[hb:hb + ht])
-        tail, tail_grad = (v[hb + ht:].reshape(2, -1) for v in (joint, grad))
+        flats, grads = (joint[:hb], joint[pb:pb + ht]), (grad[:hb], grad[pb:pb + ht])
+        # a tail view's rows: each tower's layers past its head, pb - hb + ht floats apart
+        tail, tail_grad = (np.ndarray((2, pb - hb), float, v, 8 * hb, (8 * (pb - hb + ht), 8))
+                           for v in (joint, grad))
         mid = np.empty((2, y.shape[0], b.layer_dims[kb]))
         acts = [], [], []
         for j, (spec, x) in enumerate(zip(self.specs, (s, p))):
@@ -379,9 +369,10 @@ def j_upper_bound(W: float, p: int, Q: int, depth: int, R: float) -> float:
         + math.log(R)
         + 0.5 * math.log(p)
     )
-    if log_val > 709.0:  # exp overflow threshold for float64
+    try:
+        return math.exp(log_val)
+    except OverflowError:
         return math.inf
-    return math.exp(log_val)
 
 
 # ---------------------------------------------------------------------------

@@ -267,10 +267,13 @@ def train_deeponet(
     if shared[0] != shared[1]:  # one Adam update serves both nets
         raise InputError(f"adam_branch and adam_trunk must share (t, lr, beta1, beta2, eps), "
                          f"got {shared[0]} and {shared[1]}")
+    pb = model.branch.flat.size
+    if (adam_branch.m.shape, adam_trunk.m.shape) != ((pb,), model.trunk.flat.shape):
+        raise InputError("gradient / state length does not match parameter vector")
     step = _TwoTowers(model)
-    joint = step.join(model.branch.flat, model.trunk.flat)
-    adam = replace(adam_branch, m=step.join(adam_branch.m, adam_trunk.m),
-                   v=step.join(adam_branch.v, adam_trunk.v))
+    joint = np.concatenate((model.branch.flat, model.trunk.flat))
+    adam = replace(adam_branch, m=np.concatenate((adam_branch.m, adam_trunk.m)),
+                   v=np.concatenate((adam_branch.v, adam_trunk.v)))
     curve = []
     sensors, source, p, y = dataset.sensors, dataset.source, dataset.p, dataset.y
     n = dataset.n
@@ -282,14 +285,14 @@ def train_deeponet(
             grad, _ = step(joint, sensors.take(source.take(idx), 0), p.take(idx, 0), y.take(idx))
             adam, joint = nn._adam_update(adam, joint, grad)
             if weight_ball is not None:
-                joint = step.join(*(
+                joint = np.concatenate([
                     nn.project_to_ball(nn.MlpParams(spec, flat), weight_ball).flat
-                    for spec, flat in zip(step.specs, step.split(joint))))
-        loss = float(risks(*step.split(joint)))
+                    for spec, flat in zip(step.specs, np.split(joint, [pb]))])
+        loss = float(risks(*np.split(joint, [pb])))
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite training loss at epoch {epoch}")
         curve.append(loss)
-    (branch, trunk), (mb, mt), (vb, vt) = map(step.split, (joint, adam.m, adam.v))
+    (branch, trunk), (mb, mt), (vb, vt) = (np.split(v, [pb]) for v in (joint, adam.m, adam.v))
     model = DeepONetModel(nn.MlpParams(step.specs[0], branch), nn.MlpParams(step.specs[1], trunk))
     return model, replace(adam, m=mb, v=vb), replace(adam, m=mt, v=vt), curve
 

@@ -379,6 +379,7 @@ def criterion11_plan(exponent: float) -> ExperimentPlan:
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_desk_scale_scaling_law():
     t0 = time.perf_counter()
     suite_a = run_suite(criterion11_plan(0.5))

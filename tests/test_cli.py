@@ -144,6 +144,11 @@ class TestGenData:
         ("pendulum", {"nt": 31.0}, "nt must be an int >= 2, got 31.0"),
         ("pendulum", {"nt": "31"}, "nt must be an int >= 2, got '31'"),
         ("pendulum", {"k": "1"}, "pendulum k must be a finite number, got '1'"),
+        # None: extra goes to the top level, giving a block for the other kind
+        (None, {"adr": {"nx": "bogus"}},
+         "kind 'pendulum' takes no 'adr' block, got {'nx': 'bogus'}"),
+        (None, {"kind": "adr", "adr": {"nx": 21, "nt": 21}},
+         "kind 'adr' takes no 'pendulum' block, got {'k': 1.0, 'nt': 31}"),
     ])
     def test_bad_key_or_value_in_a_section_exits_two(self, tmp_path, capsys, section, extra,
                                                       message):
@@ -152,7 +157,7 @@ class TestGenData:
             "points_per_function": 8, "seed": 1, "out_name": "pend",
             "pendulum": {"k": 1.0, "nt": 31}, "grf": {"length_scale": 0.1},
         }
-        cfg[section].update(extra)
+        (cfg if section is None else cfg[section]).update(extra)
         out = tmp_path / "out"
         assert main(["gen-data", "--config", _write(tmp_path / "p.json", cfg),
                      "--out-dir", str(out)]) == 2
@@ -171,13 +176,13 @@ class TestGenData:
         ({"adr": {"k": math.nan, "nx": 21, "nt": 21}}, "k must be a finite number, got nan"),
         ({"noise_std": math.nan}, "noise_std must be a finite number >= 0, got nan"),
         ({"noise_std": math.inf}, "noise_std must be a finite number >= 0, got inf"),
-        ({"kind": "pendulum", "pendulum": {"k": math.nan, "nt": 21}},
+        ({"kind": "pendulum", "adr": {}, "pendulum": {"k": math.nan, "nt": 21}},
          "pendulum k must be a finite number, got nan"),
-        ({"kind": "pendulum", "pendulum": {"y0": math.inf, "nt": 21}},
+        ({"kind": "pendulum", "adr": {}, "pendulum": {"y0": math.inf, "nt": 21}},
          "pendulum y0 must be a finite number, got inf"),
-        ({"kind": "pendulum", "pendulum": {"v0": -math.inf, "nt": 21}},
+        ({"kind": "pendulum", "adr": {}, "pendulum": {"v0": -math.inf, "nt": 21}},
          "pendulum v0 must be a finite number, got -inf"),
-        ({"kind": "pendulum", "pendulum": {"forcing_scale": math.nan, "nt": 21}},
+        ({"kind": "pendulum", "adr": {}, "pendulum": {"forcing_scale": math.nan, "nt": 21}},
          "pendulum forcing_scale must be a finite number, got nan"),
         ({"grf": {"length_scale": "0.1"}}, "length_scale must be a finite number > 0, got '0.1'"),
         ({"grf": {"length_scale": True}}, "length_scale must be a finite number > 0, got True"),
@@ -186,7 +191,8 @@ class TestGenData:
         # 2 l^2 underflows to 0: the kernel used to divide 0 by 0 on its diagonal
         ({"grf": {"length_scale": 1e-320}},
          "length_scale=1e-320 is too small: 2 length_scale^2 underflows to 0"),
-        ({"kind": "pendulum", "pendulum": {"nt": 21}, "grf": {"length_scale": 1e-320}},
+        ({"kind": "pendulum", "adr": {}, "pendulum": {"nt": 21},
+          "grf": {"length_scale": 1e-320}},
          "length_scale=1e-320 is too small: 2 length_scale^2 underflows to 0"),
         ({"adr": {"D": "0.01", "nx": 21, "nt": 21}}, "D must be a finite number >= 0, got '0.01'"),
         ({"adr": {"k": False, "nx": 21, "nt": 21}}, "k must be a finite number, got False"),
@@ -432,6 +438,25 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_resume_with_a_short_adam_state_exits_two(self, tmp_path, dataset_csv, capsys):
+        base = {"dataset": str(dataset_csv), "q": 2, "width": 4, "depth": 2,
+                "batch_size": 32, "epochs": 1, "out_name": "run"}
+        first = tmp_path / "first"
+        assert main(["train", "--config", _write(tmp_path / "first.json", base),
+                     "--out-dir", str(first)]) == 0
+        ckpt = first / "run.checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        for key in ("m", "v"):  # one entry short, as a pair that builds
+            payload["adam_branch"][key].pop()
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "second"
+        assert main(["train", "--config", _write(tmp_path / "second.json",
+                                                 dict(base, resume_from=str(ckpt))),
+                     "--out-dir", str(out)]) == 2
+        assert ("error: gradient / state length does not match parameter vector"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("sidecar", ["[1]", "{not json"])
     def test_bad_dataset_sidecar_exits_two(self, tmp_path, dataset_csv, capsys, sidecar):
         meta = dataset_csv.parent / (dataset_csv.name + ".meta.json")
@@ -647,13 +672,18 @@ class TestExperiment:
         assert f"lr must be a finite number > 0, got {lr}" in captured.err
         assert captured.out == "" and not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_fewer_than_one_thread_exits_two(self, tmp_path, capsys, threads):
+    @pytest.mark.parametrize("threads, flags", [
+        pytest.param("0", [], id="0"), pytest.param("-1", [], id="-1"),
+        pytest.param("0", ["--dry-run"], id="0-dry-run"),
+        pytest.param("-1", ["--dry-run"], id="-1-dry-run"),
+    ])
+    def test_fewer_than_one_thread_exits_two(self, tmp_path, capsys, threads, flags):
         out = tmp_path / "o"
         assert main(["experiment", "--config", self._plan_cfg(tmp_path), "--threads", threads,
-                     "--out-dir", str(out)]) == 2
-        assert f"max_workers must be an int >= 1, got {threads}" in capsys.readouterr().err
-        assert not out.exists()
+                     "--out-dir", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"max_workers must be an int >= 1, got {threads}" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_failed_cells_exit_one(self, tmp_path):
         cfg = self._plan_cfg(tmp_path, adr={"D": 0.0, "k": 200.0, "nx": 21, "nt": 101})

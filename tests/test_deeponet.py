@@ -224,23 +224,50 @@ class TestTwoTowerStep:
         model = DeepONetModel(random_params(bspec, rng), random_params(tspec, rng))
         step = deeponet._TwoTowers(model)
         assert step.heads == heads
-        joint = step.join(model.branch.flat, model.trunk.flat)
-        assert all(bits_equal(g, w) for g, w in zip(
-            step.split(joint), (model.branch.flat, model.trunk.flat)))
+        joint = np.concatenate((model.branch.flat, model.trunk.flat))
         joint_before = joint.copy()
         for rows in (9, 4, 20):
             s, p = rng.uniform(-1, 1, (rows, bdims[0])), rng.uniform(0, 1, (rows, tdims[0]))
             y = rng.uniform(-1, 1, rows)
             grad, loss = step(joint, s, p, y)
             gb, gt, want_loss = per_net_loss_grads(model, s, p, y)
-            assert bits_equal(grad, step.join(gb, gt)) and loss == want_loss
+            assert bits_equal(grad, np.concatenate((gb, gt))) and loss == want_loss
             assert bits_equal(joint, joint_before)
 
-    def test_join_checks_the_vector_sizes(self, rng):
-        model = random_model(rng)
-        step = deeponet._TwoTowers(model)
-        with pytest.raises(InputError, match="state length does not match"):
-            step.join(model.branch.flat, model.trunk.flat[:-1])
+    def test_tail_views_alias_the_joint_vector_and_its_gradient(self, rng, monkeypatch):
+        model = init_model(5, 2, 3, 4, 3, int(rng.integers(2**31)), "tanh", "tanh", "he")
+        seen = {}
+        real_forward, real_backward = nn._forward, nn._backward
+
+        def forward(spec, flat, x, acts, start=0, **kwargs):
+            if start > 0:  # the stacked pass past the input layers
+                seen["tail"] = flat
+            return real_forward(spec, flat, x, acts, start=start, **kwargs)
+
+        def backward(spec, flat, acts, delta, grad, start=0):
+            if start > 0:
+                seen["tail_grad"] = grad
+            return real_backward(spec, flat, acts, delta, grad, start)
+
+        monkeypatch.setattr(nn, "_forward", forward)
+        monkeypatch.setattr(nn, "_backward", backward)
+        joint = np.concatenate((model.branch.flat, model.trunk.flat))
+        grad, _ = deeponet._TwoTowers(model)(joint, rng.uniform(-1, 1, (4, 5)),
+                                             rng.uniform(0, 1, (4, 2)), rng.uniform(-1, 1, 4))
+        tail, tail_grad = seen["tail"], seen["tail_grad"]
+        hb, ht = 5 * 4 + 4, 2 * 4 + 4  # each input layer's weights and biases
+        assert tail.shape == tail_grad.shape == (2, model.branch.flat.size - hb)
+        assert np.shares_memory(tail, joint) and np.shares_memory(tail_grad, grad)
+        assert bits_equal(tail[0], model.branch.flat[hb:])
+        assert bits_equal(tail[1], model.trunk.flat[ht:])
+
+    def test_train_rejects_adam_state_of_the_wrong_length(self, rng):
+        model, ds = random_model(rng), random_dataset(rng, n=8)
+        short = nn.adam_init(model.branch.flat.size - 1)
+        with pytest.raises(InputError,
+                           match="^gradient / state length does not match parameter vector$"):
+            scaling.train_deeponet(model, ds, 1, 4, seed=0, adam_branch=short,
+                                   adam_trunk=nn.adam_init(model.trunk.flat.size))
 
 
 ACTIVATION_PAIRS = [
@@ -752,6 +779,9 @@ class TestJUpperBound:
         assert j_upper_bound(1e6, 10**6, 2, 50, 1e3) == math.inf
         assert j_upper_bound(math.inf, 4, 1, 1, 1.0) == math.inf
         assert j_upper_bound(2.0, 4, 1, 1, math.inf) == math.inf
+        # W = e^354.75 gives log 709.5, just below exp's overflow at about 709.78
+        assert j_upper_bound(math.exp(354.75), 1, 1, 1, 1.0) == pytest.approx(1.355e308, rel=1e-3)
+        assert j_upper_bound(math.exp(354.9), 1, 1, 1, 1.0) == math.inf  # log 709.8
 
 
 class TestCheckpoint:
