@@ -418,6 +418,16 @@ def _column_texts(values: np.ndarray):
     return map(texts.__getitem__, inverse.tolist())
 
 
+def _non_finite_line(sensors, source, *columns) -> int | None:
+    """The CSV line (the header is line 1) of the first triple holding a
+    non-finite value in its sensors row or in any of columns, 2-d arrays
+    with one row per triple; None when every value is finite."""
+    ok = np.isfinite(sensors).all(axis=1)[source]
+    for column in columns:
+        ok &= np.isfinite(column).all(axis=1)
+    return None if ok.all() else int(np.argmin(ok)) + 2
+
+
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Columns s_0..s_{m-1}, p_0..p_{d2-1}, y plus a metadata sidecar JSON.
 
@@ -425,8 +435,13 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     as ``csv.writer`` would write them. Each ``sensors`` row (each is used,
     and distinct) and each bitwise-distinct value of a ``p`` column or of
     ``y`` is formatted once (generated query points are grid nodes, so a
-    ``p`` column holds few), and each line is joined from those texts."""
+    ``p`` column holds few), and each line is joined from those texts. A
+    non-finite value, which :func:`read_dataset_csv` would refuse, raises
+    ``InputError`` naming its line before anything is written."""
     path = Path(path)
+    line = _non_finite_line(dataset.sensors, dataset.source, dataset.p, dataset.y[:, None])
+    if line is not None:
+        raise InputError(f"{path}:{line}: non-finite value")
     header = (
         [f"s_{i}" for i in range(dataset.m)]
         + [f"p_{i}" for i in range(dataset.d2)]
@@ -509,9 +524,9 @@ def read_dataset_csv(path) -> Dataset:
     sensors = np.array(s_rows, dtype=np.float64).reshape(len(s_rows), m)
     source = np.asarray(labels, dtype=np.intp)
     py = np.frombuffer(py_values).reshape(len(labels), d2 + 1)
-    bad = ~(np.isfinite(sensors).all(axis=1)[source] & np.isfinite(py).all(axis=1))
-    if bad.any():
-        raise FormatError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite value")
+    line = _non_finite_line(sensors, source, py)
+    if line is not None:
+        raise FormatError(f"{path}:{line}: non-finite value")
     p, y = py[:, :d2].copy(), py[:, d2].copy()
 
     sidecar = _sidecar_path(path)

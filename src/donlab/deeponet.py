@@ -116,7 +116,7 @@ class Dataset:
             raise InputError("sensor grid length != sensor count m")
         check_number("noise_std", self.noise_std, InputError, finite=True, at_least=0)
         check_number("B", self.B, InputError, finite=True, at_least=0)
-        if self.y.size and np.max(np.abs(self.y)) > self.B:
+        if self.y.size and not np.max(np.abs(self.y)) <= self.B:
             raise InputError("label bound B violated: max|y| > B")
         if self.seed is not None:
             for entry in self.seed if isinstance(self.seed, list) else [self.seed]:

@@ -68,8 +68,9 @@ class ExperimentPlan:
             for i, v in enumerate(items):
                 check_number(f"{name}[{i}]", v, ConfigurationError, count=True, at_least=at_least)
         check_number("exponent", self.exponent, ConfigurationError, finite=True, above=0)
-        if not self.q_list or sorted(self.q_list) != list(self.q_list):
-            raise ConfigurationError("q_list must be non-empty and increasing")
+        if not self.q_list or sorted(set(self.q_list)) != self.q_list:
+            raise ConfigurationError(
+                f"q_list must be non-empty and strictly increasing, got {self.q_list}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds must be non-empty and distinct; got {self.seeds}")
         check_number("lr", self.lr, ConfigurationError, finite=True, above=0)

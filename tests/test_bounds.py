@@ -257,6 +257,14 @@ class TestQLowerBoundGeneral:
             _inputs(**{name: value})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("j_source", ["measured", None])
+    def test_unknown_j_source_rejected(self, j_source):
+        inputs = _inputs()
+        with pytest.raises(InputError, match="^j_source must be 'estimated' or 'analytic'$"):
+            BoundInputs(n=inputs.n, epsilon=inputs.epsilon, delta=inputs.delta,
+                        label_bound=inputs.label_bound, fclass=inputs.fclass, j=inputs.j,
+                        j_source=j_source)
+
 
 class TestAlphaPrime:
     def test_balanced_split(self):

@@ -73,6 +73,20 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("gen-data", {"kind": "heat"}, "unknown dataset kind 'heat'"),
+        ("bound", {"variant": "relu", "n": 1000, "epsilon": 0.5, "delta": 0.2,
+                   "label_bound": 1.5, "j": 2.0,
+                   "class": {"d_b": 50, "d_t": 40, "w_b": 2.0, "w_t": 2.0, "q": 4}},
+         "unknown bound variant 'relu'"),
+    ])
+    def test_unknown_kind_or_variant_exits_two(self, tmp_path, capsys, command, cfg, message):
+        out = tmp_path / "out"
+        assert main([command, "--config", _write(tmp_path / "c.json", cfg),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, cfg", [
         ("gen-data", {}), ("train", {"dataset": "d.csv"}), ("verify", {}),
     ])
@@ -763,6 +777,17 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == "" and not out.exists() and built == []
+
+    @pytest.mark.parametrize("q_list", [[], [2, 2, 3], [3, 2]])
+    def test_q_list_not_strictly_increasing_exits_two(self, tmp_path, capsys, q_list):
+        # a repeated q used to pass the plan and then be reported as a repeated n
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", self._plan_cfg(tmp_path, q_list=q_list),
+                     "--out-dir", str(out), "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: q_list must be non-empty and strictly increasing, "
+                                f"got {q_list}\n")
+        assert captured.out == "" and not out.exists()
 
     def test_negative_seed_flag_exits_two_before_any_data(self, tmp_path, capsys, monkeypatch):
         # a negative seed used to fail every cell and exit 1 after writing the outputs

@@ -99,6 +99,11 @@ class TestGrf:
                            match="jitter must be a finite number >= 0, got inf"):
             GrfConfig(grid=np.linspace(0, 1, 5), jitter=math.inf)
 
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0]]], ids=["empty", "2-d"])
+    def test_empty_or_2d_grid_rejected(self, grid):
+        with pytest.raises(ConfigurationError, match="^grid must be a non-empty 1-d vector$"):
+            GrfConfig(grid=np.array(grid), length_scale=0.1)
+
     def test_deterministic_in_seed(self):
         cfg = GrfConfig(grid=np.linspace(0, 1, 12), length_scale=0.1)
         assert np.array_equal(_grf_draws(cfg, 1, 4), _grf_draws(cfg, 1, 4))
@@ -417,6 +422,18 @@ class TestPendulumDataset:
             want = sol.sol(ds.p[i, 0])[0]
             assert abs(ds.y[i] - want) < 1e-5
 
+    @pytest.mark.parametrize("grid, message", [
+        ([0.0], "time grid needs at least two nodes"),
+        (np.linspace(0, 0.5, 5), "pendulum time grid must span [0, 1]"),
+        (np.linspace(0.5, 1, 5), "pendulum time grid must span [0, 1]"),
+        ([0.0, 0.1, 1.0], "pendulum time grid must be uniform"),
+    ])
+    def test_time_grid_rejected(self, grid, message):
+        grf = GrfConfig(grid=np.array(grid), length_scale=0.1)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            build_pendulum_dataset(grf, pend_k=1.0, sensor_count=1, num_functions=1,
+                                   points_per_function=1, noise_std=0.0, seed=0)
+
 
 class TestBatchedAssembly:
     """The builders solve all sources together; each label must still be the
@@ -600,6 +617,26 @@ class TestCsvRoundTrip:
             write_dataset_csv(build_adr_dataset(grf, adr, seed=2, **kw), path)
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["sensors", "p", "y"])
+    def test_non_finite_value_is_refused_before_writing(self, tmp_path, column, value):
+        def dataset(bad):
+            ds = Dataset(sensors=np.array([[1.0, 2.0], [3.0, 4.0]]), source=[0, 0, 1, 1],
+                         p=np.full((4, 1), 0.5), y=np.full(4, 0.25), B=1.0,
+                         sensor_grid=np.array([0.0, 1.0]))
+            if bad:  # the third triple, on line 4, is the first to hold the value
+                array, at = {"sensors": (ds.sensors, (1, 1)), "p": (ds.p, (2, 0)),
+                             "y": (ds.y, 2)}[column]
+                array[at] = value
+            return ds
+
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(dataset(False), path)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:4: non-finite value$"):
+            write_dataset_csv(dataset(True), path)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
     def test_signed_zero_rows_keep_their_own_text(self, tmp_path):
         s = np.array([[0.0, 1.5], [-0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]])
         p = np.array([[0.0, -0.0], [-0.0, 0.5], [0.0, -0.0], [-0.0, 0.0]])
@@ -732,6 +769,19 @@ class TestCsvRoundTrip:
         edit(meta)
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match=f"^sidecar {re.escape(str(sidecar))} .*{key}"):
+            read_dataset_csv(p)
+
+    @pytest.mark.parametrize("key, value", [("m", 2), ("d2", 2), ("m", None)])
+    def test_sidecar_disagreeing_with_the_header_rejected(self, tmp_path, key, value):
+        p = tmp_path / "d.csv"
+        write_dataset_csv(Dataset(sensors=[[1.0]], source=[0], p=[[2.0]], y=[0.5], B=1.0,
+                                  sensor_grid=[0.0]), p)
+        sidecar = tmp_path / "d.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        message = f"sidecar {sidecar} disagrees with the CSV header"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             read_dataset_csv(p)
 
 

@@ -357,6 +357,21 @@ def test_dataset_rejects_sensors_or_p_without_columns(m, d2):
                 B=0.0, sensor_grid=np.zeros(m))
 
 
+@pytest.mark.parametrize("label", [1.5, -math.inf, math.inf, math.nan])
+def test_dataset_rejects_a_label_beyond_B_or_nan(label):
+    with pytest.raises(InputError, match=re.escape("label bound B violated: max|y| > B")):
+        Dataset(sensors=np.zeros((1, 3)), source=np.zeros(2, int), p=np.zeros((2, 1)),
+                y=np.array([label, 0.2]), B=1.0, sensor_grid=np.zeros(3))
+
+
+def test_dataset_keeps_nan_sensors_and_p():
+    # the CSV writer refuses them, but the in-memory layout takes any bits
+    ds = Dataset(sensors=np.full((1, 3), math.nan), source=np.zeros(2, int),
+                 p=np.full((2, 1), math.nan), y=np.array([1.0, -1.0]), B=1.0,
+                 sensor_grid=np.zeros(3))
+    assert np.isnan(ds.sensors).all() and np.isnan(ds.p).all()
+
+
 @pytest.mark.parametrize("seed, message", [
     (True, "seed must be an int >= 0, got True"),
     (-1, "seed must be an int >= 0, got -1"),

@@ -1,8 +1,9 @@
 """The import footprint: scipy is loaded by the ADR solver only, and then
 only top-level scipy and its LAPACK extension ``scipy.linalg._flapack``,
 never ``scipy.linalg``; numpy.ma (which np.unique imports for float keys or
-rows, at a cost in peak memory) is loaded by none of the scipy-free runs; and
-each module uses every name it imports.
+rows, at a cost in peak memory) is loaded by none of the scipy-free runs;
+importing one module does not load the others; and each module uses every
+name it imports.
 
 Each scipy case runs in a fresh interpreter, since this test process has
 ``scipy.linalg`` loaded already (the reference solvers in test_datagen use
@@ -120,6 +121,13 @@ rc = 0 if (not any(t.is_alive() for t in threads) and len(got) == 2
            and modules[0] is modules[1] is sys.modules["scipy.linalg._flapack"]
            and all(got[i].tobytes() == serial[i].tobytes() for i in range(2))) else 1
 """ + _REPORT
+
+# the package exports nothing, so importing one module loads only what it imports
+_NN_ALONE = _START + """
+import donlab.nn
+print(json.dumps([name for name in ("donlab.scaling", "donlab.bounds", "concurrent.futures")
+                  if name in sys.modules]))
+"""
 
 
 def _fresh_run(argv, child=_CLI) -> tuple[dict, str]:
@@ -245,8 +253,12 @@ def test_missing_lapack_extension_is_an_import_error_naming_its_folder(tmp_path,
         datagen._flapack()
 
 
-@pytest.mark.parametrize("module", sorted(
-    p.name for p in (SRC / "donlab").glob("*.py") if p.name != "__init__.py"))
+def test_importing_nn_loads_neither_its_siblings_nor_their_imports():
+    got, err = _fresh_run([], child=_NN_ALONE)
+    assert got == [], err
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "donlab").glob("*.py")))
 def test_every_imported_name_is_used(module):
     tree = ast.parse((SRC / "donlab" / module).read_text())
     imported = set()

@@ -9,7 +9,7 @@ import pytest
 from donlab import datagen, nn, scaling
 from donlab.datagen import AdrConfig
 from donlab.deeponet import Dataset, DeepONetModel, empirical_risk, init_model
-from donlab.errors import ConfigurationError, InputError
+from donlab.errors import ConfigurationError, InputError, NumericalError
 from donlab.scaling import (
     CellResult,
     ExperimentPlan,
@@ -199,6 +199,20 @@ class TestPlanCells:
         plan.q_list = [2, 2]
         with pytest.raises(ConfigurationError):
             plan_cells(plan)
+
+    def test_distinct_q_values_rounding_to_one_n_rejected(self):
+        plan = _tiny_plan(exponent=1000.0)  # n = round(300 * 1.5^0.001) = 300 at q = 2 and 3
+        assert [n for _, n in make_plan((2, 300), plan.q_list, plan.exponent)] == [300, 300]
+        with pytest.raises(ConfigurationError,
+                           match="^n values must be strictly increasing with q$"):
+            plan_cells(plan)
+
+
+@pytest.mark.parametrize("q_list", [[], [4, 4, 8], [8, 4]])
+def test_plan_rejects_an_empty_or_not_strictly_increasing_q_list(q_list):
+    message = f"q_list must be non-empty and strictly increasing, got {q_list}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        _tiny_plan(q_list=q_list)
 
 
 class TestCellResult:
@@ -484,6 +498,15 @@ def test_train_rejects_bad_seed_or_start_epoch_naming_it(rng, key, value):
     kwargs = dict({"seed": 0, "start_epoch": 0}, **{key: value})
     with pytest.raises(InputError, match=f"^{key} must be an int >= 0, got {value!r}$"):
         train_deeponet(random_model(rng), random_dataset(rng), 1, 16, **kwargs)
+
+
+def test_train_raises_on_a_non_finite_loss_naming_its_epoch(rng):
+    from conftest import random_dataset, random_model
+
+    model = random_model(rng)
+    model.branch.flat[0] = math.nan
+    with pytest.raises(NumericalError, match="^non-finite training loss at epoch 3$"):
+        train_deeponet(model, random_dataset(rng), 1, 16, seed=0, start_epoch=3)
 
 
 class TestTrainResume:
