@@ -1,7 +1,6 @@
 """Atomic file replacement for checkpoints, datasets and suite outputs."""
 
 import os
-import uuid
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -12,7 +11,7 @@ def atomic_path(path):
     file written there replaces ``path`` in one ``os.replace``, and when it
     raises the file is removed, so ``path`` keeps its previous contents."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)

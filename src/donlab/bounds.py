@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .deeponet import (
     j_upper_bound,
 )
 from .errors import InputError, check_number
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 LOG2 = math.log(2.0)
 
@@ -131,16 +134,24 @@ def _q_lower_report(inputs: BoundInputs, log_terms: dict, log_prod: float,
     """The tail both q lower bounds share, from the log of their product term.
 
     q_lower = n^(1/4) * (eps^2 / (288 B^2) / (ln(e^log_prod + 2) + ln(2/(1-delta))))^(1/4);
-    log_cover_terms is log_terms followed by the terms computed here.
+    log_cover_terms is log_terms followed by the terms computed here. An
+    eps^2 / (288 B^2) out of float range (288 B^2 underflowing to 0 among
+    them) is an InputError naming epsilon and label_bound; the denominator
+    exceeds 2 ln 2 whenever log_prod is not NaN, so dividing by it keeps the
+    quotient finite.
     """
     eps = inputs.epsilon
     b = inputs.label_bound
     log_plus2 = float(np.logaddexp(log_prod, LOG2))
     log_conf = LOG2 - math.log1p(-inputs.delta)
     denom = log_plus2 + log_conf
-    factor = eps * eps / (288.0 * b * b) / denom
+    scale = 288.0 * b * b
+    ratio = eps * eps / scale if scale else math.inf
+    if not math.isfinite(ratio):
+        raise InputError(f"epsilon {eps!r} and label_bound {b!r} put "
+                         f"eps^2 / (288 label_bound^2) out of float range")
     return BoundReport(
-        q_lower=_fourth_root(inputs.n) * _fourth_root(factor),
+        q_lower=_fourth_root(inputs.n) * _fourth_root(ratio / denom),
         threshold=threshold,
         log_cover_terms={
             **log_terms,

@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -104,10 +103,12 @@ def _cmd_train(args, cfg, /, *, dataset, seed=0, epochs=1, batch_size=256, lr=0.
     start_epoch = 0
     if resume_from:
         # the config describes the run it resumes: a mismatch is an error
-        saved, adam_b, adam_t, start_epoch, _ = load_checkpoint(resume_from)
+        saved, adam_b, adam_t, start_epoch, seeds = load_checkpoint(resume_from)
         pairs = [("branch spec", saved.branch.spec, model.branch.spec),
                  ("trunk spec", saved.trunk.spec, model.trunk.spec)]
         pairs += [("Adam lr", a.lr, lr) for a in (adam_b, adam_t) if a is not None]
+        if "train" in seeds:
+            pairs.append(("train seed", seeds["train"], seed))
         for name, got, want in pairs:
             if got != want:
                 raise InputError(f"checkpoint {resume_from}: {name} {got} does not match "
@@ -219,6 +220,7 @@ def _cmd_verify(args, cfg, /, *, seed=0, gradient_models=5, perturbation_trials=
                        ("perturbation_trials", perturbation_trials),
                        ("cover_probes", cover_probes), ("hoeffding_trials", hoeffding_trials)):
         check_number(key, value, InputError, count=True, at_least=1)  # before any work
+    from concurrent.futures import ThreadPoolExecutor  # loaded by the run that uses it
 
     # The checks draw from their own seeded streams and share no state, so
     # the worker runs 3) and 4), a few large numpy calls that release the GIL,

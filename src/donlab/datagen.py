@@ -433,9 +433,10 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
     Every float is written as its ``repr`` and every line ends in ``\\r\\n``,
     as ``csv.writer`` would write them. Each ``sensors`` row (each is used,
-    and distinct) and each bitwise-distinct value of a ``p`` column or of
-    ``y`` is formatted once (generated query points are grid nodes, so a
-    ``p`` column holds few), and each line is joined from those texts. A
+    and distinct) and each bitwise-distinct value of a ``p`` column is
+    formatted once (generated query points are grid nodes, so a ``p`` column
+    holds few); labels are almost all distinct, so each is formatted as its
+    line is written, and each line is joined from those texts. A
     non-finite value, which :func:`read_dataset_csv` would refuse, raises
     ``InputError`` naming its line before anything is written."""
     path = Path(path)
@@ -450,7 +451,7 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     s_texts = [",".join(map(repr, row)) for row in dataset.sensors.tolist()]
     columns = [map(s_texts.__getitem__, dataset.source.tolist())]
     columns += [_column_texts(dataset.p[:, i]) for i in range(dataset.d2)]
-    columns.append(_column_texts(dataset.y))
+    columns.append(map(repr, dataset.y.tolist()))
     with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for fields in zip(*columns):

@@ -7,10 +7,8 @@ and reports per-seed monotonicity of the best training loss along q.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
@@ -347,6 +345,8 @@ def run_suite(plan: ExperimentPlan, max_workers: int = 1) -> SuiteResult:
     cells = plan_cells(plan)
     jobs = [(cell, seed) for cell in cells for seed in plan.seeds]
     if max_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded by the run that uses it
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(lambda cs: run_cell(cs[0], plan, cs[1]), jobs))
     else:
@@ -390,23 +390,22 @@ def check_monotonic(suite: SuiteResult) -> dict:
 
 def emit_plot_data(suite: SuiteResult, out_dir) -> tuple[Path, Path]:
     """Long-format curves CSV and a per-cell summary CSV; emission is
-    deterministic, so re-emitting the same suite is byte-identical."""
+    deterministic, so re-emitting the same suite is byte-identical.
+
+    Each row is one ``write`` of its fields joined by commas and ended by
+    ``\\r\\n``, the bytes ``csv.writer`` writes for int and ``repr`` fields."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = out_dir / "curves.csv"
     summary = out_dir / "summary.csv"
     with atomic_path(curves) as tmp, tmp.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q", "n", "seed", "epoch", "loss"])
+        fh.write("q,n,seed,epoch,loss\r\n")
         for cell in suite.cells:
             for epoch, loss in enumerate(cell.loss_curve):
-                w.writerow([cell.q, cell.n, cell.seed, epoch, repr(float(loss))])
+                fh.write(f"{cell.q},{cell.n},{cell.seed},{epoch},{float(loss)!r}\r\n")
     with atomic_path(summary) as tmp, tmp.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q", "n", "seed", "best_loss", "final_loss"])
+        fh.write("q,n,seed,best_loss,final_loss\r\n")
         for cell in suite.cells:
-            w.writerow([
-                cell.q, cell.n, cell.seed,
-                repr(float(cell.best_loss)), repr(float(cell.final_loss)),
-            ])
+            fh.write(f"{cell.q},{cell.n},{cell.seed},"
+                     f"{float(cell.best_loss)!r},{float(cell.final_loss)!r}\r\n")
     return curves, summary

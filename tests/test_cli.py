@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from donlab import bounds, cli, deeponet, nn, scaling
 from donlab.cli import main
@@ -18,6 +21,13 @@ from donlab.deeponet import load_checkpoint
 from donlab.errors import InputError
 
 from conftest import bits_equal
+
+_COUNT = st.integers(1, 10**300)
+
+
+def _magnitude(lo=-300.0, hi=300.0):
+    """Powers of ten from 10^lo to 10^hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
 def _write(path, payload):
@@ -307,6 +317,7 @@ class TestTrain:
          "MlpSpec(layer_dims=(6, 5, 2),"),
         ("sensor_count", 5, "branch spec MlpSpec(layer_dims=(6, 4, 2),",
          "MlpSpec(layer_dims=(5, 4, 2),"),
+        ("seed", 5, "train seed 0", "5"),
     ])
     def test_resume_must_match_the_checkpoint(self, tmp_path, dataset_csv, capsys,
                                               key, value, got, want):
@@ -907,6 +918,43 @@ class TestBound:
         first, second = (json.loads((d / "bound-report.json").read_text()) for d in (out1, out2))
         assert first == second and first["report"]["which_theorem"] == "sigmoid"
 
+    @pytest.mark.parametrize("variant", ["general", "sigmoid"])
+    @pytest.mark.parametrize("epsilon, label_bound", [
+        (0.5, 1e-300),  # 288 B^2 underflows to 0
+        (1e300, 1.5),   # eps^2 overflows
+        (0.5, 1e-160),  # the quotient overflows
+    ])
+    def test_quotient_out_of_float_range_exits_two(self, tmp_path, capsys, variant,
+                                                   epsilon, label_bound):
+        cfg = self._cfg(tmp_path, 1000, variant=variant, epsilon=epsilon,
+                        label_bound=label_bound, **{"class": {"d_b": 50, "d_t": 40,
+                                                              "w_b": 2.0, "w_t": 2.0}})
+        out = tmp_path / "o"
+        assert main(["bound", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: epsilon {epsilon!r} and label_bound {label_bound!r} put "
+            "eps^2 / (288 label_bound^2) out of float range\n")
+        assert not out.exists()
+
+    @given(variant=st.sampled_from(["general", "sigmoid"]), n=_COUNT, epsilon=_magnitude(),
+           delta=_magnitude(hi=0.0), label_bound=_magnitude(), sigma2=_magnitude(),
+           j=_magnitude(), alpha=_magnitude(hi=0.0), d_b=_COUNT, d_t=_COUNT,
+           q=st.one_of(st.integers(1, 4), _COUNT), w_b=_magnitude(lo=0.0),
+           w_t=_magnitude(lo=0.0), c=_magnitude(lo=0.0), common=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_extreme_inputs_exit_zero_or_two(self, tmp_path_factory, variant, common,
+                                             d_b, d_t, q, w_b, w_t, c, **top):
+        # every field from 1e-300 to 1e300, within its domain's side of 1 (q
+        # mostly small, so that q <= min(d_b, d_t) often holds); common gives
+        # the sigmoid variant its shared weight bound and c = 1
+        if common:
+            w_t, c = w_b, 1.0
+        cfg = dict(top, variant=variant,
+                   **{"class": {"d_b": d_b, "d_t": d_t, "q": q, "w_b": w_b, "w_t": w_t, "c": c}})
+        tmp = tmp_path_factory.mktemp("bound")
+        assert main(["bound", "--config", _write(tmp / "b.json", cfg),
+                     "--out-dir", str(tmp / "o")]) in (0, 2)
+
 
 class TestVerify:
     def test_default_run_passes(self, tmp_path, capsys):
@@ -1028,7 +1076,7 @@ class TestVerifyThread:
 
     def test_report_bytes_equal_an_inline_run(self, tmp_path, capsys, monkeypatch):
         rc, threaded = self._run(tmp_path, "threaded")
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineExecutor)
         rc_inline, inline = self._run(tmp_path, "inline")
         assert rc == rc_inline == 0
         assert threaded.read_bytes() == inline.read_bytes()

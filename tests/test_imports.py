@@ -128,6 +128,16 @@ import donlab.nn
 print(json.dumps([name for name in ("donlab.scaling", "donlab.bounds", "concurrent.futures")
                   if name in sys.modules]))
 """
+# donlab.cli imports every module; the thread pool, and what it imports, are
+# loaded only by a run that uses the pool
+_POOL_LOADED_BY_ITS_RUN = _START + """
+import donlab.cli
+names = ("concurrent.futures", "logging", "queue", "csv", "uuid")
+imported = [name for name in names if name in sys.modules]
+rc = donlab.cli.main(json.loads(sys.argv[2]))
+print(json.dumps({"rc": rc, "imported": imported,
+                  "concurrent.futures": "concurrent.futures" in sys.modules}))
+"""
 
 
 def _fresh_run(argv, child=_CLI) -> tuple[dict, str]:
@@ -256,6 +266,11 @@ def test_missing_lapack_extension_is_an_import_error_naming_its_folder(tmp_path,
 def test_importing_nn_loads_neither_its_siblings_nor_their_imports():
     got, err = _fresh_run([], child=_NN_ALONE)
     assert got == [], err
+
+
+def test_imports_load_no_thread_pool_csv_or_uuid_and_verify_loads_the_pool(tmp_path):
+    got, err = _fresh_run(CASES["verify"](tmp_path), child=_POOL_LOADED_BY_ITS_RUN)
+    assert got == {"rc": 0, "imported": [], "concurrent.futures": True}, err
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "donlab").glob("*.py")))
